@@ -18,7 +18,7 @@ pub enum SccClass {
     /// shift-register chains, reductions over registers…).
     Replicable {
         /// True when the SCC contains no load and no multiply — the paper's
-        /// criterion for duplicating it into the parallel workers instead of
+        /// rule for duplicating it into the parallel workers instead of
         /// dedicating a sequential stage to it.
         lightweight: bool,
     },

@@ -281,7 +281,7 @@ impl BenchEntry {
 /// simulation engines, plus simulated cycles and speedup over LegUp.
 fn bench(set: KernelSet, json: bool, label: &str) {
     use cgpa::flows::{
-        run_cgpa_tuned_auto, run_compiled_tuned, run_legup_engine, HwTuning, TUNE_MIN_GAIN,
+        run, run_cgpa_tuned_auto, run_compiled, HwTuning, RunSpec, Target, TUNE_MIN_GAIN,
     };
     use cgpa_sim::cache::CacheConfig;
     use cgpa_sim::{HwConfig, HwSystem, SimEngine};
@@ -317,11 +317,13 @@ fn bench(set: KernelSet, json: bool, label: &str) {
             let timed = |engine: SimEngine| {
                 let tuning = HwTuning { engine, ..HwTuning::default() };
                 let (ms, (legup, cgpa)) = timed_min(|| {
-                    let legup = run_legup_engine(k, engine).unwrap_or_else(|e| {
-                        eprintln!("{}: legup failed: {e}", k.name);
-                        std::process::exit(1);
-                    });
-                    let cgpa = run_compiled_tuned(k, &compiled, cfg, tuning).unwrap_or_else(|e| {
+                    let legup = run(k, &RunSpec { tuning, ..RunSpec::new(Target::Legup) })
+                        .unwrap_or_else(|e| {
+                            eprintln!("{}: legup failed: {e}", k.name);
+                            std::process::exit(1);
+                        });
+                    let spec = RunSpec { tuning, ..RunSpec::new(Target::Cgpa(cfg)) };
+                    let cgpa = run_compiled(k, &compiled, &spec).unwrap_or_else(|e| {
                         eprintln!("{}: cgpa failed: {e}", k.name);
                         std::process::exit(1);
                     });
@@ -494,24 +496,34 @@ fn bench_json(label: &str, set: KernelSet, entries: &[BenchEntry], total_wall_ms
 /// and render the stage/queue/memory profile with the limiting-resource
 /// verdict. With `json`, also write `PROFILE_<label>.json`.
 fn profile_cmd(set: KernelSet, json: bool, label: &str) {
-    use cgpa::flows::{run_cgpa_profiled, HwTuning};
+    use cgpa::flows::{run_compiled, FlowError, HwTuning, RunSpec, Target};
+    use cgpa::profile::Profile;
+    use cgpa_kernels::BuiltKernel;
+
+    let profile_of = |k: &BuiltKernel| -> Result<Profile, FlowError> {
+        let cfg = CgpaConfig::default();
+        let compiled = CgpaCompiler::new(cfg).compile(&k.func, &k.model)?;
+        let r = run_compiled(k, &compiled, &RunSpec::new(Target::Cgpa(cfg)))?;
+        let stats = r.stats.as_ref().expect("hardware runs capture stats");
+        Ok(Profile::from_stats(&k.name, &r.config, &compiled, stats, &HwTuning::default())?)
+    };
 
     println!("== Profile: per-kernel bottleneck report (CGPA P1, default tuning) ==");
     let kernels = bench_kernels(set, 42);
     let mut profiles = Vec::new();
     let mut csv_rows: Vec<String> = Vec::new();
     for k in &kernels {
-        match run_cgpa_profiled(k, CgpaConfig::default(), HwTuning::default()) {
-            Ok(run) => {
-                print!("{}", run.profile.render());
+        match profile_of(k) {
+            Ok(profile) => {
+                print!("{}", profile.render());
                 csv_rows.push(format!(
                     "{},{},{},{:.4}",
                     k.name,
-                    run.profile.bottleneck.tag(),
-                    run.profile.cycles,
-                    run.profile.stages.iter().map(|s| s.utilization).fold(0.0f64, f64::max)
+                    profile.bottleneck.tag(),
+                    profile.cycles,
+                    profile.stages.iter().map(|s| s.utilization).fold(0.0f64, f64::max)
                 ));
-                profiles.push(run.profile);
+                profiles.push(profile);
             }
             Err(e) => println!("{}: failed: {e}", k.name),
         }
@@ -582,7 +594,7 @@ fn dse_point_json(o: &cgpa::dse::DseOutcome, indent: &str) -> String {
 /// re-run. With `json`, writes `DSE_<label>.json`.
 fn dse_cmd(set: KernelSet, json: bool, label: &str) {
     use cgpa::dse::{CompileCache, DseLattice, DEFAULT_AREA_BUDGET_ALUT};
-    use cgpa::flows::{run_cgpa_dse, run_compiled_tuned, HwTuning};
+    use cgpa::flows::{run_cgpa_dse, run_compiled, HwTuning, RunSpec, Target};
 
     let budget = DEFAULT_AREA_BUDGET_ALUT;
     let lattice = if set == KernelSet::Quick { DseLattice::quick() } else { DseLattice::default() };
@@ -631,7 +643,9 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
             };
             let after = cache.stats();
             let warm = after.hits > before.hits && after.compiles == before.compiles;
-            match run_compiled_tuned(k, &design, cfg, rec.point.tuning(&env)) {
+            let spec =
+                RunSpec { tuning: rec.point.tuning(&env), ..RunSpec::new(Target::Cgpa(cfg)) };
+            match run_compiled(k, &design, &spec) {
                 Ok(rr) => warm && rr.cycles == rec.cycles,
                 Err(_) => false,
             }
@@ -726,7 +740,8 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
 /// Run one kernel end to end with structured tracing and write the
 /// Chrome-trace JSON to `out` (load it at <https://ui.perfetto.dev>).
 fn trace_cmd(set: KernelSet, kernel: &str, out: &str) {
-    use cgpa::flows::{run_cgpa_traced, HwTuning};
+    use cgpa::flows::{run, RunSpec, Target};
+    use cgpa_obs::Recorder;
 
     let kernels = bench_kernels(set, 42);
     let Some(k) = kernels.iter().find(|k| k.name == kernel) else {
@@ -734,16 +749,19 @@ fn trace_cmd(set: KernelSet, kernel: &str, out: &str) {
         eprintln!("unknown kernel `{kernel}`; available: {}", names.join(", "));
         std::process::exit(2);
     };
-    match run_cgpa_traced(k, CgpaConfig::default(), HwTuning::default()) {
-        Ok(traced) => {
-            let events = traced.recorder.events().len();
-            std::fs::write(out, traced.recorder.to_chrome_json()).expect("write trace json");
+    let recorder = Recorder::new();
+    let spec =
+        RunSpec { recorder: Some(&recorder), ..RunSpec::new(Target::Cgpa(CgpaConfig::default())) };
+    match run(k, &spec) {
+        Ok(result) => {
+            let events = recorder.events().len();
+            std::fs::write(out, recorder.to_chrome_json()).expect("write trace json");
             println!(
                 "{}: {} in {} cycles (shape {})",
                 k.name,
-                traced.result.config,
-                traced.result.cycles,
-                traced.result.shape.as_deref().unwrap_or("-")
+                result.config,
+                result.cycles,
+                result.shape.as_deref().unwrap_or("-")
             );
             eprintln!("wrote {out} ({events} events; open in https://ui.perfetto.dev)");
         }

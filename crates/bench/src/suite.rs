@@ -1,8 +1,10 @@
-//! Benchmark suite assembly shared by the `experiments` binary and the
-//! Criterion benches.
+//! Benchmark suite assembly for the `experiments` binary.
 
 use cgpa::compiler::CgpaConfig;
-use cgpa::flows::{run_cgpa, run_cgpa_tuned, run_legup, run_mips, FlowError, HwTuning};
+use cgpa::dse::par_map_capped;
+use cgpa::flows::{
+    run, run_cgpa, run_cgpa_tuned, run_legup, run_mips, FlowError, HwTuning, RunSpec, Target,
+};
 use cgpa::report::BenchmarkReport;
 use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_pipeline::ReplicablePlacement;
@@ -44,10 +46,10 @@ pub fn has_p2(name: &str) -> bool {
     matches!(name, "em3d" | "gaussblur")
 }
 
-// The canonical scoped-thread fan-out now lives in the library next to the
-// design-space explorer that shares it; re-exported here so existing
-// harness callers keep working.
-pub use cgpa::dse::{par_map, par_map_capped};
+/// Fan-out width for the suite's sweeps: one thread per available core.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(4, usize::from)
+}
 
 /// Run all configurations for one kernel. The four flows (MIPS, LegUp,
 /// CGPA-P1 and, where the paper reports it, CGPA-P2) run concurrently.
@@ -90,7 +92,7 @@ pub fn full_report(
     seed: u64,
 ) -> Result<Vec<BenchmarkReport>, FlowError> {
     let kernels = bench_kernels(set, seed);
-    par_map(&kernels, |k| report_for(k, workers)).into_iter().collect()
+    par_map_capped(&kernels, host_threads(), |k| report_for(k, workers)).into_iter().collect()
 }
 
 /// Ablation: FIFO depth sweep (the paper fixes 16 beats in §4.1 — how much
@@ -99,7 +101,7 @@ pub fn full_report(
 /// # Errors
 /// Forwards the first flow error.
 pub fn fifo_depth_sweep(k: &BuiltKernel, depths: &[usize]) -> Result<Vec<(usize, u64)>, FlowError> {
-    par_map(depths, |&d| {
+    par_map_capped(depths, host_threads(), |&d| {
         let r = run_cgpa_tuned(
             k,
             CgpaConfig::default(),
@@ -123,23 +125,10 @@ pub fn miss_latency_sweep(
     k: &BuiltKernel,
     latencies: &[u32],
 ) -> Result<Vec<(u32, u64, u64)>, FlowError> {
-    use cgpa_sim::cache::CacheConfig;
-    use cgpa_sim::{HwConfig, HwSystem};
-    par_map(latencies, |&ml| {
-        // LegUp at this latency.
-        let mut mem = k.mem.clone();
-        let cfg = HwConfig {
-            cache: CacheConfig { banks: 1, miss_latency: ml, ..CacheConfig::default() },
-            ..HwConfig::default()
-        };
-        let mut sys = HwSystem::for_single(&k.func, &k.args, cfg);
-        let legup = sys.run(&mut mem).map_err(cgpa::flows::FlowError::Hw)?.cycles;
-        let cgpa = run_cgpa_tuned(
-            k,
-            CgpaConfig::default(),
-            HwTuning { miss_latency: ml, ..HwTuning::default() },
-        )?
-        .cycles;
+    par_map_capped(latencies, host_threads(), |&ml| {
+        let tuning = HwTuning { miss_latency: ml, ..HwTuning::default() };
+        let legup = run(k, &RunSpec { tuning, ..RunSpec::new(Target::Legup) })?.cycles;
+        let cgpa = run_cgpa_tuned(k, CgpaConfig::default(), tuning)?.cycles;
         Ok((ml, legup, cgpa))
     })
     .into_iter()
@@ -154,7 +143,7 @@ pub fn scalability_sweep(
     k: &BuiltKernel,
     worker_counts: &[u32],
 ) -> Result<Vec<(u32, u64)>, FlowError> {
-    par_map(worker_counts, |&w| {
+    par_map_capped(worker_counts, host_threads(), |&w| {
         let r = run_cgpa(k, CgpaConfig { workers: w, ..CgpaConfig::default() })?;
         Ok((w, r.cycles))
     })

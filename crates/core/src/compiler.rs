@@ -14,7 +14,7 @@ use cgpa_obs::Track;
 use cgpa_pipeline::obs::{partition_traced, transform_traced};
 use cgpa_pipeline::transform::TransformConfig;
 use cgpa_pipeline::{
-    PartitionConfig, PartitionError, PipelineModule, PipelinePlan, ReplicablePlacement, StageKind,
+    PartitionConfig, PartitionError, PipelineModule, PipelinePlan, ReplicablePlacement,
     TransformError,
 };
 use cgpa_rtl::obs::{emit_worker_traced, schedule_traced};
@@ -346,11 +346,7 @@ impl CgpaCompiler {
             let fsm = &compiled.fsms[task.func_index];
             out.push_str(&emit_worker_traced(f, fsm, &task.name, obs));
             out.push('\n');
-            let count = match task.kind {
-                StageKind::Sequential => 1,
-                StageKind::Parallel => compiled.pipeline.workers,
-            };
-            worker_insts.push((task.name.clone(), count));
+            worker_insts.push((task.name.clone(), compiled.pipeline.instances(task)));
         }
         let channels: Vec<(String, u32, u32)> = compiled
             .pipeline

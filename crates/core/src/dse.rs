@@ -18,45 +18,24 @@
 //! beats the tuner on every kernel (locked in by `tests/dse.rs`).
 
 use crate::compiler::{CgpaCompiler, CgpaConfig, CompileError, Compiled};
-use crate::flows::{run_compiled_tuned, FlowError, HwTuning};
+use crate::flows::{run_compiled, FlowError, HwTuning, RunResult, RunSpec, Target};
 use cgpa_ir::printer::print_function;
 use cgpa_ir::Function;
 use cgpa_kernels::BuiltKernel;
 use cgpa_pipeline::ReplicablePlacement;
 use cgpa_rtl::area::DE4_ALUT_BUDGET;
 use cgpa_rtl::power::{energy_delay_product, PowerReport, CLOCK_HZ};
-use cgpa_sim::cache::CacheConfig;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Map `f` over `items` with one scoped thread per item, preserving input
-/// order. The matrices here are small (five kernels × a handful of
-/// configurations), so plain `std::thread::scope` is enough — no pool, no
-/// extra dependencies. Moved here from the bench harness so library flows
-/// (the explorer) and the harness share one implementation.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    std::thread::scope(|s| {
-        for (slot, item) in out.iter_mut().zip(items) {
-            let f = &f;
-            s.spawn(move || *slot = Some(f(item)));
-        }
-    });
-    out.into_iter().map(|r| r.expect("scoped thread ran to completion")).collect()
-}
-
-/// [`par_map`] with at most `cap` worker threads pulling items off a shared
-/// cursor — the lattice can hold hundreds of points, and one thread per
-/// point would oversubscribe the host. Order is preserved.
+/// Map `f` over `items` with at most `cap` scoped worker threads pulling
+/// items off a shared cursor, preserving input order. The lattice can hold
+/// hundreds of points, and one thread per point would oversubscribe the
+/// host; plain `std::thread::scope` is enough — no pool, no extra
+/// dependencies. The explorer and the bench harness share it.
 pub fn par_map_capped<T, R, F>(items: &[T], cap: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -383,7 +362,7 @@ impl DseReport {
     }
 }
 
-fn outcome_of(point: DsePoint, r: &crate::flows::RunResult) -> DseOutcome {
+fn outcome_of(point: DsePoint, r: &RunResult) -> DseOutcome {
     let power = PowerReport {
         power_mw: r.power_mw,
         energy_uj: r.energy_uj,
@@ -406,8 +385,8 @@ fn outcome_of(point: DsePoint, r: &crate::flows::RunResult) -> DseOutcome {
 /// and simulation engine come from `env`.
 ///
 /// Points with invalid cache geometry (a zero on a sweep axis) are
-/// rejected up front via [`CacheConfig::validate`] and recorded in
-/// [`DseReport::skipped`].
+/// rejected up front via [`cgpa_sim::cache::CacheConfig::validate`] and
+/// recorded in [`DseReport::skipped`].
 ///
 /// # Errors
 /// [`FlowError`] when *no* lattice point is feasible; per-point failures
@@ -424,12 +403,7 @@ pub fn explore(
     let mut skipped: Vec<(DsePoint, String)> = Vec::new();
     let mut points: Vec<DsePoint> = Vec::new();
     for p in lattice.points(&env) {
-        let geometry = CacheConfig {
-            lines: p.cache_lines,
-            banks: p.cache_banks.unwrap_or_else(|| p.workers.clamp(1, 8)),
-            ..CacheConfig::default()
-        };
-        match geometry.validate() {
+        match p.tuning(&env).cache_config(p.workers).validate() {
             Ok(()) => points.push(p),
             Err(e) => skipped.push((p, e.to_string())),
         }
@@ -462,9 +436,13 @@ pub fn explore(
         }
     }
     let runs = par_map_capped(&sims, cap, |(p, cfg, design)| {
-        run_compiled_tuned(k, design, *cfg, p.tuning(&env))
-            .map(|r| outcome_of(*p, &r))
-            .map_err(|e| e.to_string())
+        run_compiled(
+            k,
+            design,
+            &RunSpec { tuning: p.tuning(&env), ..RunSpec::new(Target::Cgpa(*cfg)) },
+        )
+        .map(|r| outcome_of(*p, &r))
+        .map_err(|e| e.to_string())
     });
     let mut evaluated: Vec<DseOutcome> = Vec::new();
     for ((p, _, _), r) in sims.iter().zip(runs) {

@@ -6,26 +6,30 @@
 //! 3. **CGPA** — the coarse-grained pipeline (P1 or P2), with one cache
 //!    port per worker.
 //!
-//! Every hardware flow validates the final memory image and return value
-//! against the functional reference before reporting numbers.
+//! Both accelerators run through [`run`] (or [`run_compiled`] for a design
+//! compiled earlier), described by a [`RunSpec`]. One body simulates the
+//! design, verifies memory and return value against the functional
+//! reference, and only then scores area and power.
 
 use crate::compiler::{
     CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationPolicy, DegradationRung,
     DegradedCompile,
 };
-use crate::profile::{Bottleneck, Profile};
+use crate::profile::{Bottleneck, Profile, ProfileError};
 use cgpa_kernels::BuiltKernel;
 use cgpa_obs::{Recorder, Track};
-use cgpa_pipeline::StageKind;
+use cgpa_pipeline::ReplicablePlacement;
 use cgpa_rtl::area::{estimate_area, fifo_area, AreaModel, AreaReport};
-use cgpa_rtl::power::{energy_efficiency, evaluate, ActivityTrace, PowerModel, PowerReport};
-use cgpa_rtl::schedule::schedule_function;
+use cgpa_rtl::power::{energy_efficiency, evaluate, ActivityTrace, PowerModel};
 use cgpa_sim::cache::CacheConfig;
 use cgpa_sim::interp::run_with_accelerator;
 use cgpa_sim::mips::{run_mips as sim_run_mips, MipsConfig};
 use cgpa_sim::{FaultPlan, HwConfig, HwError, HwSystem, SimEngine, SimMemory, SystemStats, Value};
 use std::error::Error;
 use std::fmt;
+
+/// Instruction budget of the MIPS core and of a fork's parent function.
+const INTERP_FUEL: u64 = 4_000_000_000;
 
 /// Result of one kernel run under one configuration.
 #[derive(Debug, Clone)]
@@ -47,9 +51,12 @@ pub struct RunResult {
     pub shape: Option<String>,
     /// Detailed simulator statistics, when applicable.
     pub stats: Option<SystemStats>,
-    /// Degradation rung the compile landed on (None when the run did not go
-    /// through [`run_cgpa_degraded`]).
+    /// Degradation rung the compile landed on (None when the run's
+    /// [`RunSpec`] carried no degradation policy).
     pub rung: Option<DegradationRung>,
+    /// The armed fault plan after the run, recording which faults fired
+    /// (None when the run's [`RunSpec`] armed no plan).
+    pub faults: Option<FaultPlan>,
 }
 
 /// Flow failure.
@@ -63,6 +70,8 @@ pub enum FlowError {
     Interp(String),
     /// The hardware result disagrees with the reference (a correctness bug).
     Mismatch(String),
+    /// A run's statistics do not fit its compiled pipeline.
+    Profile(ProfileError),
 }
 
 impl fmt::Display for FlowError {
@@ -72,6 +81,7 @@ impl fmt::Display for FlowError {
             FlowError::Hw(e) => write!(f, "simulate: {e}"),
             FlowError::Interp(e) => write!(f, "interpret: {e}"),
             FlowError::Mismatch(e) => write!(f, "verification: {e}"),
+            FlowError::Profile(e) => write!(f, "profile: {e}"),
         }
     }
 }
@@ -90,13 +100,19 @@ impl From<HwError> for FlowError {
     }
 }
 
+impl From<ProfileError> for FlowError {
+    fn from(e: ProfileError) -> Self {
+        FlowError::Profile(e)
+    }
+}
+
 /// Run the kernel on the MIPS soft-core model.
 ///
 /// # Errors
 /// [`FlowError::Interp`] on interpreter failures.
 pub fn run_mips(k: &BuiltKernel) -> Result<RunResult, FlowError> {
     let mut mem = k.mem.clone();
-    let run = sim_run_mips(&k.func, &k.args, &mut mem, 4_000_000_000, &MipsConfig::default())
+    let run = sim_run_mips(&k.func, &k.args, &mut mem, INTERP_FUEL, &MipsConfig::default())
         .map_err(|e| FlowError::Interp(e.to_string()))?;
     Ok(RunResult {
         config: "MIPS".to_string(),
@@ -108,58 +124,7 @@ pub fn run_mips(k: &BuiltKernel) -> Result<RunResult, FlowError> {
         shape: None,
         stats: None,
         rung: None,
-    })
-}
-
-/// Run the kernel as a LegUp-style sequential accelerator: one FSM worker,
-/// one cache port.
-///
-/// # Errors
-/// See [`FlowError`]. The run is verified against the functional reference.
-pub fn run_legup(k: &BuiltKernel) -> Result<RunResult, FlowError> {
-    run_legup_engine(k, SimEngine::default())
-}
-
-/// [`run_legup`] with an explicit simulation engine (the event-driven
-/// scheduler or the per-cycle reference stepper). Used by the differential
-/// test matrix; results must be identical either way.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_legup_engine(k: &BuiltKernel, engine: SimEngine) -> Result<RunResult, FlowError> {
-    let cfg = HwConfig {
-        cache: CacheConfig { banks: 1, ..CacheConfig::default() },
-        engine,
-        ..HwConfig::default()
-    };
-    let mut mem = k.mem.clone();
-    let mut sys = HwSystem::for_single(&k.func, &k.args, cfg);
-    let stats = sys.run(&mut mem)?;
-    verify_memory(k, &mem, sys.ret_value())?;
-
-    let fsm = schedule_function(&k.func);
-    let amodel = AreaModel::default();
-    let area = estimate_area(&amodel, &k.func, &fsm);
-    let pmodel = PowerModel::default();
-    let trace = ActivityTrace {
-        cycles: stats.cycles,
-        workers: vec![(area.clone(), stats.workers[0].busy)],
-        fifo_beats: 0,
-        cache_accesses: stats.cache.accesses,
-        cache_ports: 1,
-        fifo_area: AreaReport::default(),
-    };
-    let power = evaluate(&pmodel, &trace);
-    Ok(RunResult {
-        config: "LegUp".to_string(),
-        cycles: stats.cycles,
-        alut: area.total(),
-        power_mw: power.power_mw,
-        energy_uj: power.energy_uj,
-        efficiency: energy_efficiency(k.iterations, &power),
-        shape: None,
-        stats: Some(stats),
-        rung: None,
+        faults: None,
     })
 }
 
@@ -178,6 +143,7 @@ pub struct HwTuning {
     /// D-cache banks (ports). `None` derives one port per worker, clamped
     /// to the 8-port cache of §4.1 — the paper's configuration; the
     /// design-space explorer sets explicit values to trade ports for area.
+    /// See [`HwTuning::cache_config`].
     pub cache_banks: Option<u32>,
     /// Simulation engine (event-driven scheduler vs per-cycle reference).
     /// Cycle counts and statistics are identical either way; only wall-clock
@@ -197,12 +163,81 @@ impl Default for HwTuning {
     }
 }
 
+impl HwTuning {
+    /// The D-cache of a design with `workers` worker instances: one port
+    /// per worker (paper §3.1: dedicated memory ports) up to the 8-port
+    /// cache of §4.1, unless [`HwTuning::cache_banks`] overrides the count.
+    /// A zero override is passed through so [`CacheConfig::validate`] can
+    /// reject it; the simulator clamps it to one port.
+    #[must_use]
+    pub fn cache_config(&self, workers: u32) -> CacheConfig {
+        CacheConfig {
+            banks: self.cache_banks.unwrap_or_else(|| workers.clamp(1, 8)),
+            miss_latency: self.miss_latency,
+            lines: self.cache_lines,
+            ..CacheConfig::default()
+        }
+    }
+}
+
+/// The accelerator a [`RunSpec`] builds.
+#[derive(Debug, Clone, Copy)]
+pub enum Target {
+    /// LegUp-style sequential HLS: the whole kernel as one FSM worker with
+    /// one cache port, whatever [`HwTuning::cache_banks`] says.
+    Legup,
+    /// A CGPA pipeline compiled with this configuration.
+    Cgpa(CgpaConfig),
+}
+
+/// Everything an accelerator run takes besides the kernel.
+#[derive(Debug, Clone)]
+pub struct RunSpec<'r> {
+    /// What to build.
+    pub target: Target,
+    /// Simulator knobs.
+    pub tuning: HwTuning,
+    /// A fault plan to arm on the simulator; [`RunResult::faults`] records
+    /// which faults fired. A corrupting fault the hardware catches surfaces
+    /// as [`FlowError::Hw`] wrapping [`HwError::Fault`].
+    pub faults: Option<FaultPlan>,
+    /// A recorder for end-to-end tracing: [`run`] records the compile and
+    /// Verilog phases on trace process 1 (wall-clock µs), and each simulator
+    /// fork records its own process from 2 up (one µs per simulated cycle).
+    /// Both engines emit bit-identical simulator streams.
+    pub recorder: Option<&'r Recorder>,
+    /// Compile through the degradation ladder (P2 → P1 → sequential, as the
+    /// policy allows) and run the rung the compile lands on, recorded in
+    /// [`RunResult::rung`]. The sequential rung is the [`Target::Legup`]
+    /// design labelled `CGPA(seq-fallback)`. Only [`run`] with a
+    /// [`Target::Cgpa`] reads it; the ladder's compiles are not traced.
+    pub degrade: Option<DegradationPolicy>,
+}
+
+impl RunSpec<'_> {
+    /// A run of `target` with default knobs, no faults, no tracing and no
+    /// degradation.
+    #[must_use]
+    pub fn new(target: Target) -> Self {
+        RunSpec { target, tuning: HwTuning::default(), faults: None, recorder: None, degrade: None }
+    }
+}
+
+/// Run the kernel as a LegUp-style sequential accelerator: one FSM worker,
+/// one cache port.
+///
+/// # Errors
+/// See [`FlowError`]. The run is verified against the functional reference.
+pub fn run_legup(k: &BuiltKernel) -> Result<RunResult, FlowError> {
+    run(k, &RunSpec::new(Target::Legup))
+}
+
 /// Run the kernel as a CGPA pipelined accelerator.
 ///
 /// # Errors
 /// See [`FlowError`]. The run is verified against the functional reference.
 pub fn run_cgpa(k: &BuiltKernel, config: CgpaConfig) -> Result<RunResult, FlowError> {
-    run_cgpa_tuned(k, config, HwTuning::default())
+    run(k, &RunSpec::new(Target::Cgpa(config)))
 }
 
 /// [`run_cgpa`] with explicit microarchitectural knobs.
@@ -214,265 +249,213 @@ pub fn run_cgpa_tuned(
     config: CgpaConfig,
     tuning: HwTuning,
 ) -> Result<RunResult, FlowError> {
-    let compiler = CgpaCompiler::new(config);
-    let compiled = compiler.compile(&k.func, &k.model)?;
-    run_compiled_tuned(k, &compiled, config, tuning)
+    run(k, &RunSpec { tuning, ..RunSpec::new(Target::Cgpa(config)) })
 }
 
-/// Run an already-compiled pipeline (lets callers reuse one compile across
-/// sweeps).
+/// Build, simulate, verify and score the accelerator `spec` describes.
+///
+/// # Errors
+/// See [`FlowError`]. With a degradation policy, [`FlowError::Compile`]
+/// means even the last permitted rung failed.
+pub fn run(k: &BuiltKernel, spec: &RunSpec<'_>) -> Result<RunResult, FlowError> {
+    let Target::Cgpa(config) = spec.target else {
+        return simulate(k, Design::Sequential("LegUp"), spec);
+    };
+    let compiler = CgpaCompiler::new(config);
+    if let Some(policy) = spec.degrade {
+        let degraded = compiler.compile_degraded(&k.func, &k.model, policy)?;
+        let rung = degraded.rung();
+        let design = match &degraded {
+            DegradedCompile::Pipeline { compiled, .. } => {
+                Design::Pipeline(compiled, cgpa_label(rung.placement().unwrap_or(config.placement)))
+            }
+            DegradedCompile::Sequential { .. } => Design::Sequential("CGPA(seq-fallback)"),
+        };
+        return simulate(k, design, spec).map(|r| RunResult { rung: Some(rung), ..r });
+    }
+    let compiled = match spec.recorder {
+        Some(rec) => {
+            rec.name_process(1, format!("compile {}", k.name));
+            rec.name_thread(1, 1, "compiler");
+            let track = Track { rec: rec.clone(), pid: 1, tid: 1 };
+            let compiled = compiler.compile_traced(&k.func, &k.model, &track)?;
+            // Emit (and discard) the Verilog to record the backend's span.
+            let _ = compiler.emit_verilog_traced(&compiled, &track);
+            compiled
+        }
+        None => compiler.compile(&k.func, &k.model)?,
+    };
+    simulate(k, Design::Pipeline(&compiled, cgpa_label(config.placement)), spec)
+}
+
+/// [`run`] on an already-compiled pipeline, so sweeps can reuse one
+/// compile. A [`Target::Cgpa`] spec should carry the configuration
+/// `compiled` was built with (it labels the run); a [`Target::Legup`] spec
+/// ignores `compiled`.
 ///
 /// # Errors
 /// See [`FlowError`].
 pub fn run_compiled(
     k: &BuiltKernel,
     compiled: &Compiled,
-    config: CgpaConfig,
+    spec: &RunSpec<'_>,
 ) -> Result<RunResult, FlowError> {
-    run_compiled_tuned(k, compiled, config, HwTuning::default())
+    let design = match spec.target {
+        Target::Legup => Design::Sequential("LegUp"),
+        Target::Cgpa(config) => Design::Pipeline(compiled, cgpa_label(config.placement)),
+    };
+    simulate(k, design, spec)
 }
 
-/// [`run_compiled`] with explicit microarchitectural knobs.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_compiled_tuned(
-    k: &BuiltKernel,
-    compiled: &Compiled,
-    config: CgpaConfig,
-    tuning: HwTuning,
-) -> Result<RunResult, FlowError> {
-    run_compiled_impl(k, compiled, config, tuning, None, None).map(|(r, _)| r)
+/// The hardware the shared simulate→verify→score body builds, with the
+/// run's label.
+#[derive(Clone, Copy)]
+enum Design<'c> {
+    /// LegUp: the kernel itself as one FSM worker.
+    Sequential(&'static str),
+    /// CGPA: a compiled pipeline, forked from its parent.
+    Pipeline(&'c Compiled, &'static str),
 }
 
-fn run_compiled_impl(
+fn cgpa_label(placement: ReplicablePlacement) -> &'static str {
+    match placement {
+        ReplicablePlacement::Pipelined => "CGPA(P1)",
+        ReplicablePlacement::Replicated => "CGPA(P2)",
+    }
+}
+
+/// Arm `spec`'s recorder (on trace process `pid`) and fault plan on `sys`,
+/// run it, and return its statistics and fired fault plan.
+fn run_system(
+    sys: &mut HwSystem<'_>,
+    mem: &mut SimMemory,
+    spec: &RunSpec<'_>,
+    pid: u32,
+) -> Result<(SystemStats, Option<FaultPlan>), HwError> {
+    if let Some(rec) = spec.recorder {
+        sys.attach_obs(rec, pid);
+    }
+    if let Some(plan) = &spec.faults {
+        sys.inject_faults(plan.clone());
+    }
+    let stats = sys.run(mem)?;
+    Ok((stats, sys.fault_plan().cloned()))
+}
+
+fn simulate(
     k: &BuiltKernel,
-    compiled: &Compiled,
-    config: CgpaConfig,
-    tuning: HwTuning,
-    fault: Option<FaultPlan>,
-    obs: Option<&Recorder>,
-) -> Result<(RunResult, Option<FaultPlan>), FlowError> {
-    // One cache port per worker (paper §3.1: dedicated memory ports), up to
-    // the 8-port cache of §4.1.
-    let worker_count: u32 = compiled
-        .pipeline
-        .tasks
-        .iter()
-        .map(|t| match t.kind {
-            StageKind::Sequential => 1,
-            StageKind::Parallel => compiled.pipeline.workers,
-        })
-        .sum();
-    let banks = tuning.cache_banks.map_or_else(|| worker_count.clamp(1, 8), |b| b.max(1));
+    design: Design<'_>,
+    spec: &RunSpec<'_>,
+) -> Result<RunResult, FlowError> {
+    let tuning = &spec.tuning;
+    let cache = match design {
+        Design::Sequential(_) => CacheConfig { banks: 1, ..tuning.cache_config(1) },
+        Design::Pipeline(compiled, _) => tuning.cache_config(compiled.pipeline.worker_count()),
+    };
     let hw_cfg = HwConfig {
-        cache: CacheConfig {
-            banks,
-            miss_latency: tuning.miss_latency,
-            lines: tuning.cache_lines,
-            ..CacheConfig::default()
-        },
+        cache,
         fifo_depth_beats: tuning.fifo_depth_beats,
         engine: tuning.engine,
         ..HwConfig::default()
     };
 
+    // Simulate. The LegUp system outlives this step: scoring reads its FSM.
     let mut mem = k.mem.clone();
-    let mut captured: Option<SystemStats> = None;
-    let mut hw_err: Option<HwError> = None;
-    let mut plan_out: Option<FaultPlan> = None;
-    let pm = &compiled.pipeline;
-    // Each fork gets its own trace process so a multi-invocation parent
-    // cannot interleave two runs' cycle timelines on one track.
-    let mut fork_index: u32 = 0;
-    let (ret, _) = run_with_accelerator(
-        &pm.parent,
-        &k.args,
-        &mut mem,
-        4_000_000_000,
-        &mut |_loop_id: u32, live_ins: &[Value], mem: &mut SimMemory| {
-            let mut sys = HwSystem::for_pipeline(pm, live_ins, hw_cfg);
-            if let Some(rec) = obs {
-                sys.attach_obs(rec, 2 + fork_index);
-                fork_index += 1;
-            }
-            if let Some(plan) = &fault {
-                sys.inject_faults(plan.clone());
-            }
-            match sys.run(mem) {
-                Ok(stats) => {
-                    captured = Some(stats);
-                    plan_out = sys.fault_plan().cloned();
+    let mut single = None;
+    let (ret, (stats, faults)) = match design {
+        Design::Sequential(_) => {
+            let sys = single.insert(HwSystem::for_single(&k.func, &k.args, hw_cfg));
+            let run = run_system(sys, &mut mem, spec, 2)?;
+            (sys.ret_value(), run)
+        }
+        Design::Pipeline(compiled, _) => {
+            let pm = &compiled.pipeline;
+            let mut captured = None;
+            let mut hw_err: Option<HwError> = None;
+            // Each fork gets its own trace process so a multi-invocation
+            // parent cannot interleave two runs' cycle timelines on one
+            // track.
+            let mut next_pid = 2;
+            let (ret, _) = run_with_accelerator(
+                &pm.parent,
+                &k.args,
+                &mut mem,
+                INTERP_FUEL,
+                &mut |_loop_id: u32, live_ins: &[Value], mem: &mut SimMemory| {
+                    let mut sys = HwSystem::for_pipeline(pm, live_ins, hw_cfg);
+                    next_pid += 1;
+                    let run = run_system(&mut sys, mem, spec, next_pid - 1).map_err(|e| {
+                        let msg = e.to_string();
+                        hw_err = Some(e);
+                        msg
+                    })?;
+                    captured = Some(run);
                     Ok(sys.liveouts().to_vec())
-                }
-                Err(e) => {
-                    hw_err = Some(e.clone());
-                    Err(e.to_string())
-                }
-            }
-        },
-    )
-    .map_err(|e| match hw_err.take() {
-        Some(h) => FlowError::Hw(h),
-        None => FlowError::Interp(e.to_string()),
-    })?;
-    let stats = captured.ok_or_else(|| FlowError::Interp("fork never executed".to_string()))?;
+                },
+            )
+            .map_err(|e| {
+                hw_err.take().map_or_else(|| FlowError::Interp(e.to_string()), FlowError::Hw)
+            })?;
+            let run =
+                captured.ok_or_else(|| FlowError::Interp("fork never executed".to_string()))?;
+            (ret, run)
+        }
+    };
+
     verify_memory(k, &mem, ret)?;
 
-    // Area: one instance per sequential stage, `workers` instances of the
-    // parallel stage, FIFO channel control.
+    // Score: one area per worker instance (one per sequential stage,
+    // `workers` of the parallel stage), plus FIFO channel control.
     let amodel = AreaModel::default();
-    let mut worker_areas: Vec<AreaReport> = Vec::new();
-    for task in &pm.tasks {
-        let f = &pm.module.funcs[task.func_index];
-        let fsm = &compiled.fsms[task.func_index];
-        let a = estimate_area(&amodel, f, fsm);
-        let count = match task.kind {
-            StageKind::Sequential => 1,
-            StageKind::Parallel => pm.workers,
-        };
-        for _ in 0..count {
-            worker_areas.push(a.clone());
+    let (label, shape, worker_areas, channels) = match design {
+        Design::Sequential(label) => {
+            let areas = single.iter().map(|sys| estimate_area(&amodel, &k.func, &sys.fsms()[0]));
+            (label, None, areas.collect(), 0)
         }
-    }
-    let channels: u32 = pm.queues.iter().map(|q| pm.module.queue(q.queue).channels).sum();
+        Design::Pipeline(compiled, label) => {
+            let pm = &compiled.pipeline;
+            let mut areas: Vec<AreaReport> = Vec::new();
+            for task in &pm.tasks {
+                let f = &pm.module.funcs[task.func_index];
+                let a = estimate_area(&amodel, f, &compiled.fsms[task.func_index]);
+                areas.extend(std::iter::repeat_n(a, pm.instances(task) as usize));
+            }
+            let channels = pm.queues.iter().map(|q| pm.module.queue(q.queue).channels).sum();
+            (label, Some(compiled.shape.clone()), areas, channels)
+        }
+    };
     let fifo = fifo_area(&amodel, channels);
-    let total_alut: u32 = worker_areas.iter().map(AreaReport::total).sum::<u32>() + fifo.total();
-
-    let pmodel = PowerModel::default();
+    let alut = worker_areas.iter().map(AreaReport::total).sum::<u32>() + fifo.total();
     let trace = ActivityTrace {
         cycles: stats.cycles,
-        workers: worker_areas.iter().cloned().zip(stats.workers.iter().map(|w| w.busy)).collect(),
+        workers: worker_areas.into_iter().zip(stats.workers.iter().map(|w| w.busy)).collect(),
         fifo_beats: stats.fifo_beats,
         cache_accesses: stats.cache.accesses,
-        cache_ports: banks,
+        cache_ports: cache.banks,
         fifo_area: fifo,
     };
-    let power: PowerReport = evaluate(&pmodel, &trace);
-    let label = match config.placement {
-        cgpa_pipeline::ReplicablePlacement::Pipelined => "CGPA(P1)",
-        cgpa_pipeline::ReplicablePlacement::Replicated => "CGPA(P2)",
-    };
-    let result = RunResult {
+    let power = evaluate(&PowerModel::default(), &trace);
+    Ok(RunResult {
         config: label.to_string(),
         cycles: stats.cycles,
-        alut: total_alut,
+        alut,
         power_mw: power.power_mw,
         energy_uj: power.energy_uj,
         efficiency: energy_efficiency(k.iterations, &power),
-        shape: Some(compiled.shape.clone()),
+        shape,
         stats: Some(stats),
         rung: None,
-    };
-    Ok((result, plan_out))
+        faults,
+    })
 }
 
-/// Run the kernel with a [`FaultPlan`] armed on the pipeline simulator.
-///
-/// On success the run was bit-exact against the functional reference despite
-/// the plan (timing-only faults, or faults that never fired); the returned
-/// plan records which faults actually fired. A corrupting fault that the
-/// hardware catches surfaces as [`FlowError::Hw`] wrapping
-/// [`HwError::Fault`].
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_cgpa_with_faults(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    plan: FaultPlan,
-) -> Result<(RunResult, FaultPlan), FlowError> {
-    run_cgpa_with_faults_tuned(k, config, plan, HwTuning::default())
-}
-
-/// [`run_cgpa_with_faults`] with explicit microarchitectural knobs — in
-/// particular the simulation engine, for the engine-differential fault
-/// matrix.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_cgpa_with_faults_tuned(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    plan: FaultPlan,
-    tuning: HwTuning,
-) -> Result<(RunResult, FaultPlan), FlowError> {
-    let compiler = CgpaCompiler::new(config);
-    let compiled = compiler.compile(&k.func, &k.model)?;
-    let (r, plan_out) = run_compiled_impl(k, &compiled, config, tuning, Some(plan.clone()), None)?;
-    Ok((r, plan_out.unwrap_or(plan)))
-}
-
-/// A pipeline run paired with the recorder holding its end-to-end trace
-/// (compile-phase spans, Verilog emission spans, per-iteration pipeline
-/// spans, FIFO occupancy counters). Export with
-/// [`Recorder::to_chrome_json`] and load the file in Perfetto.
-#[derive(Debug)]
-pub struct TracedRun {
-    /// The run (cycles, area, power, stats) — identical to the untraced
-    /// flow's result.
-    pub result: RunResult,
-    /// The recorder every layer wrote into: trace process 1 is the
-    /// compiler (wall-clock µs), processes 2+ are the simulator forks
-    /// (one trace-µs per simulated cycle).
-    pub recorder: Recorder,
-}
-
-/// [`run_cgpa_tuned`] with end-to-end structured tracing: the compile
-/// pipeline records one span per phase (alias → PDG → SCC condensation →
-/// classification → partition → transform → FSM scheduling → Verilog),
-/// and the simulator records per-iteration spans per worker plus FIFO
-/// occupancy counter tracks. Tracing does not change the configured
-/// engine — both engines emit bit-identical simulator streams.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_cgpa_traced(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    tuning: HwTuning,
-) -> Result<TracedRun, FlowError> {
-    let recorder = Recorder::new();
-    recorder.name_process(1, format!("compile {}", k.name));
-    recorder.name_thread(1, 1, "compiler");
-    let track = Track { rec: recorder.clone(), pid: 1, tid: 1 };
-    let compiler = CgpaCompiler::new(config);
-    let compiled = compiler.compile_traced(&k.func, &k.model, &track)?;
-    // Emit (and discard) the Verilog so the backend's span shows up on the
-    // compile track; callers wanting the text can re-emit from `compiled`.
-    let _ = compiler.emit_verilog_traced(&compiled, &track);
-    let (result, _) = run_compiled_impl(k, &compiled, config, tuning, None, Some(&recorder))?;
-    Ok(TracedRun { result, recorder })
-}
-
-/// A pipeline run paired with its bottleneck profile.
+/// A pipeline run paired with its bottleneck profile (the tuner's output).
 #[derive(Debug, Clone)]
 pub struct ProfiledRun {
     /// The run (cycles, area, power, stats).
     pub result: RunResult,
     /// Stage/queue/memory rollup naming the limiting resource.
     pub profile: Profile,
-}
-
-/// [`run_cgpa_tuned`] plus a [`Profile`] built from the run's statistics.
-///
-/// Profiles are engine-independent: both simulation engines fill the stall
-/// buckets identically, so the same profile comes back either way.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_cgpa_profiled(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    tuning: HwTuning,
-) -> Result<ProfiledRun, FlowError> {
-    let compiler = CgpaCompiler::new(config);
-    let compiled = compiler.compile(&k.func, &k.model)?;
-    let result = run_compiled_tuned(k, &compiled, config, tuning)?;
-    let stats = result.stats.as_ref().expect("pipeline runs capture stats");
-    let profile =
-        Profile::from_stats(&k.name, &result.config, &compiled, stats, tuning.fifo_depth_beats);
-    Ok(ProfiledRun { result, profile })
 }
 
 /// Default marginal-speedup threshold for [`run_cgpa_tuned_auto`]: stop
@@ -534,11 +517,9 @@ impl TuneOutcome {
 #[must_use]
 pub fn next_tune_step(
     profile: &Profile,
-    config: CgpaConfig,
-    tuning: HwTuning,
+    mut config: CgpaConfig,
+    mut tuning: HwTuning,
 ) -> Option<(CgpaConfig, HwTuning)> {
-    let mut config = config;
-    let mut tuning = tuning;
     let has_parallel_stage = profile.stages.iter().any(|s| s.parallel);
     match &profile.bottleneck {
         Bottleneck::QueueFull { .. } if tuning.fifo_depth_beats < TUNE_MAX_FIFO_DEPTH => {
@@ -575,48 +556,41 @@ pub fn next_tune_step(
 /// functional reference, exactly like [`run_cgpa`].
 pub fn run_cgpa_tuned_auto(
     k: &BuiltKernel,
-    config: CgpaConfig,
-    tuning: HwTuning,
+    mut config: CgpaConfig,
+    mut tuning: HwTuning,
     min_gain: f64,
 ) -> Result<TuneOutcome, FlowError> {
-    let mut config = config;
-    let mut tuning = tuning;
     let mut steps: Vec<TuneStep> = Vec::new();
     let mut best: Option<ProfiledRun> = None;
-    let mut baseline_cycles = 0u64;
     for _ in 0..TUNE_MAX_ITERS {
-        let run = run_cgpa_profiled(k, config, tuning)?;
-        let cycles = run.result.cycles;
-        let accepted = match &best {
-            None => {
-                baseline_cycles = cycles;
-                true
-            }
-            Some(b) => (cycles as f64) < b.result.cycles as f64 * (1.0 - min_gain),
-        };
+        let compiled = CgpaCompiler::new(config).compile(&k.func, &k.model)?;
+        let spec = RunSpec { tuning, ..RunSpec::new(Target::Cgpa(config)) };
+        let result = run_compiled(k, &compiled, &spec)?;
+        let stats = result.stats.as_ref().expect("hardware runs capture stats");
+        let profile = Profile::from_stats(&k.name, &result.config, &compiled, stats, &tuning)?;
+        let cycles = result.cycles;
+        // The first step is the baseline; later ones must beat the best by
+        // `min_gain`.
+        let accepted = best
+            .as_ref()
+            .is_none_or(|b| (cycles as f64) < b.result.cycles as f64 * (1.0 - min_gain));
         steps.push(TuneStep {
             workers: config.workers,
             fifo_depth_beats: tuning.fifo_depth_beats,
             cycles,
-            bottleneck: run.profile.bottleneck_summary(),
+            bottleneck: profile.bottleneck_summary(),
             accepted,
         });
-        if accepted {
-            best = Some(run);
-        } else {
+        if !accepted {
             break; // marginal speedup below threshold: stop climbing
         }
-        let Some(b) = &best else { break };
-        match next_tune_step(&b.profile, config, tuning) {
-            Some((c, t)) => {
-                config = c;
-                tuning = t;
-            }
-            None => break, // no knob addresses this bottleneck
-        }
+        let next = next_tune_step(&profile, config, tuning);
+        best = Some(ProfiledRun { result, profile });
+        let Some(next) = next else { break }; // no knob addresses this bottleneck
+        (config, tuning) = next;
     }
     let best = best.ok_or_else(|| FlowError::Interp("tuner completed no iteration".to_string()))?;
-    Ok(TuneOutcome { best, baseline_cycles, steps })
+    Ok(TuneOutcome { best, baseline_cycles: steps[0].cycles, steps })
 }
 
 /// Explore the design-space lattice for one kernel: compile each distinct
@@ -638,41 +612,6 @@ pub fn run_cgpa_dse(
     cache: &crate::dse::CompileCache,
 ) -> Result<crate::dse::DseReport, FlowError> {
     crate::dse::explore(k, lattice, CgpaConfig::default(), env, area_budget_alut, cache)
-}
-
-/// Compile with the graceful-degradation ladder and run whatever rung the
-/// compile lands on (paper-shaped pipeline when possible, LegUp-style
-/// sequential accelerator as the last rung).
-///
-/// The returned [`RunResult::rung`] records the rung taken; the `config`
-/// label reads `CGPA(seq-fallback)` when the sequential rung was used.
-///
-/// # Errors
-/// [`FlowError::Compile`] when even the sequential fallback cannot be
-/// scheduled; otherwise see [`FlowError`].
-pub fn run_cgpa_degraded(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    policy: DegradationPolicy,
-) -> Result<RunResult, FlowError> {
-    let compiler = CgpaCompiler::new(config);
-    match compiler.compile_degraded(&k.func, &k.model, policy)? {
-        DegradedCompile::Pipeline { compiled, rung, .. } => {
-            let mut run_cfg = config;
-            if let Some(p) = rung.placement() {
-                run_cfg.placement = p;
-            }
-            let mut r = run_compiled_tuned(k, &compiled, run_cfg, HwTuning::default())?;
-            r.rung = Some(rung);
-            Ok(r)
-        }
-        DegradedCompile::Sequential { .. } => {
-            let mut r = run_legup(k)?;
-            r.config = "CGPA(seq-fallback)".to_string();
-            r.rung = Some(DegradationRung::Sequential);
-            Ok(r)
-        }
-    }
 }
 
 /// Compare a hardware run's memory and return value against the reference.
@@ -718,29 +657,6 @@ mod tests {
         // Power and energy populated.
         assert!(cgpa.power_mw > legup.power_mw);
         assert!(legup.energy_uj > 0.0);
-    }
-
-    #[test]
-    fn profile_is_engine_independent_and_names_a_bottleneck() {
-        let k = small_em3d();
-        let ev = run_cgpa_profiled(&k, CgpaConfig::default(), HwTuning::default()).unwrap();
-        let rf = run_cgpa_profiled(
-            &k,
-            CgpaConfig::default(),
-            HwTuning { engine: SimEngine::PerCycle, ..HwTuning::default() },
-        )
-        .unwrap();
-        assert_eq!(ev.profile, rf.profile);
-        assert!(!ev.profile.stages.is_empty());
-        for s in &ev.profile.stages {
-            assert!((0.0..=1.0).contains(&s.utilization), "{s:?}");
-        }
-        assert!(!ev.profile.bottleneck_summary().is_empty());
-        // Every worker-cycle is attributed to exactly one bucket.
-        let stats = ev.result.stats.as_ref().unwrap();
-        for w in &stats.workers {
-            assert_eq!(w.total(), stats.cycles);
-        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!
 //! [`flows`] packages the three evaluation configurations of §4: the MIPS
 //! soft core, LegUp-style sequential HLS, and CGPA (P1/P2), each returning
-//! cycles, ALUTs, power and energy for the experiment harness.
+//! cycles, ALUTs, power and energy for the experiment harness. Both
+//! accelerators run through [`flows::run`], described by a
+//! [`flows::RunSpec`].
 //!
 //! ## Quickstart
 //!
@@ -43,14 +45,13 @@ pub use compiler::{
     DegradedCompile,
 };
 pub use dse::{
-    dominates, par_map, par_map_capped, pareto_frontier, schedule_hash, CompileCache,
-    CompileCacheStats, DseLattice, DseOutcome, DsePoint, DseReport, DEFAULT_AREA_BUDGET_ALUT,
+    dominates, par_map_capped, pareto_frontier, schedule_hash, CompileCache, CompileCacheStats,
+    DseLattice, DseOutcome, DsePoint, DseReport, DEFAULT_AREA_BUDGET_ALUT,
 };
 pub use flows::{
-    next_tune_step, run_cgpa, run_cgpa_degraded, run_cgpa_dse, run_cgpa_profiled, run_cgpa_traced,
-    run_cgpa_tuned, run_cgpa_tuned_auto, run_cgpa_with_faults, run_cgpa_with_faults_tuned,
-    run_compiled, run_compiled_tuned, run_legup, run_legup_engine, run_mips, FlowError, HwTuning,
-    ProfiledRun, RunResult, TracedRun, TuneOutcome, TuneStep, TUNE_MIN_GAIN,
+    next_tune_step, run, run_cgpa, run_cgpa_dse, run_cgpa_tuned, run_cgpa_tuned_auto, run_compiled,
+    run_legup, run_mips, FlowError, HwTuning, ProfiledRun, RunResult, RunSpec, Target, TuneOutcome,
+    TuneStep, TUNE_MIN_GAIN,
 };
-pub use profile::{Bottleneck, MemoryProfile, Profile, QueueProfile, StageProfile};
+pub use profile::{Bottleneck, MemoryProfile, Profile, ProfileError, QueueProfile, StageProfile};
 pub use report::{geomean, pipeline_summary, BenchmarkReport};

@@ -14,9 +14,11 @@
 //! so a profile built from an event-driven run equals the per-cycle one.
 
 use crate::compiler::Compiled;
+use crate::flows::HwTuning;
 use cgpa_pipeline::StageKind;
 use cgpa_sim::SystemStats;
-use std::fmt::Write as _;
+use std::error::Error;
+use std::fmt::{self, Write as _};
 
 /// Cycle buckets of one pipeline stage, summed over its worker instances.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,32 +163,68 @@ pub struct Profile {
 /// A parallel stage at or above this utilization is called saturated.
 const SATURATION_THRESHOLD: f64 = 0.95;
 
+/// Why [`Profile::from_stats`] could not roll a run up: its statistics come
+/// from a different compile than the pipeline it was given.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProfileError {
+    /// The run has `got` workers; the pipeline instantiates `expected`.
+    WorkerLayout {
+        /// Worker instances the pipeline creates.
+        expected: usize,
+        /// Workers in the statistics.
+        got: usize,
+    },
+    /// The pipeline has a queue the statistics do not carry.
+    MissingQueue {
+        /// Module queue index.
+        queue: usize,
+        /// Queues in the statistics.
+        got: usize,
+    },
+}
+
+impl fmt::Display for ProfileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ProfileError::WorkerLayout { expected, got } => {
+                write!(f, "stats have {got} workers, the pipeline {expected}")
+            }
+            ProfileError::MissingQueue { queue, got } => {
+                write!(f, "pipeline queue {queue} is not among the stats' {got} queues")
+            }
+        }
+    }
+}
+
+impl Error for ProfileError {}
+
 impl Profile {
     /// Roll a run's [`SystemStats`] up to the stage level using the
     /// compiled pipeline's worker layout (one worker per sequential stage,
     /// `workers` instances of the parallel stage, in task order — the
-    /// exact order `HwSystem::for_pipeline` creates them).
+    /// exact order `HwSystem::for_pipeline` creates them). `tuning` is the
+    /// run's: it supplies the FIFO depth and the cache port count.
     ///
-    /// # Panics
-    /// Panics if `stats.workers` does not match the pipeline's worker
-    /// layout (stats from a different compile).
-    #[must_use]
+    /// # Errors
+    /// [`ProfileError`] when `stats` do not match the pipeline's worker or
+    /// queue layout (stats from a different compile).
     pub fn from_stats(
         kernel: &str,
         config_label: &str,
         compiled: &Compiled,
         stats: &SystemStats,
-        fifo_depth_beats: usize,
-    ) -> Profile {
+        tuning: &HwTuning,
+    ) -> Result<Profile, ProfileError> {
         let pm = &compiled.pipeline;
+        let expected = pm.worker_count() as usize;
+        if expected != stats.workers.len() {
+            return Err(ProfileError::WorkerLayout { expected, got: stats.workers.len() });
+        }
         let cycles = stats.cycles;
         let mut stages = Vec::new();
         let mut next_worker = 0usize;
         for task in &pm.tasks {
-            let count = match task.kind {
-                StageKind::Sequential => 1,
-                StageKind::Parallel => pm.workers as usize,
-            };
+            let count = pm.instances(task) as usize;
             let ws = &stats.workers[next_worker..next_worker + count];
             next_worker += count;
             let busy: u64 = ws.iter().map(|w| w.busy).sum();
@@ -205,26 +243,20 @@ impl Profile {
                 utilization: if denom > 0.0 { busy as f64 / denom } else { 0.0 },
             });
         }
-        assert_eq!(next_worker, stats.workers.len(), "stats do not match the pipeline layout");
 
         let mut queues = Vec::new();
         for spec in &pm.queues {
             let qi = spec.queue.index();
-            let qs = &stats.queues[qi];
-            let push_wait: u64 = stats
+            let qs = stats
+                .queues
+                .get(qi)
+                .ok_or(ProfileError::MissingQueue { queue: qi, got: stats.queues.len() })?;
+            let (push_wait, pop_wait) = stats
                 .workers
                 .iter()
                 .flat_map(|w| &w.queue_waits)
                 .filter(|q| q.queue as usize == qi)
-                .map(|q| q.push)
-                .sum();
-            let pop_wait: u64 = stats
-                .workers
-                .iter()
-                .flat_map(|w| &w.queue_waits)
-                .filter(|q| q.queue as usize == qi)
-                .map(|q| q.pop)
-                .sum();
+                .fold((0, 0), |(push, pop), q| (push + q.push, pop + q.pop));
             queues.push(QueueProfile {
                 queue: qi as u32,
                 name: qs.name.clone(),
@@ -243,7 +275,7 @@ impl Profile {
         let read_stall: u64 = stats.workers.iter().map(|w| w.stall_mem_read).sum();
         let write_stall: u64 = stats.workers.iter().map(|w| w.stall_mem_write).sum();
         let memory = MemoryProfile {
-            ports: (stats.workers.len() as u32).clamp(1, 8),
+            ports: tuning.cache_config(expected as u32).clamped().banks,
             accesses: stats.cache.accesses,
             hits: stats.cache.hits,
             misses: stats.cache.misses,
@@ -258,18 +290,18 @@ impl Profile {
         };
 
         let bottleneck = diagnose(&stages, &queues, &memory);
-        Profile {
+        Ok(Profile {
             kernel: kernel.to_string(),
             config: config_label.to_string(),
             shape: compiled.shape.clone(),
             workers: pm.workers,
-            fifo_depth_beats,
+            fifo_depth_beats: tuning.fifo_depth_beats,
             cycles,
             stages,
             queues,
             memory,
             bottleneck,
-        }
+        })
     }
 
     /// The rollup for pipeline stage `stage`, or `None` when this profile
@@ -567,6 +599,38 @@ fn num(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::{CgpaCompiler, CgpaConfig};
+    use crate::flows::{run_compiled, ProfiledRun, RunSpec, Target};
+    use cgpa_kernels::em3d;
+    use cgpa_sim::SimEngine;
+
+    fn em3d_profile(tuning: HwTuning) -> ProfiledRun {
+        let k = em3d::build(&em3d::Params::fixed(60, 60, 4, 16), 5);
+        let config = CgpaConfig::default();
+        let compiled = CgpaCompiler::new(config).compile(&k.func, &k.model).unwrap();
+        let spec = RunSpec { tuning, ..RunSpec::new(Target::Cgpa(config)) };
+        let result = run_compiled(&k, &compiled, &spec).unwrap();
+        let stats = result.stats.as_ref().unwrap();
+        let profile = Profile::from_stats(&k.name, &result.config, &compiled, stats, &tuning);
+        ProfiledRun { profile: profile.unwrap(), result }
+    }
+
+    #[test]
+    fn profile_is_engine_independent_and_names_a_bottleneck() {
+        let ev = em3d_profile(HwTuning::default());
+        let rf = em3d_profile(HwTuning { engine: SimEngine::PerCycle, ..HwTuning::default() });
+        assert_eq!(ev.profile, rf.profile);
+        assert!(!ev.profile.stages.is_empty());
+        for s in &ev.profile.stages {
+            assert!((0.0..=1.0).contains(&s.utilization), "{s:?}");
+        }
+        assert!(!ev.profile.bottleneck_summary().is_empty());
+        // Every worker-cycle is attributed to exactly one bucket.
+        let stats = ev.result.stats.as_ref().unwrap();
+        for w in &stats.workers {
+            assert_eq!(w.total(), stats.cycles);
+        }
+    }
 
     fn stage(stage: usize, parallel: bool, busy: u64, util: f64) -> StageProfile {
         StageProfile {

@@ -89,6 +89,7 @@ mod tests {
             shape: None,
             stats: None,
             rung: None,
+            faults: None,
         }
     }
 

@@ -15,13 +15,27 @@
 //! [`RunResult`]: cgpa::flows::RunResult
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig, CompileError, DegradationPolicy, DegradationRung};
-use cgpa::flows::{run_cgpa_degraded, run_cgpa_tuned, run_cgpa_with_faults, FlowError, HwTuning};
+use cgpa::flows::{run, run_cgpa, run_cgpa_tuned, FlowError, HwTuning, RunResult, RunSpec, Target};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Ty};
 use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_pipeline::{PartitionError, ReplicablePlacement};
 use cgpa_sim::{FaultClass, FaultKind, FaultPlan, HwError};
 use cgpa_sim::{SimMemory, Value};
+
+/// A default CGPA(P1) run of `k` with `plan` armed.
+fn run_with_faults(k: &BuiltKernel, plan: FaultPlan) -> Result<RunResult, FlowError> {
+    run(k, &RunSpec { faults: Some(plan), ..RunSpec::new(Target::Cgpa(CgpaConfig::default())) })
+}
+
+/// A run of `config` through the degradation ladder under `policy`.
+fn run_degraded(
+    k: &BuiltKernel,
+    config: CgpaConfig,
+    policy: DegradationPolicy,
+) -> Result<RunResult, FlowError> {
+    run(k, &RunSpec { degrade: Some(policy), ..RunSpec::new(Target::Cgpa(config)) })
+}
 
 /// All five paper benchmarks at matrix-friendly sizes (same parameters the
 /// compiler's Table 2 shape test uses).
@@ -45,8 +59,9 @@ fn fault_matrix_tolerates_or_detects() {
             for seed in [11u64, 23, 47] {
                 let plan = FaultPlan::single(class, seed);
                 let cell = format!("kernel={} class={class} seed={seed}", k.name);
-                match run_cgpa_with_faults(k, CgpaConfig::default(), plan) {
-                    Ok((_, plan_out)) => {
+                match run_with_faults(k, plan) {
+                    Ok(r) => {
+                        let plan_out = r.faults.expect("plan armed");
                         // A clean finish is bit-exact (the flow verifies
                         // memory + return value internally). A data fault
                         // may only pass cleanly if it never struck.
@@ -79,25 +94,26 @@ fn injected_runs_are_deterministic() {
     let k = em3d::build(&em3d::Params::fixed(8, 8, 3, 4), 1);
     let run = |seed| {
         let plan = FaultPlan::single(FaultClass::StallWorker, seed);
-        run_cgpa_with_faults(&k, CgpaConfig::default(), plan).expect("timing fault tolerated")
+        run_with_faults(&k, plan).expect("timing fault tolerated")
     };
-    let (a, plan_a) = run(11);
-    let (b, plan_b) = run(11);
+    let (a, b) = (run(11), run(11));
     assert_eq!(a.cycles, b.cycles);
-    assert_eq!(plan_a.fired(), plan_b.fired());
+    assert_eq!(a.faults.expect("plan armed").fired(), b.faults.expect("plan armed").fired());
 }
 
 /// A stall that actually lands costs cycles but not correctness.
 #[test]
 fn tolerated_stall_slows_the_pipeline_down() {
     let k = em3d::build(&em3d::Params::fixed(8, 8, 3, 4), 1);
-    let clean = run_cgpa_tuned(&k, CgpaConfig::default(), HwTuning::default()).unwrap();
+    let clean = run_cgpa(&k, CgpaConfig::default()).unwrap();
     // Freeze worker 0 for 500 cycles right after startup.
     let plan =
         FaultPlan::new(vec![FaultKind::StallWorker { worker: 0, at_cycle: 10, cycles: 500 }]);
-    let (faulted, plan_out) =
-        run_cgpa_with_faults(&k, CgpaConfig::default(), plan).expect("stall tolerated");
-    assert!(plan_out.any_fired(), "stall window overlaps the run");
+    let faulted = run_with_faults(&k, plan).expect("stall tolerated");
+    assert!(
+        faulted.faults.as_ref().is_some_and(FaultPlan::any_fired),
+        "stall window overlaps the run"
+    );
     assert!(
         faulted.cycles > clean.cycles,
         "stalled run ({}) should be slower than clean run ({})",
@@ -112,8 +128,7 @@ fn tolerated_stall_slows_the_pipeline_down() {
 fn aimed_bit_flip_is_caught_with_diagnostics() {
     let k = em3d::build(&em3d::Params::fixed(8, 8, 3, 4), 1);
     let plan = FaultPlan::new(vec![FaultKind::BitFlip { queue: 0, at_push: 0, bit: 7 }]);
-    let err = run_cgpa_with_faults(&k, CgpaConfig::default(), plan)
-        .expect_err("corrupted beat must not verify");
+    let err = run_with_faults(&k, plan).expect_err("corrupted beat must not verify");
     match err {
         FlowError::Hw(HwError::Fault { kind, detail, .. }) => {
             let msg = kind.to_string();
@@ -210,7 +225,7 @@ fn degradation_ladder_lands_on_sequential_rung() {
         .expect("sequential fallback schedules");
     assert_eq!(degraded.rung(), DegradationRung::Sequential);
 
-    let r = run_cgpa_degraded(&k, cfg, DegradationPolicy::default()).expect("fallback run");
+    let r = run_degraded(&k, cfg, DegradationPolicy::default()).expect("fallback run");
     assert_eq!(r.rung, Some(DegradationRung::Sequential));
     assert_eq!(r.config, "CGPA(seq-fallback)");
     assert!(r.cycles > 0);
@@ -222,7 +237,7 @@ fn degradation_ladder_lands_on_sequential_rung() {
 fn degradation_ladder_respects_policy() {
     let k = sequential_only_kernel();
     let policy = DegradationPolicy { allow_sequential_fallback: false, ..Default::default() };
-    let err = run_cgpa_degraded(&k, CgpaConfig::default(), policy);
+    let err = run_degraded(&k, CgpaConfig::default(), policy);
     assert!(
         matches!(err, Err(FlowError::Compile(CompileError::Partition(_)))),
         "expected the partition error to surface, got: {err:?}"
@@ -234,7 +249,7 @@ fn degradation_ladder_respects_policy() {
 #[test]
 fn feasible_kernel_reports_top_rung() {
     let k = em3d::build(&em3d::Params::fixed(8, 8, 3, 4), 1);
-    let r = run_cgpa_degraded(&k, CgpaConfig::default(), DegradationPolicy::default())
+    let r = run_degraded(&k, CgpaConfig::default(), DegradationPolicy::default())
         .expect("em3d compiles at the top rung");
     assert_eq!(r.rung, Some(DegradationRung::Pipelined));
     assert_eq!(r.config, "CGPA(P1)");

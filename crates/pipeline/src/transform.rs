@@ -118,6 +118,24 @@ pub struct PipelineModule {
     pub loop_id: u32,
 }
 
+impl PipelineModule {
+    /// Worker instances of `task`: one for a sequential stage, `workers`
+    /// for the parallel stage.
+    #[must_use]
+    pub fn instances(&self, task: &TaskInfo) -> u32 {
+        match task.kind {
+            StageKind::Sequential => 1,
+            StageKind::Parallel => self.workers,
+        }
+    }
+
+    /// Worker instances over all stages.
+    #[must_use]
+    pub fn worker_count(&self) -> u32 {
+        self.tasks.iter().map(|t| self.instances(t)).sum()
+    }
+}
+
 /// Transform configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TransformConfig {

@@ -6,9 +6,7 @@
 //! and under injected timing faults.
 
 use cgpa_repro::cgpa::compiler::CgpaConfig;
-use cgpa_repro::cgpa::flows::{
-    run_cgpa_tuned, run_cgpa_with_faults_tuned, run_legup_engine, HwTuning, RunResult,
-};
+use cgpa_repro::cgpa::flows::{run, FlowError, HwTuning, RunResult, RunSpec, Target};
 use cgpa_repro::kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_repro::pipeline::ReplicablePlacement;
 use cgpa_repro::sim::{FaultClass, FaultPlan, SimEngine};
@@ -28,8 +26,15 @@ fn has_p2(name: &str) -> bool {
     matches!(name, "em3d" | "gaussblur")
 }
 
-fn tuning(engine: SimEngine) -> HwTuning {
-    HwTuning { engine, ..HwTuning::default() }
+/// Run `target` under `engine`, optionally with a fault plan armed.
+fn run_on(
+    k: &BuiltKernel,
+    target: Target,
+    faults: Option<&FaultPlan>,
+    engine: SimEngine,
+) -> Result<RunResult, FlowError> {
+    let tuning = HwTuning { engine, ..HwTuning::default() };
+    run(k, &RunSpec { tuning, faults: faults.cloned(), ..RunSpec::new(target) })
 }
 
 /// Every engine-independent observable must match. `skipped_cycles` is the
@@ -94,10 +99,10 @@ fn assert_same(kernel: &str, label: &str, ev: &RunResult, rf: &RunResult) {
 #[test]
 fn p1_matches_reference_on_all_kernels() {
     for k in small_suite() {
-        let cfg = CgpaConfig::default();
-        let ev = run_cgpa_tuned(&k, cfg, tuning(SimEngine::EventDriven))
+        let target = Target::Cgpa(CgpaConfig::default());
+        let ev = run_on(&k, target, None, SimEngine::EventDriven)
             .unwrap_or_else(|e| panic!("{}: event P1: {e}", k.name));
-        let rf = run_cgpa_tuned(&k, cfg, tuning(SimEngine::PerCycle))
+        let rf = run_on(&k, target, None, SimEngine::PerCycle)
             .unwrap_or_else(|e| panic!("{}: reference P1: {e}", k.name));
         assert_same(&k.name, "P1", &ev, &rf);
     }
@@ -109,11 +114,13 @@ fn p2_matches_reference_where_applicable() {
         if !has_p2(&k.name) {
             continue;
         }
-        let cfg =
-            CgpaConfig { placement: ReplicablePlacement::Replicated, ..CgpaConfig::default() };
-        let ev = run_cgpa_tuned(&k, cfg, tuning(SimEngine::EventDriven))
+        let target = Target::Cgpa(CgpaConfig {
+            placement: ReplicablePlacement::Replicated,
+            ..CgpaConfig::default()
+        });
+        let ev = run_on(&k, target, None, SimEngine::EventDriven)
             .unwrap_or_else(|e| panic!("{}: event P2: {e}", k.name));
-        let rf = run_cgpa_tuned(&k, cfg, tuning(SimEngine::PerCycle))
+        let rf = run_on(&k, target, None, SimEngine::PerCycle)
             .unwrap_or_else(|e| panic!("{}: reference P2: {e}", k.name));
         assert_same(&k.name, "P2", &ev, &rf);
     }
@@ -122,9 +129,9 @@ fn p2_matches_reference_where_applicable() {
 #[test]
 fn sequential_fallback_matches_reference() {
     for k in small_suite() {
-        let ev = run_legup_engine(&k, SimEngine::EventDriven)
+        let ev = run_on(&k, Target::Legup, None, SimEngine::EventDriven)
             .unwrap_or_else(|e| panic!("{}: event seq: {e}", k.name));
-        let rf = run_legup_engine(&k, SimEngine::PerCycle)
+        let rf = run_on(&k, Target::Legup, None, SimEngine::PerCycle)
             .unwrap_or_else(|e| panic!("{}: reference seq: {e}", k.name));
         assert_same(&k.name, "seq", &ev, &rf);
     }
@@ -140,20 +147,14 @@ fn timing_faults_match_reference() {
     for k in small_suite() {
         for seed in [1u64, 23] {
             let plan = FaultPlan::seeded(&classes, seed);
-            let cfg = CgpaConfig::default();
-            let (ev, ev_plan) =
-                run_cgpa_with_faults_tuned(&k, cfg, plan.clone(), tuning(SimEngine::EventDriven))
-                    .unwrap_or_else(|e| panic!("{}: event faults(seed {seed}): {e}", k.name));
-            let (rf, rf_plan) =
-                run_cgpa_with_faults_tuned(&k, cfg, plan, tuning(SimEngine::PerCycle))
-                    .unwrap_or_else(|e| panic!("{}: reference faults(seed {seed}): {e}", k.name));
+            let target = Target::Cgpa(CgpaConfig::default());
+            let ev = run_on(&k, target, Some(&plan), SimEngine::EventDriven)
+                .unwrap_or_else(|e| panic!("{}: event faults(seed {seed}): {e}", k.name));
+            let rf = run_on(&k, target, Some(&plan), SimEngine::PerCycle)
+                .unwrap_or_else(|e| panic!("{}: reference faults(seed {seed}): {e}", k.name));
             assert_same(&k.name, &format!("faults(seed {seed})"), &ev, &rf);
-            assert_eq!(
-                ev_plan.fired(),
-                rf_plan.fired(),
-                "{}: fired faults differ (seed {seed})",
-                k.name
-            );
+            let fired = |r: &RunResult| r.faults.as_ref().expect("plan armed").fired();
+            assert_eq!(fired(&ev), fired(&rf), "{}: fired faults differ (seed {seed})", k.name);
         }
     }
 }
@@ -167,12 +168,11 @@ fn corrupting_faults_fail_identically() {
     for k in small_suite() {
         for seed in [5u64, 11] {
             let plan = FaultPlan::seeded(&classes, seed);
-            let cfg = CgpaConfig::default();
-            let ev =
-                run_cgpa_with_faults_tuned(&k, cfg, plan.clone(), tuning(SimEngine::EventDriven));
-            let rf = run_cgpa_with_faults_tuned(&k, cfg, plan, tuning(SimEngine::PerCycle));
+            let target = Target::Cgpa(CgpaConfig::default());
+            let ev = run_on(&k, target, Some(&plan), SimEngine::EventDriven);
+            let rf = run_on(&k, target, Some(&plan), SimEngine::PerCycle);
             match (ev, rf) {
-                (Ok((ev, _)), Ok((rf, _))) => {
+                (Ok(ev), Ok(rf)) => {
                     assert_same(&k.name, &format!("corrupt(seed {seed})"), &ev, &rf);
                 }
                 (Err(e), Err(r)) => {
@@ -186,8 +186,8 @@ fn corrupting_faults_fail_identically() {
                 (ev, rf) => panic!(
                     "{}: engines disagree on success (seed {seed}): event={:?} reference={:?}",
                     k.name,
-                    ev.map(|(r, _)| r.cycles),
-                    rf.map(|(r, _)| r.cycles)
+                    ev.map(|r| r.cycles),
+                    rf.map(|r| r.cycles)
                 ),
             }
         }

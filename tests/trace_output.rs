@@ -1,4 +1,5 @@
-//! End-to-end checks on the Chrome-trace JSON emitted by `run_cgpa_traced`.
+//! End-to-end checks on the Chrome-trace JSON a traced `cgpa::flows::run`
+//! records.
 //!
 //! Two layers: the exported JSON must be structurally sound (parses, every
 //! Begin has a matching End per thread, timestamps never run backwards), and
@@ -9,9 +10,10 @@
 use std::collections::HashMap;
 
 use cgpa_repro::cgpa::compiler::CgpaConfig;
-use cgpa_repro::cgpa::flows::{run_cgpa_traced, HwTuning, TracedRun};
+use cgpa_repro::cgpa::flows::{run, HwTuning, RunResult, RunSpec, Target};
 use cgpa_repro::kernels::{em3d, kmeans, BuiltKernel};
 use cgpa_repro::obs::json::Json;
+use cgpa_repro::obs::Recorder;
 use cgpa_repro::sim::SimEngine;
 
 fn suite() -> Vec<BuiltKernel> {
@@ -21,10 +23,16 @@ fn suite() -> Vec<BuiltKernel> {
     ]
 }
 
-fn traced(k: &BuiltKernel, engine: SimEngine) -> TracedRun {
-    let tuning = HwTuning { engine, ..HwTuning::default() };
-    run_cgpa_traced(k, CgpaConfig::default(), tuning)
-        .unwrap_or_else(|e| panic!("{}: traced run failed: {e}", k.name))
+/// A traced CGPA(P1) run and the recorder holding its trace.
+fn traced(k: &BuiltKernel, engine: SimEngine) -> (RunResult, Recorder) {
+    let recorder = Recorder::new();
+    let spec = RunSpec {
+        tuning: HwTuning { engine, ..HwTuning::default() },
+        recorder: Some(&recorder),
+        ..RunSpec::new(Target::Cgpa(CgpaConfig::default()))
+    };
+    let result = run(k, &spec).unwrap_or_else(|e| panic!("{}: traced run failed: {e}", k.name));
+    (result, recorder)
 }
 
 fn field_u64(ev: &Json, key: &str) -> u64 {
@@ -92,8 +100,8 @@ fn check_well_formed(kernel: &str, json: &str) {
 fn trace_json_is_well_formed_for_both_engines() {
     for k in suite() {
         for engine in [SimEngine::PerCycle, SimEngine::EventDriven] {
-            let run = traced(&k, engine);
-            check_well_formed(&k.name, &run.recorder.to_chrome_json());
+            let (_, recorder) = traced(&k, engine);
+            check_well_formed(&k.name, &recorder.to_chrome_json());
         }
     }
 }
@@ -101,8 +109,8 @@ fn trace_json_is_well_formed_for_both_engines() {
 #[test]
 fn compile_track_carries_every_phase_span() {
     let k = &suite()[0];
-    let run = traced(k, SimEngine::EventDriven);
-    let doc = Json::parse(&run.recorder.to_chrome_json()).unwrap();
+    let (_, recorder) = traced(k, SimEngine::EventDriven);
+    let doc = Json::parse(&recorder.to_chrome_json()).unwrap();
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let compile_spans: Vec<&str> = events
         .iter()
@@ -127,8 +135,8 @@ fn compile_track_carries_every_phase_span() {
 #[test]
 fn sim_track_has_run_span_iterations_and_queue_counters() {
     for k in suite() {
-        let run = traced(&k, SimEngine::EventDriven);
-        let doc = Json::parse(&run.recorder.to_chrome_json()).unwrap();
+        let (result, recorder) = traced(&k, SimEngine::EventDriven);
+        let doc = Json::parse(&recorder.to_chrome_json()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         let sim: Vec<&Json> =
             events.iter().filter(|e| e.get("pid").and_then(Json::as_u64) == Some(2)).collect();
@@ -159,7 +167,7 @@ fn sim_track_has_run_span_iterations_and_queue_counters() {
             })
             .count();
         assert!(iter_begins > 0, "{}: no iteration spans", k.name);
-        let workers = run.result.stats.as_ref().map_or(0, |s| s.workers.len());
+        let workers = result.stats.as_ref().map_or(0, |s| s.workers.len());
         let iter_zero_at_zero = sim
             .iter()
             .filter(|e| {
@@ -191,11 +199,10 @@ fn sim_track_has_run_span_iterations_and_queue_counters() {
 #[test]
 fn engines_emit_identical_sim_event_streams() {
     for k in suite() {
-        let per_cycle = traced(&k, SimEngine::PerCycle);
-        let event_driven = traced(&k, SimEngine::EventDriven);
-        let sim_events = |run: &TracedRun| {
-            run.recorder.events().into_iter().filter(|e| e.pid() >= 2).collect::<Vec<_>>()
-        };
+        let (_, per_cycle) = traced(&k, SimEngine::PerCycle);
+        let (_, event_driven) = traced(&k, SimEngine::EventDriven);
+        let sim_events =
+            |rec: &Recorder| rec.events().into_iter().filter(|e| e.pid() >= 2).collect::<Vec<_>>();
         let (r, e) = (sim_events(&per_cycle), sim_events(&event_driven));
         assert_eq!(r.len(), e.len(), "{}: sim event counts differ", k.name);
         assert_eq!(r, e, "{}: sim event streams differ between engines", k.name);
