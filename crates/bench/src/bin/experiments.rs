@@ -41,9 +41,9 @@
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa::report::{geomean, BenchmarkReport};
 use cgpa_bench::{bench_kernels, full_report, scalability_sweep, KernelSet};
+use cgpa_obs::json::Json;
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 thread_local! {
@@ -448,48 +448,59 @@ fn bench(set: KernelSet, json: bool, label: &str) {
     println!();
 
     if json {
-        let path = format!("BENCH_{label}.json");
-        std::fs::write(&path, bench_json(label, set, &entries, total_wall_ms))
-            .expect("write bench json");
-        eprintln!("wrote {path}");
+        write_json("BENCH", label, &bench_doc(label, set, &entries, total_wall_ms));
     }
 }
 
-/// Hand-rolled JSON (the workspace takes no serialization dependency).
-fn bench_json(label: &str, set: KernelSet, entries: &[BenchEntry], total_wall_ms: f64) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ =
-        writeln!(out, "  \"set\": \"{}\",", if set == KernelSet::Quick { "quick" } else { "full" });
-    let _ = writeln!(out, "  \"total_wall_ms\": {total_wall_ms:.3},");
-    let _ = writeln!(out, "  \"kernels\": [");
-    for (i, e) in entries.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", e.name);
-        let _ = writeln!(out, "      \"compile_ms\": {:.3},", e.compile_ms);
-        let _ = writeln!(out, "      \"sim_ms_event\": {:.3},", e.sim_ms_event);
-        let _ = writeln!(out, "      \"sim_ms_reference\": {:.3},", e.sim_ms_reference);
-        let _ = writeln!(out, "      \"engine_speedup\": {:.3},", e.engine_speedup());
-        let _ = writeln!(out, "      \"legup_cycles\": {},", e.legup_cycles);
-        let _ = writeln!(out, "      \"cgpa_cycles\": {},", e.cgpa_cycles);
-        let _ = writeln!(out, "      \"skipped_cycles\": {},", e.skipped_cycles);
-        let _ = writeln!(out, "      \"himem_miss_latency\": {HIMEM_MISS_LATENCY},");
-        let _ = writeln!(out, "      \"himem_sim_ms_event\": {:.3},", e.himem_ms_event);
-        let _ = writeln!(out, "      \"himem_sim_ms_reference\": {:.3},", e.himem_ms_reference);
-        let _ = writeln!(out, "      \"himem_engine_speedup\": {:.3},", e.himem_engine_speedup());
-        let _ = writeln!(out, "      \"himem_cycles\": {},", e.himem_cycles);
-        let _ = writeln!(out, "      \"himem_cgpa_cycles\": {},", e.himem_cgpa_cycles);
-        let _ = writeln!(out, "      \"himem_tuned_cycles\": {},", e.himem_tuned_cycles);
-        let _ = writeln!(out, "      \"himem_tuned_speedup\": {:.4},", e.tuned_speedup());
-        let _ = writeln!(out, "      \"tuned_workers\": {},", e.tuned_workers);
-        let _ = writeln!(out, "      \"tuned_fifo_depth_beats\": {},", e.tuned_fifo_depth_beats);
-        let _ = writeln!(out, "      \"speedup_vs_legup\": {:.4}", e.speedup_vs_legup());
-        let _ = writeln!(out, "    }}{}", if i + 1 < entries.len() { "," } else { "" });
+/// Name of a kernel set in the JSON reports.
+fn set_name(set: KernelSet) -> &'static str {
+    match set {
+        KernelSet::Quick => "quick",
+        KernelSet::Full => "full",
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+}
+
+/// Write `doc`, pretty-printed, to `<kind>_<label>.json`.
+fn write_json(kind: &str, label: &str, doc: &Json) {
+    let path = format!("{kind}_{label}.json");
+    std::fs::write(&path, format!("{doc:#}\n")).expect("write json report");
+    eprintln!("wrote {path}");
+}
+
+/// The `BENCH_<label>.json` document. Wall-clock fields and engine
+/// speedups are rounded to 3 decimals, cycle ratios to 4.
+fn bench_doc(label: &str, set: KernelSet, entries: &[BenchEntry], total_wall_ms: f64) -> Json {
+    let ms = |x: f64| Json::rounded(x, 3);
+    let ratio = |x: f64| Json::rounded(x, 4);
+    let kernels = entries.iter().map(|e| {
+        Json::obj([
+            ("name", e.name.as_str().into()),
+            ("compile_ms", ms(e.compile_ms)),
+            ("sim_ms_event", ms(e.sim_ms_event)),
+            ("sim_ms_reference", ms(e.sim_ms_reference)),
+            ("engine_speedup", ms(e.engine_speedup())),
+            ("legup_cycles", e.legup_cycles.into()),
+            ("cgpa_cycles", e.cgpa_cycles.into()),
+            ("skipped_cycles", e.skipped_cycles.into()),
+            ("himem_miss_latency", HIMEM_MISS_LATENCY.into()),
+            ("himem_sim_ms_event", ms(e.himem_ms_event)),
+            ("himem_sim_ms_reference", ms(e.himem_ms_reference)),
+            ("himem_engine_speedup", ms(e.himem_engine_speedup())),
+            ("himem_cycles", e.himem_cycles.into()),
+            ("himem_cgpa_cycles", e.himem_cgpa_cycles.into()),
+            ("himem_tuned_cycles", e.himem_tuned_cycles.into()),
+            ("himem_tuned_speedup", ratio(e.tuned_speedup())),
+            ("tuned_workers", e.tuned_workers.into()),
+            ("tuned_fifo_depth_beats", e.tuned_fifo_depth_beats.into()),
+            ("speedup_vs_legup", ratio(e.speedup_vs_legup())),
+        ])
+    });
+    Json::obj([
+        ("label", label.into()),
+        ("set", set_name(set).into()),
+        ("total_wall_ms", ms(total_wall_ms)),
+        ("kernels", Json::Arr(kernels.collect())),
+    ])
 }
 
 /// Per-kernel bottleneck report: compile each kernel as CGPA(P1), run it,
@@ -531,59 +542,66 @@ fn profile_cmd(set: KernelSet, json: bool, label: &str) {
     println!();
     write_csv("profile", "benchmark,bottleneck,cycles,max_stage_utilization", &csv_rows);
     if json {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let _ = writeln!(
-            out,
-            "  \"set\": \"{}\",",
-            if set == KernelSet::Quick { "quick" } else { "full" }
-        );
-        let _ = writeln!(out, "  \"profiles\": [");
-        for (i, p) in profiles.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {}{}",
-                p.to_json(),
-                if i + 1 < profiles.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        let path = format!("PROFILE_{label}.json");
-        std::fs::write(&path, out).expect("write profile json");
-        eprintln!("wrote {path}");
+        write_json("PROFILE", label, &profile_doc(label, set, &profiles));
     }
 }
 
+/// The `PROFILE_<label>.json` document.
+fn profile_doc(label: &str, set: KernelSet, profiles: &[cgpa::profile::Profile]) -> Json {
+    Json::obj([
+        ("label", label.into()),
+        ("set", set_name(set).into()),
+        ("profiles", Json::Arr(profiles.iter().map(cgpa::profile::Profile::to_json).collect())),
+    ])
+}
+
 /// One DSE outcome as a JSON object (shared by `recommended` and the
-/// frontier list).
-fn dse_point_json(o: &cgpa::dse::DseOutcome, indent: &str) -> String {
+/// frontier list); power and energy are rounded to 3 decimals, EDP to 6.
+fn dse_point_doc(o: &cgpa::dse::DseOutcome) -> Json {
     use cgpa_pipeline::ReplicablePlacement;
     let p = &o.point;
     let placement = match p.placement {
         ReplicablePlacement::Pipelined => "P1",
         ReplicablePlacement::Replicated => "P2",
     };
-    let banks = match p.cache_banks {
-        Some(b) => b.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        "{indent}{{\"label\": \"{}\", \"placement\": \"{placement}\", \"workers\": {}, \
-         \"fifo_depth_beats\": {}, \"cache_lines\": {}, \"cache_banks\": {banks}, \
-         \"cycles\": {}, \"alut\": {}, \"power_mw\": {:.3}, \"energy_uj\": {:.3}, \
-         \"edp\": {:.6}}}",
-        p.label(),
-        p.workers,
-        p.fifo_depth_beats,
-        p.cache_lines,
-        o.cycles,
-        o.alut,
-        o.power_mw,
-        o.energy_uj,
-        o.edp,
-    )
+    Json::obj([
+        ("label", p.label().into()),
+        ("placement", placement.into()),
+        ("workers", p.workers.into()),
+        ("fifo_depth_beats", p.fifo_depth_beats.into()),
+        ("cache_lines", p.cache_lines.into()),
+        ("cache_banks", p.cache_banks.into()),
+        ("cycles", o.cycles.into()),
+        ("alut", o.alut.into()),
+        ("power_mw", Json::rounded(o.power_mw, 3)),
+        ("energy_uj", Json::rounded(o.energy_uj, 3)),
+        ("edp", Json::rounded(o.edp, 6)),
+    ])
+}
+
+/// One kernel's entry in `DSE_<label>.json`.
+fn dse_kernel_doc(report: &cgpa::dse::DseReport, revalidated: bool) -> Json {
+    Json::obj([
+        ("name", report.kernel.as_str().into()),
+        ("points_evaluated", report.evaluated.len().into()),
+        ("points_skipped", report.skipped.len().into()),
+        ("compiles", report.compiles.into()),
+        ("cache_hits", report.cache_hits.into()),
+        ("best_cycles", report.best_cycles().into()),
+        ("revalidated", revalidated.into()),
+        ("recommended", report.recommended.as_ref().map_or(Json::Null, dse_point_doc)),
+        ("frontier", Json::Arr(report.frontier.iter().map(dse_point_doc).collect())),
+    ])
+}
+
+/// The `DSE_<label>.json` document over per-kernel entries.
+fn dse_doc(label: &str, set: KernelSet, budget: u32, kernels: Vec<Json>) -> Json {
+    Json::obj([
+        ("label", label.into()),
+        ("set", set_name(set).into()),
+        ("area_budget_alut", budget.into()),
+        ("kernels", Json::Arr(kernels)),
+    ])
 }
 
 /// Design-space exploration: enumerate the configuration lattice per
@@ -616,14 +634,7 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
     );
     let kernels = bench_kernels(set, 42);
     let mut csv_rows: Vec<String> = Vec::new();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ =
-        writeln!(out, "  \"set\": \"{}\",", if set == KernelSet::Quick { "quick" } else { "full" });
-    let _ = writeln!(out, "  \"area_budget_alut\": {budget},");
-    let _ = writeln!(out, "  \"kernels\": [");
-    let mut first = true;
+    let mut kernel_docs = Vec::new();
     for k in &kernels {
         let report = match run_cgpa_dse(k, &lattice, env, budget, &cache) {
             Ok(r) => r,
@@ -685,45 +696,8 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
             rec_alut,
             rec_mw,
         ));
-        if !first {
-            let _ = writeln!(out, ",");
-        }
-        first = false;
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", report.kernel);
-        let _ = writeln!(out, "      \"points_evaluated\": {},", report.evaluated.len());
-        let _ = writeln!(out, "      \"points_skipped\": {},", report.skipped.len());
-        let _ = writeln!(out, "      \"compiles\": {},", report.compiles);
-        let _ = writeln!(out, "      \"cache_hits\": {},", report.cache_hits);
-        let _ = writeln!(
-            out,
-            "      \"best_cycles\": {},",
-            report.best_cycles().map_or_else(|| "null".to_string(), |c| c.to_string())
-        );
-        let _ = writeln!(out, "      \"revalidated\": {revalidated},");
-        match &report.recommended {
-            Some(r) => {
-                let _ = writeln!(out, "      \"recommended\": {},", dse_point_json(r, ""));
-            }
-            None => {
-                let _ = writeln!(out, "      \"recommended\": null,");
-            }
-        }
-        let _ = writeln!(out, "      \"frontier\": [");
-        for (i, f) in report.frontier.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{}{}",
-                dse_point_json(f, "        "),
-                if i + 1 < report.frontier.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = write!(out, "    }}");
+        kernel_docs.push(dse_kernel_doc(&report, revalidated));
     }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
     println!();
     write_csv(
         "dse",
@@ -731,9 +705,7 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
         &csv_rows,
     );
     if json {
-        let path = format!("DSE_{label}.json");
-        std::fs::write(&path, out).expect("write dse json");
-        eprintln!("wrote {path}");
+        write_json("DSE", label, &dse_doc(label, set, budget, kernel_docs));
     }
 }
 
@@ -788,12 +760,12 @@ const COMPARE_INFO_METRICS: [&str; 4] =
 const COMPARE_INVARIANTS: [&str; 2] = ["speedup_vs_legup", "himem_tuned_speedup"];
 
 /// Load a `BENCH_*.json`, exiting with code 2 on I/O or parse failure.
-fn load_bench_json(path: &str) -> cgpa_obs::json::Json {
+fn load_bench_report(path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    cgpa_obs::json::Json::parse(&text).unwrap_or_else(|e| {
+    Json::parse(&text).unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
         std::process::exit(2);
     })
@@ -801,9 +773,9 @@ fn load_bench_json(path: &str) -> cgpa_obs::json::Json {
 
 /// Numeric metric from a kernel entry, exiting with code 2 when the schema
 /// does not carry it (stale baseline — regenerate with `bench --json`).
-fn metric(doc_path: &str, kernel: &cgpa_obs::json::Json, name: &str) -> f64 {
-    kernel.get(name).and_then(cgpa_obs::json::Json::as_f64).unwrap_or_else(|| {
-        let kname = kernel.get("name").and_then(cgpa_obs::json::Json::as_str).unwrap_or("?");
+fn metric(doc_path: &str, kernel: &Json, name: &str) -> f64 {
+    kernel.get(name).and_then(Json::as_f64).unwrap_or_else(|| {
+        let kname = kernel.get("name").and_then(Json::as_str).unwrap_or("?");
         eprintln!(
             "{doc_path}: kernel {kname} lacks metric `{name}` — regenerate with \
              `experiments bench --quick --json`"
@@ -815,10 +787,8 @@ fn metric(doc_path: &str, kernel: &cgpa_obs::json::Json, name: &str) -> f64 {
 /// Diff `new_path` against `baseline_path` per kernel and metric.
 /// Exit codes: 0 clean, 1 regression or invariant flip, 2 usage/schema.
 fn compare_cmd(new_path: &str, baseline_path: &str, max_regress_pct: f64) {
-    use cgpa_obs::json::Json;
-
-    let base = load_bench_json(baseline_path);
-    let new = load_bench_json(new_path);
+    let base = load_bench_report(baseline_path);
+    let new = load_bench_report(new_path);
     let get_set = |d: &Json| d.get("set").and_then(Json::as_str).unwrap_or("?").to_string();
     let (base_set, new_set) = (get_set(&base), get_set(&new));
     let kernel_list = |d: &Json| -> Vec<Json> {
@@ -1137,4 +1107,70 @@ fn scalability(set: KernelSet) {
     }
     write_csv("scalability", "benchmark,workers,cycles", &csv_rows);
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cgpa::dse::{DseOutcome, DsePoint, DseReport};
+    use cgpa_pipeline::ReplicablePlacement;
+
+    /// A label comes from the command line or the environment; every report
+    /// must still parse back with it intact.
+    #[test]
+    fn reports_escape_their_label() {
+        let label = "q\"x";
+        let entry = BenchEntry {
+            name: "k".into(),
+            compile_ms: 0.5,
+            sim_ms_event: 1.25,
+            sim_ms_reference: 2.5,
+            legup_cycles: 400,
+            cgpa_cycles: 100,
+            skipped_cycles: 7,
+            himem_ms_event: 1.0,
+            himem_ms_reference: 3.0,
+            himem_cycles: 900,
+            himem_cgpa_cycles: 300,
+            himem_tuned_cycles: 200,
+            tuned_workers: 8,
+            tuned_fifo_depth_beats: 16,
+            tuned_bottleneck: "stage 0".into(),
+        };
+        let point = DsePoint {
+            workers: 4,
+            placement: ReplicablePlacement::Pipelined,
+            fifo_depth_beats: 16,
+            cache_lines: 512,
+            cache_banks: None,
+        };
+        let outcome = DseOutcome {
+            point,
+            cycles: 100,
+            alut: 5000,
+            power_mw: 12.5,
+            energy_uj: 0.5,
+            edp: 1e-6,
+        };
+        let report = DseReport {
+            kernel: "k".into(),
+            area_budget_alut: 182_400,
+            evaluated: vec![outcome.clone()],
+            skipped: Vec::new(),
+            frontier: vec![outcome.clone()],
+            recommended: Some(outcome),
+            compiles: 1,
+            cache_hits: 0,
+        };
+        let docs = [
+            bench_doc(label, KernelSet::Quick, &[entry], 12.0),
+            profile_doc(label, KernelSet::Quick, &[]),
+            dse_doc(label, KernelSet::Quick, 182_400, vec![dse_kernel_doc(&report, true)]),
+        ];
+        for doc in docs {
+            let parsed = Json::parse(&format!("{doc:#}")).expect("report parses");
+            assert_eq!(parsed.get("label").and_then(Json::as_str), Some(label));
+            assert_eq!(parsed, doc);
+        }
+    }
 }

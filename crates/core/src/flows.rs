@@ -324,22 +324,26 @@ fn cgpa_label(placement: ReplicablePlacement) -> &'static str {
     }
 }
 
-/// Arm `spec`'s recorder (on trace process `pid`) and fault plan on `sys`,
-/// run it, and return its statistics and fired fault plan.
+/// Arm `spec`'s fault plan on `sys` and run it, tracing the run into
+/// `spec`'s recorder (on trace process `pid`) when there is one, whether
+/// or not it succeeds. Returns its statistics and fired fault plan.
 fn run_system(
     sys: &mut HwSystem<'_>,
     mem: &mut SimMemory,
     spec: &RunSpec<'_>,
     pid: u32,
 ) -> Result<(SystemStats, Option<FaultPlan>), HwError> {
-    if let Some(rec) = spec.recorder {
-        sys.attach_obs(rec, pid);
+    if spec.recorder.is_some() {
+        sys.enable_trace();
     }
     if let Some(plan) = &spec.faults {
         sys.inject_faults(plan.clone());
     }
-    let stats = sys.run(mem)?;
-    Ok((stats, sys.fault_plan().cloned()))
+    let result = sys.run(mem);
+    if let (Some(rec), Some(trace)) = (spec.recorder, sys.take_trace()) {
+        trace.replay_into(rec, pid);
+    }
+    Ok((result?, sys.fault_plan().cloned()))
 }
 
 fn simulate(

@@ -15,6 +15,7 @@
 
 use crate::compiler::Compiled;
 use crate::flows::HwTuning;
+use cgpa_obs::json::Json;
 use cgpa_pipeline::StageKind;
 use cgpa_sim::SystemStats;
 use std::error::Error;
@@ -421,102 +422,81 @@ impl Profile {
         out
     }
 
-    /// Serialize as a JSON object (hand-rolled; the workspace takes no
-    /// serialization dependency).
+    /// The profile as a JSON object; fractions and means are rounded to
+    /// six decimals.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"kernel\":{},\"config\":{},\"shape\":{},\"workers\":{},\
-             \"fifo_depth_beats\":{},\"cycles\":{}",
-            esc(&self.kernel),
-            esc(&self.config),
-            esc(&self.shape),
-            self.workers,
-            self.fifo_depth_beats,
-            self.cycles
-        );
-        s.push_str(",\"stages\":[");
-        for (i, st) in self.stages.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"stage\":{},\"name\":{},\"parallel\":{},\"workers\":{},\"busy\":{},\
-                 \"stall_mem_read\":{},\"stall_mem_write\":{},\"stall_push\":{},\
-                 \"stall_pop\":{},\"idle\":{},\"utilization\":{}}}",
-                st.stage,
-                esc(&st.name),
-                st.parallel,
-                st.workers,
-                st.busy,
-                st.stall_mem_read,
-                st.stall_mem_write,
-                st.stall_push,
-                st.stall_pop,
-                st.idle,
-                num(st.utilization)
-            );
-        }
-        s.push_str("],\"queues\":[");
-        for (i, q) in self.queues.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"queue\":{},\"name\":{},\"producer_stage\":{},\"consumer_stage\":{},\
-                 \"depth_beats\":{},\"mean_occupancy\":{},\"full_fraction\":{},\
-                 \"empty_fraction\":{},\"push_wait_cycles\":{},\"pop_wait_cycles\":{}}}",
-                q.queue,
-                esc(&q.name),
-                q.producer_stage,
-                q.consumer_stage,
-                q.depth_beats,
-                num(q.mean_occupancy),
-                num(q.full_fraction),
-                num(q.empty_fraction),
-                q.push_wait_cycles,
-                q.pop_wait_cycles
-            );
-        }
+    pub fn to_json(&self) -> Json {
+        let frac = |x: f64| Json::rounded(x, 6);
+        let stages = self.stages.iter().map(|st| {
+            Json::obj([
+                ("stage", st.stage.into()),
+                ("name", st.name.as_str().into()),
+                ("parallel", st.parallel.into()),
+                ("workers", st.workers.into()),
+                ("busy", st.busy.into()),
+                ("stall_mem_read", st.stall_mem_read.into()),
+                ("stall_mem_write", st.stall_mem_write.into()),
+                ("stall_push", st.stall_push.into()),
+                ("stall_pop", st.stall_pop.into()),
+                ("idle", st.idle.into()),
+                ("utilization", frac(st.utilization)),
+            ])
+        });
+        let queues = self.queues.iter().map(|q| {
+            Json::obj([
+                ("queue", q.queue.into()),
+                ("name", q.name.as_str().into()),
+                ("producer_stage", q.producer_stage.into()),
+                ("consumer_stage", q.consumer_stage.into()),
+                ("depth_beats", q.depth_beats.into()),
+                ("mean_occupancy", frac(q.mean_occupancy)),
+                ("full_fraction", frac(q.full_fraction)),
+                ("empty_fraction", frac(q.empty_fraction)),
+                ("push_wait_cycles", q.push_wait_cycles.into()),
+                ("pop_wait_cycles", q.pop_wait_cycles.into()),
+            ])
+        });
         let m = &self.memory;
-        let _ = write!(
-            s,
-            "],\"memory\":{{\"ports\":{},\"accesses\":{},\"hits\":{},\"misses\":{},\
-             \"conflict_cycles\":{},\"read_stall_cycles\":{},\"write_stall_cycles\":{},\
-             \"stall_fraction\":{}}}",
-            m.ports,
-            m.accesses,
-            m.hits,
-            m.misses,
-            m.conflict_cycles,
-            m.read_stall_cycles,
-            m.write_stall_cycles,
-            num(m.stall_fraction)
-        );
-        s.push_str(",\"bottleneck\":{");
-        let _ = write!(s, "\"kind\":{}", esc(self.bottleneck.tag()));
+        let memory = Json::obj([
+            ("ports", m.ports.into()),
+            ("accesses", m.accesses.into()),
+            ("hits", m.hits.into()),
+            ("misses", m.misses.into()),
+            ("conflict_cycles", m.conflict_cycles.into()),
+            ("read_stall_cycles", m.read_stall_cycles.into()),
+            ("write_stall_cycles", m.write_stall_cycles.into()),
+            ("stall_fraction", frac(m.stall_fraction)),
+        ]);
+        let mut bottleneck = vec![("kind", self.bottleneck.tag().into())];
         match &self.bottleneck {
             Bottleneck::Stage { stage, utilization } => {
-                let _ = write!(s, ",\"stage\":{stage},\"utilization\":{}", num(*utilization));
+                bottleneck
+                    .extend([("stage", (*stage).into()), ("utilization", frac(*utilization))]);
             }
             Bottleneck::QueueFull { queue, full_fraction } => {
-                let _ = write!(s, ",\"queue\":{queue},\"full_fraction\":{}", num(*full_fraction));
+                bottleneck
+                    .extend([("queue", (*queue).into()), ("full_fraction", frac(*full_fraction))]);
             }
             Bottleneck::MemoryPort { stall_fraction, latency_bound } => {
-                let _ = write!(
-                    s,
-                    ",\"stall_fraction\":{},\"latency_bound\":{latency_bound}",
-                    num(*stall_fraction)
-                );
+                bottleneck.extend([
+                    ("stall_fraction", frac(*stall_fraction)),
+                    ("latency_bound", (*latency_bound).into()),
+                ]);
             }
         }
-        let _ = write!(s, ",\"summary\":{}", esc(&self.bottleneck_summary()));
-        s.push_str("}}");
-        s
+        bottleneck.push(("summary", self.bottleneck_summary().into()));
+        Json::obj([
+            ("kernel", self.kernel.as_str().into()),
+            ("config", self.config.as_str().into()),
+            ("shape", self.shape.as_str().into()),
+            ("workers", self.workers.into()),
+            ("fifo_depth_beats", self.fifo_depth_beats.into()),
+            ("cycles", self.cycles.into()),
+            ("stages", Json::Arr(stages.collect())),
+            ("queues", Json::Arr(queues.collect())),
+            ("memory", memory),
+            ("bottleneck", Json::obj(bottleneck)),
+        ])
     }
 }
 
@@ -565,35 +545,6 @@ fn diagnose(
     }
     // No waits anywhere: the busiest stage is the answer even if unsaturated.
     Bottleneck::Stage { stage: busiest.stage, utilization: busiest.utilization }
-}
-
-/// JSON string escape.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON-safe float rendering (finite always; NaN/inf become 0).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.000000".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -729,11 +680,9 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_is_balanced() {
-        assert_eq!(esc("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(num(f64::NAN), "0.000000");
+    fn json_parses_back_with_every_field() {
         let p = Profile {
-            kernel: "k".into(),
+            kernel: "k\"q".into(),
             config: "CGPA(P1)".into(),
             shape: "S-P".into(),
             workers: 4,
@@ -744,10 +693,24 @@ mod tests {
             memory: mem(100, 0),
             bottleneck: Bottleneck::QueueFull { queue: 0, full_fraction: 0.5 },
         };
-        let j = p.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"kind\":\"queue-full\""));
-        assert!(j.contains("\"bottleneck\""));
+        let doc = Json::parse(&format!("{:#}", p.to_json())).expect("profile JSON parses");
+        assert_eq!(doc, p.to_json());
+        assert_eq!(doc.get("kernel").and_then(Json::as_str), Some("k\"q"));
+        assert_eq!(doc.get("cycles").and_then(Json::as_u64), Some(1000));
+        let stages = doc.get("stages").and_then(Json::as_arr).expect("stages");
+        assert_eq!(stages.len(), 2);
+        assert_eq!(stages[0].get("utilization").and_then(Json::as_f64), Some(0.9));
+        assert_eq!(stages[1].get("parallel"), Some(&Json::Bool(true)));
+        let queue = &doc.get("queues").and_then(Json::as_arr).expect("queues")[0];
+        assert_eq!(queue.get("push_wait_cycles").and_then(Json::as_u64), Some(5));
+        assert_eq!(queue.get("mean_occupancy").and_then(Json::as_f64), Some(4.0));
+        let memory = doc.get("memory").expect("memory");
+        assert_eq!(memory.get("stall_fraction").and_then(Json::as_f64), Some(0.025));
+        let b = doc.get("bottleneck").expect("bottleneck");
+        assert_eq!(b.get("kind").and_then(Json::as_str), Some("queue-full"));
+        assert_eq!(b.get("queue").and_then(Json::as_u64), Some(0));
+        assert_eq!(b.get("full_fraction").and_then(Json::as_f64), Some(0.5));
+        assert_eq!(b.get("summary").and_then(Json::as_str), Some(p.bottleneck_summary().as_str()));
         let text = p.render();
         assert!(text.contains("bottleneck: queue 0"));
     }

@@ -1,7 +1,18 @@
-//! Minimal JSON support: a string escaper for the Chrome-trace exporter and
-//! a recursive-descent parser used by `experiments compare` (bench-JSON
-//! diffing) and by the trace-validation tests. The workspace takes no
-//! serialization dependency, so both directions are hand-rolled.
+//! Minimal JSON support: one value type, its writer and its parser. Every
+//! JSON artifact the toolchain writes (Chrome traces, bench, profile and
+//! DSE reports) is built as a [`Json`] value and rendered by its
+//! [`Display`](fmt::Display) impl; `experiments compare` and the
+//! trace-validation tests read them back with [`Json::parse`]. The
+//! workspace takes no serialization dependency, so both directions are
+//! hand-rolled here and nowhere else.
+//!
+//! ```
+//! use cgpa_obs::json::Json;
+//!
+//! let doc = Json::obj([("label", "q\"x".into()), ("cycles", 1200u64.into())]);
+//! assert_eq!(doc.to_string(), r#"{"label":"q\"x","cycles":1200}"#);
+//! assert_eq!(Json::parse(&doc.to_string()), Ok(doc));
+//! ```
 
 use std::fmt;
 
@@ -110,28 +121,143 @@ impl Json {
             _ => None,
         }
     }
-}
 
-/// Render `s` as a quoted JSON string with the mandatory escapes.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    /// An object from `(key, value)` members, in order.
+    #[must_use]
+    pub fn obj<'k>(members: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// `x` rounded to `places` decimals, to the same value that parsing
+    /// `format!("{x:.places$}")` gives. Reports round their ratios and
+    /// fractions through this one helper so that equal inputs always
+    /// serialize to equal numbers. Non-finite values become 0.
+    #[must_use]
+    pub fn rounded(x: f64, places: usize) -> Json {
+        if !x.is_finite() {
+            return Json::Num(0.0);
+        }
+        Json::Num(format!("{x:.places$}").parse().expect("a formatted finite f64 parses"))
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            // JSON has no NaN or infinity; -0 prints as 0.
+            Json::Num(n) if !n.is_finite() || *n == 0.0 => f.write_str("0"),
+            Json::Num(n) => write!(f, "{n}"),
+            Json::Str(s) => write_str(f, s),
+            Json::Arr(items) => write_seq(f, indent, ('[', ']'), items.iter().map(|v| (None, v))),
+            Json::Obj(members) => {
+                write_seq(f, indent, ('{', '}'), members.iter().map(|(k, v)| (Some(k.as_str()), v)))
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
-    out
+}
+
+/// Compact by default; the alternate form (`{:#}`) pretty-prints with
+/// two-space indentation. Either form parses back to an equal value.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let indent = f.alternate().then_some(0);
+        self.write(f, indent)
+    }
+}
+
+/// Write an array or object: `(key, value)` items between `open` and `close`,
+/// one per line at `indent + 2` when pretty-printing.
+fn write_seq<'a>(
+    f: &mut fmt::Formatter<'_>,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    items: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) -> fmt::Result {
+    let empty = items.len() == 0;
+    let inner = indent.map(|n| n + 2);
+    write!(f, "{open}")?;
+    for (i, (key, value)) in items.enumerate() {
+        if i > 0 {
+            f.write_str(",")?;
+        }
+        if let Some(n) = inner {
+            write!(f, "\n{:n$}", "")?;
+        }
+        if let Some(k) = key {
+            write_str(f, k)?;
+            f.write_str(if inner.is_some() { ": " } else { ":" })?;
+        }
+        value.write(f, inner)?;
+    }
+    if let (Some(n), false) = (indent, empty) {
+        write!(f, "\n{:n$}", "")?;
+    }
+    write!(f, "{close}")
+}
+
+/// Write `s` as a quoted JSON string with the mandatory escapes.
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+impl From<u64> for Json {
+    /// Exact up to 2^53, like every JSON number a double-based reader sees.
+    fn from(v: u64) -> Self {
+        Json::Num(v as f64)
+    }
+}
+impl From<u32> for Json {
+    fn from(v: u32) -> Self {
+        Json::Num(f64::from(v))
+    }
+}
+impl From<usize> for Json {
+    fn from(v: usize) -> Self {
+        Json::Num(v as f64)
+    }
+}
+impl From<i64> for Json {
+    fn from(v: i64) -> Self {
+        Json::Num(v as f64)
+    }
+}
+impl From<f64> for Json {
+    fn from(v: f64) -> Self {
+        Json::Num(v)
+    }
+}
+impl From<&str> for Json {
+    fn from(v: &str) -> Self {
+        Json::Str(v.to_string())
+    }
+}
+impl From<String> for Json {
+    fn from(v: String) -> Self {
+        Json::Str(v)
+    }
+}
+impl From<bool> for Json {
+    fn from(v: bool) -> Self {
+        Json::Bool(v)
+    }
+}
+impl<T: Into<Json>> From<Option<T>> for Json {
+    /// `None` is `null`.
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Json::Null, Into::into)
+    }
 }
 
 struct Parser<'a> {
@@ -374,8 +500,70 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let original = "quote \" backslash \\ newline \n tab \t control \u{1} unicode é";
-        let escaped = escape(original);
-        assert_eq!(Json::parse(&escaped), Ok(Json::Str(original.to_string())));
+        let written = Json::from(original).to_string();
+        assert_eq!(
+            written,
+            r#""quote \" backslash \\ newline \n tab \t control \u0001 unicode é""#
+        );
+        assert_eq!(Json::parse(&written), Ok(Json::Str(original.to_string())));
+    }
+
+    fn sample() -> Json {
+        Json::obj([
+            ("label", "q\"x".into()),
+            ("n", 42u64.into()),
+            ("neg", (-7i64).into()),
+            ("ratio", Json::rounded(2.0 / 3.0, 4)),
+            ("ok", true.into()),
+            ("none", Json::from(None::<u32>)),
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::obj([])),
+            ("items", Json::Arr(vec![1.5.into(), Json::obj([("k", "v".into())])])),
+        ])
+    }
+
+    #[test]
+    fn written_values_parse_back_equal_in_both_forms() {
+        let v = sample();
+        for text in [v.to_string(), format!("{v:#}")] {
+            assert_eq!(Json::parse(&text).as_ref(), Ok(&v), "{text}");
+        }
+        assert_eq!(
+            v.to_string(),
+            r#"{"label":"q\"x","n":42,"neg":-7,"ratio":0.6667,"ok":true,"none":null,"empty_arr":[],"empty_obj":{},"items":[1.5,{"k":"v"}]}"#
+        );
+    }
+
+    #[test]
+    fn written_text_is_a_fixed_point_of_parse_then_write() {
+        let v = sample();
+        for text in [v.to_string(), format!("{v:#}")] {
+            let reparsed = Json::parse(&text).unwrap();
+            let rewritten =
+                if text.contains('\n') { format!("{reparsed:#}") } else { reparsed.to_string() };
+            assert_eq!(rewritten, text);
+        }
+    }
+
+    #[test]
+    fn pretty_form_indents_two_spaces_per_level() {
+        let v = Json::obj([("a", Json::Arr(vec![1u32.into()])), ("b", Json::obj([]))]);
+        assert_eq!(format!("{v:#}"), "{\n  \"a\": [\n    1\n  ],\n  \"b\": {}\n}");
+    }
+
+    #[test]
+    fn numbers_render_as_json_and_round_like_format() {
+        assert_eq!(Json::Num(4.0).to_string(), "4");
+        assert_eq!(Json::Num(0.5).to_string(), "0.5");
+        assert_eq!(Json::Num(-0.0).to_string(), "0");
+        assert_eq!(Json::Num(f64::NAN).to_string(), "0");
+        assert_eq!(Json::Num(f64::INFINITY).to_string(), "0");
+        assert_eq!(Json::from(1u64 << 40).to_string(), "1099511627776");
+        for (x, places) in [(2.0 / 3.0, 3), (1.0005, 3), (0.125, 2), (123.456_789, 6)] {
+            let text = format!("{x:.places$}");
+            assert_eq!(Json::rounded(x, places), Json::parse(&text).unwrap(), "{text}");
+        }
+        assert_eq!(Json::rounded(f64::NAN, 3), Json::Num(0.0));
     }
 
     #[test]

@@ -40,65 +40,9 @@
 
 pub mod json;
 
-use std::fmt::Write as _;
+use json::Json;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// A span/counter argument value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArgValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Float.
-    F64(f64),
-    /// String.
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl From<u64> for ArgValue {
-    fn from(v: u64) -> Self {
-        ArgValue::U64(v)
-    }
-}
-impl From<u32> for ArgValue {
-    fn from(v: u32) -> Self {
-        ArgValue::U64(u64::from(v))
-    }
-}
-impl From<usize> for ArgValue {
-    fn from(v: usize) -> Self {
-        ArgValue::U64(v as u64)
-    }
-}
-impl From<i64> for ArgValue {
-    fn from(v: i64) -> Self {
-        ArgValue::I64(v)
-    }
-}
-impl From<f64> for ArgValue {
-    fn from(v: f64) -> Self {
-        ArgValue::F64(v)
-    }
-}
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> Self {
-        ArgValue::Str(v.to_string())
-    }
-}
-impl From<String> for ArgValue {
-    fn from(v: String) -> Self {
-        ArgValue::Str(v)
-    }
-}
-impl From<bool> for ArgValue {
-    fn from(v: bool) -> Self {
-        ArgValue::Bool(v)
-    }
-}
 
 /// One recorded trace event. Maps 1:1 onto Chrome trace-event phases
 /// (`B`/`E`/`C`/`M`).
@@ -117,7 +61,7 @@ pub enum Event {
         /// Timestamp in trace microseconds.
         ts: u64,
         /// Key/value annotations (artifact sizes, cycle counts, …).
-        args: Vec<(String, ArgValue)>,
+        args: Vec<(String, Json)>,
     },
     /// The innermost open span on `(pid, tid)` closed (`ph: "E"`).
     End {
@@ -299,98 +243,57 @@ impl Recorder {
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
         let events = self.events.lock().expect("recorder poisoned");
-        let mut out = String::with_capacity(events.len() * 96 + 64);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            match e {
-                Event::Begin { name, cat, pid, tid, ts, args } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":{},\"cat\":{},\"ph\":\"B\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}",
-                        json::escape(name),
-                        json::escape(cat)
-                    );
-                    if !args.is_empty() {
-                        out.push_str(",\"args\":");
-                        write_args(&mut out, args);
-                    }
-                    out.push('}');
-                }
-                Event::End { pid, tid, ts } => {
-                    let _ = write!(out, "{{\"ph\":\"E\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}}}");
-                }
-                Event::Counter { name, pid, tid, ts, value } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\
-                         \"args\":{{\"value\":{}}}}}",
-                        json::escape(name),
-                        fmt_f64(*value)
-                    );
-                }
-                Event::ProcessName { pid, name } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                         \"args\":{{\"name\":{}}}}}",
-                        json::escape(name)
-                    );
-                }
-                Event::ThreadName { pid, tid, name } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                         \"args\":{{\"name\":{}}}}}",
-                        json::escape(name)
-                    );
-                }
-            }
-        }
-        out.push_str("\n]}");
-        out
+        let events = events.iter().map(Event::to_chrome).collect();
+        Json::obj([("displayTimeUnit", "ms".into()), ("traceEvents", Json::Arr(events))])
+            .to_string()
     }
 }
 
-/// JSON-safe float rendering (NaN/inf have no JSON form; render as 0).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v}")
+impl Event {
+    /// This event as one Chrome trace-event object.
+    fn to_chrome(&self) -> Json {
+        let metadata = |kind: &str, pid: u32, tid: u32, name: &str| {
+            Json::obj([
+                ("name", kind.into()),
+                ("ph", "M".into()),
+                ("pid", pid.into()),
+                ("tid", tid.into()),
+                ("args", Json::obj([("name", name.into())])),
+            ])
+        };
+        match self {
+            Event::Begin { name, cat, pid, tid, ts, args } => {
+                let mut members = vec![
+                    ("name", name.as_str().into()),
+                    ("cat", cat.as_str().into()),
+                    ("ph", "B".into()),
+                    ("ts", (*ts).into()),
+                    ("pid", (*pid).into()),
+                    ("tid", (*tid).into()),
+                ];
+                if !args.is_empty() {
+                    members.push(("args", Json::Obj(args.clone())));
+                }
+                Json::obj(members)
+            }
+            Event::End { pid, tid, ts } => Json::obj([
+                ("ph", "E".into()),
+                ("ts", (*ts).into()),
+                ("pid", (*pid).into()),
+                ("tid", (*tid).into()),
+            ]),
+            Event::Counter { name, pid, tid, ts, value } => Json::obj([
+                ("name", name.as_str().into()),
+                ("ph", "C".into()),
+                ("ts", (*ts).into()),
+                ("pid", (*pid).into()),
+                ("tid", (*tid).into()),
+                ("args", Json::obj([("value", (*value).into())])),
+            ]),
+            Event::ProcessName { pid, name } => metadata("process_name", *pid, 0, name),
+            Event::ThreadName { pid, tid, name } => metadata("thread_name", *pid, *tid, name),
         }
-    } else {
-        "0".to_string()
     }
-}
-
-fn write_args(out: &mut String, args: &[(String, ArgValue)]) {
-    out.push('{');
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json::escape(k));
-        out.push(':');
-        match v {
-            ArgValue::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            ArgValue::I64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            ArgValue::F64(x) => out.push_str(&fmt_f64(*x)),
-            ArgValue::Str(s) => out.push_str(&json::escape(s)),
-            ArgValue::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-        }
-    }
-    out.push('}');
 }
 
 /// RAII guard for a wall-clock span opened by [`Recorder::span`] (or
@@ -405,7 +308,7 @@ pub struct Span {
 impl Span {
     /// Attach a key/value annotation to the span's opening event (artifact
     /// sizes, names, configuration…). Visible in Perfetto's detail pane.
-    pub fn arg(&self, key: impl Into<String>, value: impl Into<ArgValue>) {
+    pub fn arg(&self, key: impl Into<String>, value: impl Into<Json>) {
         let mut ev = self.rec.events.lock().expect("recorder poisoned");
         if let Some(Event::Begin { args, .. }) = ev.get_mut(self.index) {
             args.push((key.into(), value.into()));
@@ -490,7 +393,7 @@ mod tests {
         let ev = rec.events();
         assert_eq!(ev.len(), 4);
         assert!(matches!(&ev[0], Event::Begin { name, args, .. }
-            if name == "outer" && args == &[("n".to_string(), ArgValue::U64(3))]));
+            if name == "outer" && args == &[("n".to_string(), Json::Num(3.0))]));
         assert!(matches!(&ev[1], Event::Begin { name, .. } if name == "inner"));
         // Inner ends before outer (drop order).
         assert!(matches!(ev[2], Event::End { .. }));
@@ -547,10 +450,19 @@ mod tests {
     }
 
     #[test]
-    fn float_rendering_is_json_safe() {
-        assert_eq!(fmt_f64(4.0), "4");
-        assert_eq!(fmt_f64(0.5), "0.5");
-        assert_eq!(fmt_f64(f64::NAN), "0");
-        assert_eq!(fmt_f64(f64::INFINITY), "0");
+    fn chrome_json_is_a_fixed_point_of_parse_then_write() {
+        let rec = Recorder::new();
+        rec.name_process(2, "sim \"q\"");
+        rec.name_thread(2, 1, "w0");
+        {
+            let s = rec.span(1, 1, "pdg", "analysis");
+            s.arg("nodes", 42u64);
+            s.arg("ratio", 0.25);
+            s.arg("name", "a\tb");
+            s.arg("ok", true);
+        }
+        rec.counter_at(2, 0, 3, "q0 beats", 4.0);
+        let text = rec.to_chrome_json();
+        assert_eq!(json::Json::parse(&text).expect("trace parses").to_string(), text);
     }
 }

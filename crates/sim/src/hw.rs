@@ -20,7 +20,6 @@ use crate::stats::{SystemStats, WorkerStats};
 use crate::trace::{StallCause, Trace, TraceEvent};
 use crate::value::Value;
 use cgpa_ir::{Function, InstId, Module, Op, ValueId};
-use cgpa_obs::Recorder;
 use cgpa_pipeline::{PipelineModule, StageKind};
 use cgpa_rtl::schedule::schedule_function;
 use cgpa_rtl::Fsm;
@@ -42,8 +41,7 @@ pub enum SimEngine {
     /// next wake-up cycle and bulk-credit the skipped stall/idle cycles.
     #[default]
     EventDriven,
-    /// Cycle-by-cycle reference stepper (forced whenever tracing is
-    /// armed, since a waveform needs per-cycle observation).
+    /// Cycle-by-cycle reference stepper.
     PerCycle,
 }
 
@@ -123,6 +121,18 @@ impl fmt::Display for HwError {
 
 impl Error for HwError {}
 
+impl HwError {
+    /// The cycle the failure was detected on, for the errors that carry one.
+    fn cycle(&self) -> Option<u64> {
+        match self {
+            HwError::Timeout { cycle }
+            | HwError::Deadlock { cycle, .. }
+            | HwError::Fault { cycle, .. } => Some(*cycle),
+            HwError::Unsupported(_) | HwError::Malformed { .. } => None,
+        }
+    }
+}
+
 impl From<crate::exec::ExecError> for HwError {
     fn from(e: crate::exec::ExecError) -> Self {
         HwError::Unsupported(e.0)
@@ -175,17 +185,6 @@ impl Worker {
     }
 }
 
-/// Structured-trace sink (see `cgpa-obs`): the shared recorder plus the
-/// trace process this system's events land in. Unlike the VCD [`Trace`],
-/// attaching one does **not** force the per-cycle stepper: every event it
-/// emits (iteration back edges, FIFO occupancy changes, finishes) can only
-/// occur on a cycle the event-driven engine evaluates anyway, so both
-/// engines produce bit-identical event streams.
-struct ObsSink {
-    rec: Recorder,
-    pid: u32,
-}
-
 /// The accelerator system: workers + FIFOs + shared cache.
 pub struct HwSystem<'m> {
     funcs: Vec<&'m Function>,
@@ -198,8 +197,7 @@ pub struct HwSystem<'m> {
     fifo_total_channels: u32,
     trace: Option<Trace>,
     fault: Option<FaultPlan>,
-    obs: Option<ObsSink>,
-    /// Design name for the obs process label.
+    /// Design name for the trace's run label.
     design: String,
     /// Per-worker display label (task name, plus the worker index for
     /// parallel-stage instances).
@@ -251,7 +249,6 @@ impl<'m> HwSystem<'m> {
             fifo_total_channels,
             trace: None,
             fault: None,
-            obs: None,
             design: pm.module.name.clone(),
             worker_labels,
         }
@@ -273,42 +270,23 @@ impl<'m> HwSystem<'m> {
             fifo_total_channels: 0,
             trace: None,
             fault: None,
-            obs: None,
             design: func.name.clone(),
             worker_labels: vec![func.name.clone()],
         }
     }
 
-    /// Record a waveform of this run (worker FSM states, finish flags,
-    /// FIFO occupancies). Retrieve it with [`HwSystem::take_trace`] after
-    /// [`HwSystem::run`].
+    /// Record the next [`HwSystem::run`]'s event log (worker FSM states,
+    /// stall causes, back edges, finish flags, FIFO occupancies). Retrieve
+    /// it with [`HwSystem::take_trace`] afterwards, whether the run
+    /// succeeded or not.
     pub fn enable_trace(&mut self) {
-        self.trace = Some(Trace::new(self.workers.len() as u32, self.queues.len() as u32));
+        let queues = self.queues.iter().map(|q| q.name.clone()).collect();
+        self.trace = Some(Trace::new(self.design.clone(), self.worker_labels.clone(), queues));
     }
 
     /// The recorded trace, if tracing was enabled.
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.trace.take()
-    }
-
-    /// Attach a structured-trace recorder (see `cgpa-obs`): the next
-    /// [`HwSystem::run`] emits, into trace process `pid`, a `run` span on
-    /// track 0, one per-iteration span per worker on track `w + 1`
-    /// (iteration *N* begins at the cycle after its back edge and ends at
-    /// its own), and one FIFO-occupancy counter track per queue set.
-    ///
-    /// Unlike [`HwSystem::enable_trace`], this does **not** force the
-    /// per-cycle stepper: every emitted event falls on a cycle the
-    /// event-driven engine evaluates anyway (back edges and occupancy
-    /// changes require a non-blocked worker), so both engines record
-    /// bit-identical streams.
-    pub fn attach_obs(&mut self, rec: &Recorder, pid: u32) {
-        rec.name_process(pid, format!("sim {}", self.design));
-        rec.name_thread(pid, 0, "pipeline");
-        for (wi, label) in self.worker_labels.iter().enumerate() {
-            rec.name_thread(pid, wi as u32 + 1, label.clone());
-        }
-        self.obs = Some(ObsSink { rec: rec.clone(), pid });
     }
 
     /// Arm a fault-injection plan for the next [`HwSystem::run`]. Timing
@@ -409,15 +387,14 @@ impl<'m> HwSystem<'m> {
         self.workers[0].ret
     }
 
-    /// Run to completion with the configured engine (tracing forces the
-    /// per-cycle stepper so every cycle is observable).
+    /// Run to completion with the configured engine. Both engines record
+    /// the same trace, so an armed trace does not change the engine.
     ///
     /// # Errors
     /// [`HwError::Timeout`] when fuel runs out, [`HwError::Deadlock`] when
     /// no worker progresses, [`HwError::Unsupported`] on host-only ops.
     pub fn run(&mut self, mem: &mut SimMemory) -> Result<SystemStats, HwError> {
-        let skip = self.cfg.engine == SimEngine::EventDriven && self.trace.is_none();
-        self.run_impl(mem, skip)
+        self.run_traced(mem, self.cfg.engine == SimEngine::EventDriven)
     }
 
     /// Run to completion with the per-cycle reference stepper, regardless
@@ -427,7 +404,25 @@ impl<'m> HwSystem<'m> {
     /// # Errors
     /// Same as [`HwSystem::run`].
     pub fn run_reference(&mut self, mem: &mut SimMemory) -> Result<SystemStats, HwError> {
-        self.run_impl(mem, false)
+        self.run_traced(mem, false)
+    }
+
+    /// [`HwSystem::run_impl`], then stamp the armed trace with where the
+    /// run stopped.
+    fn run_traced(
+        &mut self,
+        mem: &mut SimMemory,
+        skip_ahead: bool,
+    ) -> Result<SystemStats, HwError> {
+        let result = self.run_impl(mem, skip_ahead);
+        if let Some(trace) = &mut self.trace {
+            let last_event = trace.events.last().map_or(0, |&e| crate::trace::cycle_of(e));
+            trace.end_cycle = match &result {
+                Ok(stats) => stats.cycles,
+                Err(e) => e.cycle().unwrap_or(last_event) + 1,
+            };
+        }
+        result
     }
 
     /// Progress watchdog window: scales with the fuel budget rather than a
@@ -464,30 +459,11 @@ impl<'m> HwSystem<'m> {
         let mut queue_occ_before: Vec<u32> = vec![0; self.queues.len()];
         let mut last_cause: Vec<Option<StallCause>> = vec![None; n_workers];
 
-        if let Some(obs) = &self.obs {
-            // The run span and every worker's first iteration open at cycle
-            // 0; counter tracks get an initial sample so Perfetto draws
-            // them from the origin.
-            obs.rec.begin_at(obs.pid, 0, 0, format!("run {}", self.design), "sim");
-            for wi in 0..n_workers {
-                obs.rec.begin_at(obs.pid, wi as u32 + 1, 0, "iter 0", "iteration");
-            }
-            for (qi, q) in self.queues.iter().enumerate() {
-                obs.rec.counter_at(
-                    obs.pid,
-                    0,
-                    0,
-                    format!("q{qi} {} beats", q.name),
-                    f64::from(total_occupancy(q)),
-                );
-            }
-        }
-
         while cycle < fuel {
             if live.is_empty() {
                 break;
             }
-            if self.trace.is_some() || self.obs.is_some() {
+            if self.trace.is_some() {
                 for (qi, occ) in queue_occ_before.iter_mut().enumerate() {
                     *occ = total_occupancy(&self.queues[qi]);
                 }
@@ -552,31 +528,13 @@ impl<'m> HwSystem<'m> {
                         trace.record(TraceEvent::Stall { cycle, worker: wi as u32, cause });
                         last_cause[wi] = Some(cause);
                     }
+                    // A step takes at most one transition: a back edge or
+                    // the final `Ret`, never both.
+                    if w.stats.iterations != before_iters {
+                        trace.record(TraceEvent::Iteration { cycle, worker: wi as u32 });
+                    }
                     if w.finished {
                         trace.record(TraceEvent::Finish { cycle, worker: wi as u32 });
-                    }
-                }
-                if let Some(obs) = &self.obs {
-                    // A back edge retires the worker's current iteration:
-                    // its span covers every cycle up to and including this
-                    // one, and the next iteration opens at the boundary.
-                    // `Ret` ends the final iteration without a successor.
-                    // At most one of these fires per evaluated cycle, and
-                    // neither can occur inside a skipped window, so the
-                    // stream is engine-independent.
-                    if w.stats.iterations != before_iters {
-                        obs.rec.end_at(obs.pid, wi as u32 + 1, cycle + 1);
-                        if !w.finished {
-                            obs.rec.begin_at(
-                                obs.pid,
-                                wi as u32 + 1,
-                                cycle + 1,
-                                format!("iter {}", w.stats.iterations),
-                                "iteration",
-                            );
-                        }
-                    } else if w.finished {
-                        obs.rec.end_at(obs.pid, wi as u32 + 1, cycle + 1);
                     }
                 }
                 if self.workers[wi].finished {
@@ -589,30 +547,15 @@ impl<'m> HwSystem<'m> {
                     li += 1;
                 }
             }
-            if self.trace.is_some() || self.obs.is_some() {
+            if let Some(trace) = &mut self.trace {
                 for (qi, &before) in queue_occ_before.iter().enumerate() {
                     let now = total_occupancy(&self.queues[qi]);
-                    if now == before {
-                        continue;
-                    }
-                    if let Some(trace) = &mut self.trace {
+                    if now != before {
                         trace.record(TraceEvent::QueueOccupancy {
                             cycle,
                             queue: qi as u32,
                             beats: now,
                         });
-                    }
-                    if let Some(obs) = &self.obs {
-                        // Occupancy can only move on an evaluated cycle
-                        // (pushes/pops need an active worker), so both
-                        // engines sample at identical cycles.
-                        obs.rec.counter_at(
-                            obs.pid,
-                            0,
-                            cycle,
-                            format!("q{qi} {} beats", self.queues[qi].name),
-                            f64::from(now),
-                        );
                     }
                 }
             }
@@ -705,10 +648,6 @@ impl<'m> HwSystem<'m> {
         let last = cycle.saturating_sub(1);
         for (wi, w) in self.workers.iter_mut().enumerate() {
             w.stats.idle += last - finish_cycle[wi];
-        }
-        if let Some(obs) = &self.obs {
-            // Close the run span at the join (total cycle count).
-            obs.rec.end_at(obs.pid, 0, cycle);
         }
         // A duplicated beat that nobody pops survives to the join; flag it
         // instead of reporting a clean run.
@@ -1411,7 +1350,6 @@ mod tests {
             fifo_total_channels: 4,
             trace: None,
             fault: None,
-            obs: None,
             design: "tiny".to_string(),
             worker_labels: vec!["gen".into(), "sink w0".into(), "sink w1".into()],
         };

@@ -1,16 +1,21 @@
-//! Execution tracing and VCD waveform export.
+//! Execution tracing: one event log per hardware run, two exporters.
 //!
-//! A [`Trace`] records per-cycle observable state of a hardware run —
-//! each worker's FSM state and finish flag, plus aggregate FIFO occupancy
-//! per queue — and renders it as a Value Change Dump, viewable in GTKWave
-//! or any waveform viewer. The pipeline fill/drain behaviour the paper
-//! describes in §2.2 (the sequential stage running ahead, workers stalling
-//! on empty FIFOs) is directly visible.
+//! A [`Trace`] records every observable change of a hardware run — each
+//! worker's FSM state, stall cause, loop back edges and finish flag, plus
+//! aggregate FIFO occupancy per queue. [`Trace::to_vcd`] renders it as a
+//! Value Change Dump, viewable in GTKWave or any waveform viewer;
+//! [`Trace::replay_into`] turns it into per-iteration spans and
+//! FIFO-occupancy counters on a `cgpa-obs` [`Recorder`] (a Perfetto
+//! trace). The pipeline fill/drain behaviour the paper describes in §2.2
+//! (the sequential stage running ahead, workers stalling on empty FIFOs) is
+//! directly visible in both.
 //!
-//! Arming a trace forces [`HwSystem::run`](crate::hw::HwSystem::run) onto
-//! the per-cycle reference stepper: the event-driven engine skips over
-//! provably-idle windows, and a waveform needs every cycle observed.
+//! Both engines record the same log: every change happens on a cycle the
+//! event-driven engine evaluates (a skipped window is one in which no
+//! worker's state, classification or queue handshake can change), so
+//! arming a trace does not force the per-cycle stepper.
 
+use cgpa_obs::Recorder;
 use std::fmt::Write as _;
 
 /// Why a worker is not retiring work this cycle, as shown in the
@@ -81,6 +86,13 @@ pub enum TraceEvent {
         /// New classification.
         cause: StallCause,
     },
+    /// A worker took a loop back edge, retiring its current iteration.
+    Iteration {
+        /// Cycle of the back edge.
+        cycle: u64,
+        /// Worker index.
+        worker: u32,
+    },
 }
 
 /// A recorded run.
@@ -88,7 +100,7 @@ pub enum TraceEvent {
 /// ```
 /// use cgpa_sim::trace::{Trace, TraceEvent};
 ///
-/// let mut t = Trace::new(1, 0);
+/// let mut t = Trace::new("acc", vec!["loop".into()], vec![]);
 /// t.record(TraceEvent::State { cycle: 0, worker: 0, state: 0 });
 /// t.record(TraceEvent::Finish { cycle: 8, worker: 0 });
 /// let vcd = t.to_vcd("acc");
@@ -99,17 +111,23 @@ pub enum TraceEvent {
 pub struct Trace {
     /// Events in nondecreasing cycle order.
     pub events: Vec<TraceEvent>,
-    /// Number of workers traced.
-    pub workers: u32,
-    /// Number of queues traced.
-    pub queues: u32,
+    /// Design name (labels the run in a replayed trace).
+    pub design: String,
+    /// Display label per traced worker, in worker order.
+    pub workers: Vec<String>,
+    /// Name per traced queue, in queue order.
+    pub queues: Vec<String>,
+    /// Where the run stopped: its cycle count, or the end of the cycle a
+    /// failure was detected on. [`Trace::replay_into`] closes every span
+    /// still open here.
+    pub end_cycle: u64,
 }
 
 impl Trace {
     /// Create an empty trace for the given topology.
     #[must_use]
-    pub fn new(workers: u32, queues: u32) -> Self {
-        Trace { events: Vec::new(), workers, queues }
+    pub fn new(design: impl Into<String>, workers: Vec<String>, queues: Vec<String>) -> Self {
+        Trace { events: Vec::new(), design: design.into(), workers, queues, end_cycle: 0 }
     }
 
     /// Record an event (cycles must be nondecreasing).
@@ -173,7 +191,7 @@ impl Trace {
         let mut fin_ids = Vec::new();
         let mut cause_ids = Vec::new();
         let mut queue_ids = Vec::new();
-        for w in 0..self.workers {
+        for w in 0..self.workers.len() {
             let c = code();
             let _ = writeln!(out, "$var integer 16 {c} w{w}_state $end");
             state_ids.push(c);
@@ -184,7 +202,7 @@ impl Trace {
             let _ = writeln!(out, "$var integer 8 {s} w{w}_cause $end");
             cause_ids.push(s);
         }
-        for q in 0..self.queues {
+        for q in 0..self.queues.len() {
             let c = code();
             let _ = writeln!(out, "$var integer 16 {c} q{q}_beats $end");
             queue_ids.push(c);
@@ -192,17 +210,18 @@ impl Trace {
         let _ = writeln!(out, "$upscope $end");
         let _ = writeln!(out, "$enddefinitions $end");
         let _ = writeln!(out, "$dumpvars");
-        for w in 0..self.workers as usize {
+        for w in 0..self.workers.len() {
             let _ = writeln!(out, "b0 {}", state_ids[w]);
             let _ = writeln!(out, "0{}", fin_ids[w]);
             let _ = writeln!(out, "b0 {}", cause_ids[w]);
         }
-        for qid in queue_ids.iter().take(self.queues as usize) {
+        for qid in &queue_ids {
             let _ = writeln!(out, "b0 {qid}");
         }
         let _ = writeln!(out, "$end");
         let mut last_cycle = u64::MAX;
-        for e in &self.events {
+        // Back edges have no waveform variable.
+        for e in self.events.iter().filter(|e| !matches!(e, TraceEvent::Iteration { .. })) {
             let cycle = cycle_of(*e);
             if cycle != last_cycle {
                 let _ = writeln!(out, "#{cycle}");
@@ -221,18 +240,74 @@ impl Trace {
                 TraceEvent::Stall { worker, cause, .. } => {
                     let _ = writeln!(out, "b{:b} {}", cause.code(), cause_ids[worker as usize]);
                 }
+                TraceEvent::Iteration { .. } => unreachable!("filtered above"),
             }
         }
         out
     }
+
+    /// Replay the run into `rec` on trace process `pid`: a `run` span on
+    /// track 0, one span per loop iteration per worker on track `w + 1`
+    /// (iteration *N* begins at the cycle after its back edge and ends at
+    /// its own), and one FIFO-occupancy counter track per queue set. Spans
+    /// a failed run left open close at [`Trace::end_cycle`].
+    pub fn replay_into(&self, rec: &Recorder, pid: u32) {
+        let tid = |worker: usize| worker as u32 + 1;
+        let counter = |queue: usize| format!("q{queue} {} beats", self.queues[queue]);
+        rec.name_process(pid, format!("sim {}", self.design));
+        rec.name_thread(pid, 0, "pipeline");
+        for (w, label) in self.workers.iter().enumerate() {
+            rec.name_thread(pid, tid(w), label.clone());
+        }
+        // The run span and every worker's first iteration open at cycle 0;
+        // counter tracks get an initial (empty-queue) sample so Perfetto
+        // draws them from the origin.
+        rec.begin_at(pid, 0, 0, format!("run {}", self.design), "sim");
+        for w in 0..self.workers.len() {
+            rec.begin_at(pid, tid(w), 0, "iter 0", "iteration");
+        }
+        for q in 0..self.queues.len() {
+            rec.counter_at(pid, 0, 0, counter(q), 0.0);
+        }
+        let mut iterations = vec![0u64; self.workers.len()];
+        let mut open = vec![true; self.workers.len()];
+        for e in &self.events {
+            match *e {
+                // A back edge retires the current iteration: its span
+                // covers every cycle up to and including this one, and the
+                // next iteration opens at the boundary.
+                TraceEvent::Iteration { cycle, worker } => {
+                    let w = worker as usize;
+                    iterations[w] += 1;
+                    rec.end_at(pid, tid(w), cycle + 1);
+                    let name = format!("iter {}", iterations[w]);
+                    rec.begin_at(pid, tid(w), cycle + 1, name, "iteration");
+                }
+                // `Ret` ends the final iteration without a successor.
+                TraceEvent::Finish { cycle, worker } => {
+                    open[worker as usize] = false;
+                    rec.end_at(pid, tid(worker as usize), cycle + 1);
+                }
+                TraceEvent::QueueOccupancy { cycle, queue, beats } => {
+                    rec.counter_at(pid, 0, cycle, counter(queue as usize), f64::from(beats));
+                }
+                TraceEvent::State { .. } | TraceEvent::Stall { .. } => {}
+            }
+        }
+        for w in (0..self.workers.len()).filter(|&w| open[w]) {
+            rec.end_at(pid, tid(w), self.end_cycle);
+        }
+        rec.end_at(pid, 0, self.end_cycle);
+    }
 }
 
-fn cycle_of(e: TraceEvent) -> u64 {
+pub(crate) fn cycle_of(e: TraceEvent) -> u64 {
     match e {
         TraceEvent::State { cycle, .. }
         | TraceEvent::Finish { cycle, .. }
         | TraceEvent::QueueOccupancy { cycle, .. }
-        | TraceEvent::Stall { cycle, .. } => cycle,
+        | TraceEvent::Stall { cycle, .. }
+        | TraceEvent::Iteration { cycle, .. } => cycle,
     }
 }
 
@@ -241,7 +316,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Trace {
-        let mut t = Trace::new(2, 1);
+        let mut t = Trace::new("toy", vec!["gen".into(), "sink".into()], vec!["vals".into()]);
         t.record(TraceEvent::State { cycle: 0, worker: 0, state: 0 });
         t.record(TraceEvent::State { cycle: 0, worker: 1, state: 0 });
         t.record(TraceEvent::QueueOccupancy { cycle: 3, queue: 0, beats: 1 });
@@ -286,8 +361,59 @@ mod tests {
     }
 
     #[test]
+    fn replay_numbers_iterations_and_closes_at_the_end() {
+        use cgpa_obs::Event;
+        let mut t = Trace::new("toy", vec!["gen".into()], vec!["vals".into()]);
+        t.record(TraceEvent::Iteration { cycle: 4, worker: 0 });
+        t.record(TraceEvent::QueueOccupancy { cycle: 4, queue: 0, beats: 2 });
+        t.record(TraceEvent::Iteration { cycle: 9, worker: 0 });
+        t.end_cycle = 12;
+        let rec = Recorder::new();
+        t.replay_into(&rec, 2);
+        let timed: Vec<(char, u32, u64)> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Begin { tid, ts, .. } => Some(('B', *tid, *ts)),
+                Event::End { tid, ts, .. } => Some(('E', *tid, *ts)),
+                Event::Counter { tid, ts, .. } => Some(('C', *tid, *ts)),
+                _ => None,
+            })
+            .collect();
+        // No Finish: the run failed, so the open `iter 2` and run spans
+        // close at the end cycle.
+        assert_eq!(
+            timed,
+            [
+                ('B', 0, 0),
+                ('B', 1, 0),
+                ('C', 0, 0),
+                ('E', 1, 5),
+                ('B', 1, 5),
+                ('C', 0, 4),
+                ('E', 1, 10),
+                ('B', 1, 10),
+                ('E', 1, 12),
+                ('E', 0, 12)
+            ]
+        );
+        let names: Vec<String> = rec
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Begin { name, .. } | Event::Counter { name, .. } => Some(name),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            names,
+            ["run toy", "iter 0", "q0 vals beats", "iter 1", "q0 vals beats", "iter 2"]
+        );
+    }
+
+    #[test]
     fn identifier_codes_are_unique() {
-        let t = Trace::new(8, 8);
+        let t = Trace::new("wide", vec![String::new(); 8], vec![String::new(); 8]);
         let vcd = t.to_vcd("wide");
         let ids: Vec<&str> = vcd
             .lines()

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Hot-state summary per worker (stage 0 = traversal, 1..=4 = update
     // workers): where do the cycles go?
-    for w in 0..trace.workers {
+    for w in 0..trace.workers.len() as u32 {
         let hist = trace.state_histogram(w, total_cycles);
         let top: Vec<String> = hist
             .iter()

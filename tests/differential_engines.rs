@@ -1,15 +1,17 @@
 //! Engine differential matrix: the event-driven scheduler must be
 //! indistinguishable from the per-cycle reference stepper — bit-identical
 //! liveouts (each flow already verifies memory and return value against the
-//! functional reference), identical cycle counts, and identical per-worker
-//! statistics — across every kernel, placement, the sequential fallback,
-//! and under injected timing faults.
+//! functional reference), identical cycle counts, identical per-worker
+//! statistics and byte-identical VCD waveforms — across every kernel,
+//! placement, the sequential fallback, and under injected timing faults.
 
-use cgpa_repro::cgpa::compiler::CgpaConfig;
+use cgpa_repro::cgpa::compiler::{CgpaCompiler, CgpaConfig, Compiled};
 use cgpa_repro::cgpa::flows::{run, FlowError, HwTuning, RunResult, RunSpec, Target};
 use cgpa_repro::kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_repro::pipeline::ReplicablePlacement;
-use cgpa_repro::sim::{FaultClass, FaultPlan, SimEngine};
+use cgpa_repro::sim::{
+    run_with_accelerator, FaultClass, FaultPlan, HwConfig, HwSystem, SimEngine, SimMemory, Value,
+};
 
 fn small_suite() -> Vec<BuiltKernel> {
     vec![
@@ -190,6 +192,82 @@ fn corrupting_faults_fail_identically() {
                     rf.map(|r| r.cycles)
                 ),
             }
+        }
+    }
+}
+
+/// The VCD of every accelerator invocation of `k` on `compiled`, traced
+/// under `engine`, and the cycles the engine skipped.
+fn vcds(
+    k: &BuiltKernel,
+    compiled: &Compiled,
+    tuning: &HwTuning,
+    faults: Option<&FaultPlan>,
+    engine: SimEngine,
+) -> (Vec<String>, u64) {
+    let pm = &compiled.pipeline;
+    let cfg = HwConfig {
+        cache: tuning.cache_config(pm.worker_count()),
+        fifo_depth_beats: tuning.fifo_depth_beats,
+        engine,
+        ..HwConfig::default()
+    };
+    let mut mem = k.mem.clone();
+    let (mut out, mut skipped) = (Vec::new(), 0);
+    run_with_accelerator(
+        &pm.parent,
+        &k.args,
+        &mut mem,
+        1_000_000_000,
+        &mut |_loop_id: u32, live_ins: &[Value], m: &mut SimMemory| {
+            let mut sys = HwSystem::for_pipeline(pm, live_ins, cfg);
+            sys.enable_trace();
+            if let Some(plan) = faults {
+                sys.inject_faults(plan.clone());
+            }
+            let stats = sys.run(m).map_err(|e| e.to_string())?;
+            skipped += stats.skipped_cycles;
+            out.push(sys.take_trace().expect("trace armed").to_vcd(&k.name));
+            Ok(sys.liveouts().to_vec())
+        },
+    )
+    .unwrap_or_else(|e| panic!("{}: traced run failed: {e}", k.name));
+    (out, skipped)
+}
+
+#[test]
+fn vcd_waveforms_match_reference() {
+    // An armed trace does not force the per-cycle stepper: every recorded
+    // change falls on a cycle the event-driven engine evaluates.
+    let slow_memory = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
+    let timing = [FaultClass::StallWorker, FaultClass::MemLatencyBurst, FaultClass::PortContention];
+    let plans = [None, Some(FaultPlan::seeded(&timing, 1)), Some(FaultPlan::seeded(&timing, 23))];
+    for k in small_suite() {
+        let mut placements = vec![ReplicablePlacement::Pipelined];
+        if has_p2(&k.name) {
+            placements.push(ReplicablePlacement::Replicated);
+        }
+        for placement in placements {
+            let config = CgpaConfig { placement, ..CgpaConfig::default() };
+            let compiled = CgpaCompiler::new(config)
+                .compile(&k.func, &k.model)
+                .unwrap_or_else(|e| panic!("{}: compile: {e}", k.name));
+            let mut skipped = 0;
+            for (regime, tuning) in [("default", HwTuning::default()), ("slow-memory", slow_memory)]
+            {
+                for plan in &plans {
+                    let label = format!("{placement:?}/{regime}/faults={}", plan.is_some());
+                    let (ev, ev_skipped) =
+                        vcds(&k, &compiled, &tuning, plan.as_ref(), SimEngine::EventDriven);
+                    let (rf, rf_skipped) =
+                        vcds(&k, &compiled, &tuning, plan.as_ref(), SimEngine::PerCycle);
+                    assert_eq!(rf_skipped, 0, "{}/{label}: the reference skipped cycles", k.name);
+                    assert!(!ev.is_empty(), "{}/{label}: no accelerator invocation", k.name);
+                    assert!(ev == rf, "{}/{label}: VCD waveforms differ between engines", k.name);
+                    skipped += ev_skipped;
+                }
+            }
+            assert!(skipped > 0, "{}/{placement:?}: the event engine never skipped", k.name);
         }
     }
 }

@@ -10,11 +10,11 @@
 use std::collections::HashMap;
 
 use cgpa_repro::cgpa::compiler::CgpaConfig;
-use cgpa_repro::cgpa::flows::{run, HwTuning, RunResult, RunSpec, Target};
+use cgpa_repro::cgpa::flows::{run, FlowError, HwTuning, RunResult, RunSpec, Target};
 use cgpa_repro::kernels::{em3d, kmeans, BuiltKernel};
 use cgpa_repro::obs::json::Json;
 use cgpa_repro::obs::Recorder;
-use cgpa_repro::sim::SimEngine;
+use cgpa_repro::sim::{FaultClass, FaultPlan, HwError, SimEngine};
 
 fn suite() -> Vec<BuiltKernel> {
     vec![
@@ -206,5 +206,27 @@ fn engines_emit_identical_sim_event_streams() {
         let (r, e) = (sim_events(&per_cycle), sim_events(&event_driven));
         assert_eq!(r.len(), e.len(), "{}: sim event counts differ", k.name);
         assert_eq!(r, e, "{}: sim event streams differ between engines", k.name);
+    }
+}
+
+/// A run that fails still exports a balanced trace: every span it opened
+/// closes where the failure was detected, after every event it recorded.
+#[test]
+fn failed_runs_close_every_span() {
+    let k = em3d::build(&em3d::Params::fixed(64, 64, 6, 16), 9);
+    for seed in 0..6 {
+        let recorder = Recorder::new();
+        let spec = RunSpec {
+            faults: Some(FaultPlan::single(FaultClass::DropBeat, seed)),
+            recorder: Some(&recorder),
+            ..RunSpec::new(Target::Cgpa(CgpaConfig::default()))
+        };
+        let err = run(&k, &spec).expect_err("a dropped beat is caught");
+        assert!(
+            matches!(err, FlowError::Hw(HwError::Fault { .. })),
+            "seed {seed}: unexpected error {err}"
+        );
+        let kernel = format!("em3d/drop-beat seed {seed}");
+        check_well_formed(&kernel, &recorder.to_chrome_json());
     }
 }
