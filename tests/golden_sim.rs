@@ -1,0 +1,165 @@
+//! Golden simulator fingerprint: both engines must reproduce, case for
+//! case, the cycle counts and statistics committed in
+//! `tests/golden/sim_stats.txt`.
+//!
+//! `tests/differential_engines.rs` compares the two engines with each
+//! other, so a semantic drift they share would pass it. This file pins the
+//! simulator's observable behaviour itself: every line holds a case's cycle
+//! count and an FNV-1a hash over the `Debug` rendering of its
+//! `SystemStats` (with the engine-dependent `skipped_cycles` zeroed), the
+//! liveout registers and the return value. The test only reads the file;
+//! a deliberate change to simulated behaviour has to update it by hand.
+
+use cgpa_repro::cgpa::compiler::{CgpaCompiler, CgpaConfig};
+use cgpa_repro::cgpa::flows::HwTuning;
+use cgpa_repro::kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
+use cgpa_repro::pipeline::ReplicablePlacement;
+use cgpa_repro::sim::{
+    run_with_accelerator, CacheConfig, FaultClass, FaultPlan, HwConfig, HwSystem, SimEngine,
+    SimMemory, SystemStats, Value,
+};
+use std::fmt::Write as _;
+
+const GOLDEN: &str = include_str!("golden/sim_stats.txt");
+
+fn small_suite() -> Vec<BuiltKernel> {
+    vec![
+        kmeans::build(&kmeans::Params { points: 48, clusters: 4, features: 6 }, 9),
+        hash_index::build(&hash_index::Params { items: 128, buckets: 32, scatter: 16 }, 9),
+        ks::build(&ks::Params { a_cells: 16, b_cells: 16, scatter: 12 }, 9),
+        em3d::build(&em3d::Params::fixed(64, 64, 6, 16), 9),
+        gaussblur::build(&gaussblur::Params { width: 256 }, 9),
+    ]
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// What one hardware run observably produced.
+struct Observed {
+    stats: Vec<SystemStats>,
+    liveouts: Vec<Vec<Option<Value>>>,
+    ret: Option<Value>,
+}
+
+impl Observed {
+    fn line(mut self, case: &str) -> String {
+        let cycles: u64 = self.stats.iter().map(|s| s.cycles).sum();
+        for s in &mut self.stats {
+            s.skipped_cycles = 0;
+        }
+        let text = format!("{:?}|{:?}|{:?}", self.stats, self.liveouts, self.ret);
+        format!("{case} cycles={cycles} hash={:016x}", fnv1a(text.as_bytes()))
+    }
+}
+
+fn arm(sys: &mut HwSystem<'_>, faults: Option<&FaultPlan>) {
+    if let Some(plan) = faults {
+        sys.inject_faults(plan.clone());
+    }
+}
+
+/// Single-worker LegUp-style run of the whole kernel.
+fn run_legup(k: &BuiltKernel, tuning: &HwTuning, faults: Option<&FaultPlan>) -> Observed {
+    let cache = CacheConfig { banks: 1, ..tuning.cache_config(1) };
+    let cfg = HwConfig { cache, engine: tuning.engine, ..HwConfig::default() };
+    let mut mem = k.mem.clone();
+    let mut sys = HwSystem::for_single(&k.func, &k.args, cfg);
+    arm(&mut sys, faults);
+    let stats = sys.run(&mut mem).unwrap_or_else(|e| panic!("{}: LegUp run: {e}", k.name));
+    Observed { stats: vec![stats], liveouts: Vec::new(), ret: sys.ret_value() }
+}
+
+/// CGPA run: the parent interpreted, every fork simulated.
+fn run_cgpa(
+    k: &BuiltKernel,
+    placement: ReplicablePlacement,
+    tuning: &HwTuning,
+    faults: Option<&FaultPlan>,
+) -> Observed {
+    let compiled = CgpaCompiler::new(CgpaConfig { placement, ..CgpaConfig::default() })
+        .compile(&k.func, &k.model)
+        .unwrap_or_else(|e| panic!("{}: compile: {e}", k.name));
+    let pm = &compiled.pipeline;
+    let cfg = HwConfig {
+        cache: tuning.cache_config(pm.worker_count()),
+        fifo_depth_beats: tuning.fifo_depth_beats,
+        engine: tuning.engine,
+        ..HwConfig::default()
+    };
+    let (mut stats, mut liveouts) = (Vec::new(), Vec::new());
+    let mut mem = k.mem.clone();
+    let (ret, _) = run_with_accelerator(
+        &pm.parent,
+        &k.args,
+        &mut mem,
+        1_000_000_000,
+        &mut |_loop_id: u32, live_ins: &[Value], m: &mut SimMemory| {
+            let mut sys = HwSystem::for_pipeline(pm, live_ins, cfg);
+            arm(&mut sys, faults);
+            stats.push(sys.run(m).map_err(|e| e.to_string())?);
+            liveouts.push(sys.liveouts().to_vec());
+            Ok(sys.liveouts().to_vec())
+        },
+    )
+    .unwrap_or_else(|e| panic!("{}: {placement:?} run: {e}", k.name));
+    Observed { stats, liveouts, ret }
+}
+
+/// Every case's fingerprint line under `engine`, in file order.
+fn fingerprints(engine: SimEngine) -> String {
+    let slow_memory = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
+    let timing = [FaultClass::StallWorker, FaultClass::MemLatencyBurst, FaultClass::PortContention];
+    let plan = FaultPlan::seeded(&timing, 1);
+    let mut out = String::new();
+    for k in small_suite() {
+        let mut targets = vec!["legup", "P1"];
+        if matches!(k.name.as_str(), "em3d" | "gaussblur") {
+            targets.push("P2");
+        }
+        for target in targets {
+            for (regime, tuning) in [("default", HwTuning::default()), ("slow-memory", slow_memory)]
+            {
+                let tuning = HwTuning { engine, ..tuning };
+                for (fault, faults) in [("none", None), ("timing", Some(&plan))] {
+                    let observed = match target {
+                        "legup" => run_legup(&k, &tuning, faults),
+                        "P1" => run_cgpa(&k, ReplicablePlacement::Pipelined, &tuning, faults),
+                        _ => run_cgpa(&k, ReplicablePlacement::Replicated, &tuning, faults),
+                    };
+                    let case = format!("{} {target} {regime} faults={fault}", k.name);
+                    let _ = writeln!(out, "{}", observed.line(&case));
+                }
+            }
+        }
+    }
+    out
+}
+
+fn check(engine: SimEngine) {
+    let got = fingerprints(engine);
+    let want: String =
+        GOLDEN.lines().filter(|l| !l.starts_with('#')).map(|l| format!("{l}\n")).collect();
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(g, w, "{engine:?}: simulator fingerprint drifted; full output:\n{got}");
+    }
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "{engine:?}: case count differs from the golden file; full output:\n{got}"
+    );
+}
+
+#[test]
+fn event_driven_engine_matches_golden_fingerprints() {
+    check(SimEngine::EventDriven);
+}
+
+#[test]
+fn per_cycle_engine_matches_golden_fingerprints() {
+    check(SimEngine::PerCycle);
+}
