@@ -386,7 +386,7 @@ fn simulate(
                 &mut mem,
                 INTERP_FUEL,
                 &mut |_loop_id: u32, live_ins: &[Value], mem: &mut SimMemory| {
-                    let mut sys = HwSystem::for_pipeline(pm, live_ins, hw_cfg);
+                    let mut sys = HwSystem::for_scheduled(pm, &compiled.fsms, live_ins, hw_cfg);
                     next_pid += 1;
                     let run = run_system(&mut sys, mem, spec, next_pid - 1).map_err(|e| {
                         let msg = e.to_string();

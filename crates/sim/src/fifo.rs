@@ -73,12 +73,17 @@ pub struct QueueState {
     pub elems_pushed: u64,
     /// Peak occupancy in beats over all channels.
     pub peak_beats: usize,
-    /// Time-weighted occupancy histogram per channel, filled by
-    /// [`sample_occupancy`](QueueState::sample_occupancy):
+    /// Time-weighted occupancy histogram per channel:
     /// `occ_hist[c][b]` = cycles channel `c` held exactly `b` beats. The
     /// last bucket (`depth_beats + 1`) saturates — a duplicate latch-up can
-    /// exceed the nominal depth by one beat.
+    /// exceed the nominal depth by one beat. Credited when a channel
+    /// changes length and by [`settle_occupancy`](QueueState::settle_occupancy).
     occ_hist: Vec<Vec<u64>>,
+    /// Per channel, the cycle from which it has held its current length.
+    settled_at: Vec<u64>,
+    /// The cycle the queue's next mutation happens in (see
+    /// [`set_cycle`](QueueState::set_cycle)).
+    now: u64,
 }
 
 impl QueueState {
@@ -99,18 +104,35 @@ impl QueueState {
             elems_pushed: 0,
             peak_beats: 0,
             occ_hist: vec![vec![0; depth_beats + 2]; info.channels as usize],
+            settled_at: vec![0; info.channels as usize],
+            now: 0,
         }
     }
 
-    /// Credit `weight` cycles at each channel's current occupancy in the
-    /// time-weighted histogram. The simulator calls this once per evaluated
-    /// cycle (weight 1) and once per skipped window (weight = window
-    /// length): occupancies cannot change while every worker is blocked, so
-    /// both engines fill identical histograms.
-    pub fn sample_occupancy(&mut self, weight: u64) {
-        for (c, chan) in self.channels.iter().enumerate() {
-            let bucket = chan.len().min(self.depth_beats + 1);
-            self.occ_hist[c][bucket] += weight;
+    /// Stamp the queue's following pushes, pops and injected corruptions
+    /// with `cycle`. A channel's length after the last change in a cycle is
+    /// what the occupancy histogram credits for that cycle, so the
+    /// simulator sets the cycle before each handshake and never needs to
+    /// sample idle queues.
+    #[inline]
+    pub fn set_cycle(&mut self, cycle: u64) {
+        self.now = cycle;
+    }
+
+    /// Credit channel `c`'s current length for the cycles since its last
+    /// change, up to (not including) `until`.
+    fn settle(&mut self, c: usize, until: u64) {
+        let bucket = self.channels[c].len().min(self.depth_beats + 1);
+        self.occ_hist[c][bucket] += until.saturating_sub(self.settled_at[c]);
+        self.settled_at[c] = until;
+    }
+
+    /// Close the occupancy histogram at `end` (exclusive): credit every
+    /// channel's current length since its last change. The simulator calls
+    /// this once when a run completes, with the run's cycle count.
+    pub fn settle_occupancy(&mut self, end: u64) {
+        for c in 0..self.channels() {
+            self.settle(c, end);
         }
     }
 
@@ -181,6 +203,7 @@ impl QueueState {
     /// [`can_push`](QueueState::can_push) first; the hardware stalls).
     pub fn push(&mut self, c: usize, v: Value) {
         assert!(self.can_push(c), "push to full channel {c}");
+        self.settle(c, self.now);
         let bits = v.to_bits();
         for beat in 0..self.elem_beats() {
             let data = (bits >> (32 * beat)) as u32;
@@ -217,6 +240,7 @@ impl QueueState {
     /// [`can_pop`](QueueState::can_pop); the hardware stalls).
     pub fn pop_checked(&mut self, queue: u32, c: usize) -> Result<Value, FaultDetection> {
         assert!(self.can_pop(c), "pop from empty channel {c}");
+        self.settle(c, self.now);
         let mut bits = 0u64;
         for beat in 0..self.elem_beats() {
             let b = self.channels[c].pop_front().expect("beat available");
@@ -274,6 +298,7 @@ impl QueueState {
     /// counted as pushed but will never be popped. Returns false if the
     /// channel is empty.
     pub fn drop_tail_beat(&mut self, c: usize) -> bool {
+        self.settle(c, self.now);
         match self.channels[c].pop_back() {
             Some(_) => {
                 self.beats_dropped += 1;
@@ -290,6 +315,7 @@ impl QueueState {
     /// undrained), so push counts and peak occupancy must include it.
     /// Returns false if the channel is empty.
     pub fn dup_tail_beat(&mut self, c: usize) -> bool {
+        self.settle(c, self.now);
         match self.channels[c].back().copied() {
             Some(b) => {
                 self.channels[c].push_back(b);
@@ -548,9 +574,9 @@ mod tests {
     #[test]
     fn occupancy_histogram_is_time_weighted() {
         let mut qs = q(Ty::I32, 2);
-        qs.sample_occupancy(3); // both channels empty
+        qs.set_cycle(3); // both channels empty for cycles 0..3
         qs.push(0, Value::I32(1));
-        qs.sample_occupancy(2); // channel 0 at 1 beat, channel 1 empty
+        qs.settle_occupancy(5); // channel 0 at 1 beat for cycles 3..5
         let hist = qs.occupancy_hist();
         assert_eq!(hist[0][0], 3);
         assert_eq!(hist[0][1], 2);
@@ -560,6 +586,19 @@ mod tests {
         assert_eq!(stats.beats_pushed, 1);
         assert_eq!(stats.depth_beats, 16);
         assert_eq!(stats.elem_beats, 1);
+    }
+
+    #[test]
+    fn a_cycle_counts_the_length_after_its_last_change() {
+        let mut qs = q(Ty::I32, 1);
+        qs.set_cycle(2);
+        qs.push(0, Value::I32(1));
+        qs.push(0, Value::I32(2)); // same cycle: only the final length counts
+        qs.set_cycle(4);
+        let _ = qs.pop(0);
+        qs.settle_occupancy(6);
+        qs.settle_occupancy(6); // settling twice at one cycle credits nothing
+        assert_eq!(qs.occupancy_hist()[0][..3], [2, 2, 2]);
     }
 
     #[test]

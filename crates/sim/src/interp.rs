@@ -7,7 +7,7 @@
 //! the semantics.
 
 use crate::exec::{eval_binary, eval_cast, eval_fcmp, eval_gep, eval_icmp};
-use crate::mem::SimMemory;
+use crate::mem::{OutOfRange, SimMemory};
 use crate::value::Value;
 use cgpa_ir::{BlockId, Function, InstId, Op};
 use std::error::Error;
@@ -52,6 +52,19 @@ pub enum InterpError {
     /// The function executed an accelerator-only primitive, or an op/value
     /// combination the execution semantics do not define.
     UnsupportedOp(String),
+    /// A load or store fell outside simulated memory.
+    OutOfRange {
+        /// First byte of the access.
+        addr: u32,
+        /// Access width in bytes.
+        width: u32,
+    },
+}
+
+impl From<OutOfRange> for InterpError {
+    fn from(e: OutOfRange) -> Self {
+        InterpError::OutOfRange { addr: e.addr, width: e.width }
+    }
 }
 
 impl From<crate::exec::ExecError> for InterpError {
@@ -69,6 +82,9 @@ impl fmt::Display for InterpError {
             }
             InterpError::UnsupportedOp(op) => {
                 write!(f, "cannot interpret {op}")
+            }
+            InterpError::OutOfRange { addr, width } => {
+                write!(f, "{}", OutOfRange { addr: *addr, width: *width })
             }
         }
     }
@@ -144,10 +160,11 @@ fn run_impl(
     let mut executed = 0u64;
     let mut block = func.entry();
     let mut prev_block: Option<BlockId> = None;
+    // Phi staging buffer, reused across block entries.
+    let mut updates: Vec<(cgpa_ir::ValueId, Value)> = Vec::new();
     loop {
         // Phi updates: evaluate in parallel against the predecessor.
         if let Some(pb) = prev_block {
-            let mut updates: Vec<(cgpa_ir::ValueId, Value)> = Vec::new();
             for &iid in &func.block(block).insts {
                 let inst = func.inst(iid);
                 let Op::Phi { incomings, .. } = &inst.op else { break };
@@ -160,7 +177,7 @@ fn run_impl(
                 hooks.on_inst(func, iid);
                 executed += 1;
             }
-            for (r, v) in updates {
+            for (r, v) in updates.drain(..) {
                 vals[r.index()] = Some(v);
             }
         }
@@ -178,25 +195,25 @@ fn run_impl(
             let get = |v: cgpa_ir::ValueId| vals[v.index()].expect("operand evaluated");
             let result: Option<Value> = match &inst.op {
                 Op::Binary { op, lhs, rhs } => Some(eval_binary(*op, get(*lhs), get(*rhs))?),
-                Op::ICmp { pred, lhs, rhs } => Some(eval_icmp(*pred, get(*lhs), get(*rhs))),
-                Op::FCmp { pred, lhs, rhs } => Some(eval_fcmp(*pred, get(*lhs), get(*rhs))),
+                Op::ICmp { pred, lhs, rhs } => Some(eval_icmp(*pred, get(*lhs), get(*rhs))?),
+                Op::FCmp { pred, lhs, rhs } => Some(eval_fcmp(*pred, get(*lhs), get(*rhs))?),
                 Op::Select { cond, on_true, on_false } => {
                     Some(if get(*cond).as_bool() { get(*on_true) } else { get(*on_false) })
                 }
                 Op::Cast { kind, value, to } => Some(eval_cast(*kind, get(*value), *to)?),
                 Op::Gep { base, index, scale, offset } => {
-                    Some(eval_gep(get(*base), index.map(get), *scale, *offset))
+                    Some(eval_gep(get(*base), index.map(get), *scale, *offset)?)
                 }
                 Op::Load { addr, ty } => {
                     let a = get(*addr).as_ptr();
                     hooks.on_mem(a, ty.size_bytes(), false);
-                    Some(mem.read_value(a, *ty))
+                    Some(mem.read_value(a, *ty)?)
                 }
                 Op::Store { addr, value } => {
                     let a = get(*addr).as_ptr();
                     let v = get(*value);
                     hooks.on_mem(a, v.ty().size_bytes(), true);
-                    mem.write_value(a, v);
+                    mem.write_value(a, v)?;
                     None
                 }
                 Op::Br { target } => {

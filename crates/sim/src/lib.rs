@@ -9,7 +9,8 @@
 //!   per-instruction cost model, instruction fetch through an I-cache, and
 //!   data accesses through the shared D-cache.
 //! - [`hw`] — the cycle-level accelerator simulator: each worker executes
-//!   its scheduled FSM (`cgpa-rtl`), stalls on FIFO back-pressure and cache
+//!   its scheduled FSM (`cgpa-rtl`), lowered once into per-state micro-op
+//!   tables when the system is built, stalls on FIFO back-pressure and cache
 //!   misses, and communicates through the 32-bit × 16-deep FIFO channels the
 //!   paper fixes.
 //!
@@ -19,6 +20,7 @@
 //! [`exec`] (bit-accurate operation semantics), [`stats`].
 
 pub mod cache;
+mod datapath;
 pub mod diff;
 pub mod exec;
 pub mod fault;
@@ -38,7 +40,7 @@ pub use fault::{Corruption, FaultClass, FaultDetection, FaultKind, FaultPlan};
 pub use fifo::QueueState;
 pub use hw::{HwConfig, HwError, HwSystem, SimEngine};
 pub use interp::{run_function, run_with_accelerator, ExecHooks, InterpError, NoHooks};
-pub use mem::SimMemory;
+pub use mem::{OutOfRange, SimMemory};
 pub use mips::{MipsConfig, MipsRun};
 pub use stats::{QueueStats, QueueWait, SystemStats, WorkerStats};
 pub use trace::{StallCause, Trace, TraceEvent};

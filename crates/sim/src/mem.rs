@@ -7,6 +7,26 @@
 
 use crate::value::Value;
 use cgpa_ir::Ty;
+use std::error::Error;
+use std::fmt;
+
+/// A typed access that does not fit in simulated memory (a simulated
+/// segfault).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfRange {
+    /// First byte of the access.
+    pub addr: u32,
+    /// Access width in bytes.
+    pub width: u32,
+}
+
+impl fmt::Display for OutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}-byte access out of range at {:#x}", self.width, self.addr)
+    }
+}
+
+impl Error for OutOfRange {}
 
 /// Simulated physical memory. Address 0 is reserved (null), allocation
 /// starts at a small offset.
@@ -77,83 +97,136 @@ impl SimMemory {
         self.bytes[a..a + data.len()].copy_from_slice(data);
     }
 
-    /// Typed read.
+    /// The `N` bytes at `addr`: the one checked read every typed access
+    /// goes through.
+    #[inline]
+    fn word<const N: usize>(&self, addr: u32) -> Result<[u8; N], OutOfRange> {
+        let a = addr as usize;
+        self.bytes
+            .get(a..a + N)
+            .and_then(|s| <[u8; N]>::try_from(s).ok())
+            .ok_or(OutOfRange { addr, width: N as u32 })
+    }
+
+    /// Write `N` bytes at `addr`: the one checked write every typed access
+    /// goes through.
+    #[inline]
+    fn put<const N: usize>(&mut self, addr: u32, data: [u8; N]) -> Result<(), OutOfRange> {
+        let a = addr as usize;
+        match self.bytes.get_mut(a..a + N) {
+            Some(slot) => {
+                slot.copy_from_slice(&data);
+                Ok(())
+            }
+            None => Err(OutOfRange { addr, width: N as u32 }),
+        }
+    }
+
+    /// [`word`](Self::word) for the generator accessors, which document a
+    /// panic on out-of-range addresses.
+    fn word_or_panic<const N: usize>(&self, addr: u32) -> [u8; N] {
+        self.word(addr).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Typed read of `ty.size_bytes()` bytes (little-endian).
+    ///
+    /// # Errors
+    /// [`OutOfRange`] when the access does not fit in memory.
+    #[inline]
+    pub fn read_value(&self, addr: u32, ty: Ty) -> Result<Value, OutOfRange> {
+        Ok(match ty {
+            Ty::I1 => Value::I1(self.word::<1>(addr)?[0] & 1 != 0),
+            Ty::I32 => Value::I32(i32::from_le_bytes(self.word(addr)?)),
+            Ty::I64 => Value::I64(i64::from_le_bytes(self.word(addr)?)),
+            Ty::F32 => Value::F32(f32::from_le_bytes(self.word(addr)?)),
+            Ty::F64 => Value::F64(f64::from_le_bytes(self.word(addr)?)),
+            Ty::Ptr => Value::Ptr(u32::from_le_bytes(self.word(addr)?)),
+        })
+    }
+
+    /// Typed write of `value.ty().size_bytes()` bytes (little-endian).
+    ///
+    /// # Errors
+    /// [`OutOfRange`] when the access does not fit in memory; nothing is
+    /// written then.
+    #[inline]
+    pub fn write_value(&mut self, addr: u32, value: Value) -> Result<(), OutOfRange> {
+        match value {
+            Value::I1(b) => self.put(addr, [u8::from(b)]),
+            Value::I32(v) => self.put(addr, v.to_le_bytes()),
+            Value::I64(v) => self.put(addr, v.to_le_bytes()),
+            Value::F32(v) => self.put(addr, v.to_le_bytes()),
+            Value::F64(v) => self.put(addr, v.to_le_bytes()),
+            Value::Ptr(v) => self.put(addr, v.to_le_bytes()),
+        }
+    }
+
+    /// Read an `i32` (workload-generator accessor).
     ///
     /// # Panics
     /// Panics on out-of-range access.
-    #[must_use]
-    pub fn read_value(&self, addr: u32, ty: Ty) -> Value {
-        let size = ty.size_bytes();
-        let raw = self.read_bytes(addr, size);
-        let mut bits = [0u8; 8];
-        bits[..size as usize].copy_from_slice(raw);
-        Value::from_bits(ty, u64::from_le_bytes(bits))
-    }
-
-    /// Typed write.
-    ///
-    /// # Panics
-    /// Panics on out-of-range access.
-    pub fn write_value(&mut self, addr: u32, value: Value) {
-        let size = value.ty().size_bytes() as usize;
-        let bits = value.to_bits().to_le_bytes();
-        self.write_bytes(addr, &bits[..size]);
-    }
-
-    /// Convenience typed accessors used by workload generators.
     #[must_use]
     pub fn read_i32(&self, addr: u32) -> i32 {
-        match self.read_value(addr, Ty::I32) {
-            Value::I32(v) => v,
-            _ => unreachable!(),
-        }
+        i32::from_le_bytes(self.word_or_panic(addr))
     }
 
     /// Read an `f64`.
+    ///
+    /// # Panics
+    /// Panics on out-of-range access.
     #[must_use]
     pub fn read_f64(&self, addr: u32) -> f64 {
-        match self.read_value(addr, Ty::F64) {
-            Value::F64(v) => v,
-            _ => unreachable!(),
-        }
+        f64::from_le_bytes(self.word_or_panic(addr))
     }
 
     /// Read an `f32`.
+    ///
+    /// # Panics
+    /// Panics on out-of-range access.
     #[must_use]
     pub fn read_f32(&self, addr: u32) -> f32 {
-        match self.read_value(addr, Ty::F32) {
-            Value::F32(v) => v,
-            _ => unreachable!(),
-        }
+        f32::from_le_bytes(self.word_or_panic(addr))
     }
 
     /// Read a pointer.
+    ///
+    /// # Panics
+    /// Panics on out-of-range access.
     #[must_use]
     pub fn read_ptr(&self, addr: u32) -> u32 {
-        match self.read_value(addr, Ty::Ptr) {
-            Value::Ptr(v) => v,
-            _ => unreachable!(),
-        }
+        u32::from_le_bytes(self.word_or_panic(addr))
     }
 
     /// Write an `i32`.
+    ///
+    /// # Panics
+    /// Panics on out-of-range access.
     pub fn write_i32(&mut self, addr: u32, v: i32) {
-        self.write_value(addr, Value::I32(v));
+        self.put(addr, v.to_le_bytes()).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Write an `f64`.
+    ///
+    /// # Panics
+    /// Panics on out-of-range access.
     pub fn write_f64(&mut self, addr: u32, v: f64) {
-        self.write_value(addr, Value::F64(v));
+        self.put(addr, v.to_le_bytes()).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Write an `f32`.
+    ///
+    /// # Panics
+    /// Panics on out-of-range access.
     pub fn write_f32(&mut self, addr: u32, v: f32) {
-        self.write_value(addr, Value::F32(v));
+        self.put(addr, v.to_le_bytes()).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Write a pointer.
+    ///
+    /// # Panics
+    /// Panics on out-of-range access.
     pub fn write_ptr(&mut self, addr: u32, v: u32) {
-        self.write_value(addr, Value::Ptr(v));
+        self.put(addr, v.to_le_bytes()).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -188,9 +261,23 @@ mod tests {
         let mut m = SimMemory::new(4096);
         let a = m.alloc(64, 8);
         for v in [Value::I1(true), Value::I32(-7), Value::I64(1 << 50), Value::F32(2.5)] {
-            m.write_value(a, v);
-            assert_eq!(m.read_value(a, v.ty()), v);
+            m.write_value(a, v).unwrap();
+            assert_eq!(m.read_value(a, v.ty()), Ok(v));
         }
+    }
+
+    #[test]
+    fn typed_accesses_past_the_end_are_errors() {
+        let mut m = SimMemory::new(4096);
+        let last = m.size() - 2;
+        let oob = OutOfRange { addr: last, width: 4 };
+        assert_eq!(m.write_value(last, Value::I32(1)), Err(oob));
+        assert_eq!(m.read_value(last, Ty::F32), Err(oob));
+        assert_eq!(m.read_value(u32::MAX, Ty::F64), Err(OutOfRange { addr: u32::MAX, width: 8 }));
+        // The last two bytes are still addressable, and the failed write
+        // left them untouched.
+        assert_eq!(m.read_value(last + 1, Ty::I1), Ok(Value::I1(false)));
+        assert!(m.write_value(last + 1, Value::I1(true)).is_ok());
     }
 
     #[test]

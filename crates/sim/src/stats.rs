@@ -104,7 +104,8 @@ impl WorkerStats {
 }
 
 /// Per-queue-set occupancy statistics: beat counters plus a time-weighted
-/// per-channel occupancy histogram sampled once per simulated cycle.
+/// per-channel occupancy histogram, credited whenever a channel's length
+/// changes and once when the run completes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Queue name (diagnostics).

@@ -83,10 +83,10 @@ proptest! {
 
     #[test]
     fn icmp_total_order_consistency(a in any::<i32>(), b in any::<i32>()) {
-        let lt = eval_icmp(IntPredicate::Slt, Value::I32(a), Value::I32(b)).as_bool();
-        let ge = eval_icmp(IntPredicate::Sge, Value::I32(a), Value::I32(b)).as_bool();
+        let lt = eval_icmp(IntPredicate::Slt, Value::I32(a), Value::I32(b)).unwrap().as_bool();
+        let ge = eval_icmp(IntPredicate::Sge, Value::I32(a), Value::I32(b)).unwrap().as_bool();
         prop_assert_ne!(lt, ge);
-        let eq = eval_icmp(IntPredicate::Eq, Value::I32(a), Value::I32(b)).as_bool();
+        let eq = eval_icmp(IntPredicate::Eq, Value::I32(a), Value::I32(b)).unwrap().as_bool();
         prop_assert_eq!(eq, a == b);
     }
 
@@ -110,8 +110,8 @@ proptest! {
     ) {
         let mut m = SimMemory::new(4096);
         let base = m.alloc(128, 8);
-        m.write_value(base + off, v);
-        let back = m.read_value(base + off, v.ty());
+        m.write_value(base + off, v).unwrap();
+        let back = m.read_value(base + off, v.ty()).unwrap();
         prop_assert_eq!(back.to_bits(), v.to_bits());
     }
 }
