@@ -17,7 +17,8 @@
 //! `bench` measures the harness itself: per-kernel wall-clock compile and
 //! simulation time under both simulation engines (event-driven scheduler vs
 //! per-cycle reference), simulated cycles, and speedup over LegUp, plus a
-//! profile-guided-tuning comparison in the memory-latency-dominated regime.
+//! design-space search (the quick lattice) in the memory-latency-dominated
+//! regime, comparing the default point with the recommended one.
 //! With `--json` it writes `BENCH_<label>.json` (label from `--label`, the
 //! `BENCH_LABEL` env var, or the current git short SHA) for regression
 //! tracking; compare against the committed `BENCH_baseline.json`.
@@ -35,8 +36,9 @@
 //!
 //! `compare` diffs a `BENCH_*.json` against a baseline per kernel and
 //! metric, failing (exit 1) when a simulated-cycle metric regresses past the
-//! tolerance or a correctness invariant (CGPA beats LegUp; tuning never
-//! hurts) flips. Wall-clock metrics are reported but never gate.
+//! tolerance or a correctness invariant (CGPA beats LegUp; the searched
+//! point never loses to the default one) flips. Wall-clock metrics are
+//! reported but never gate.
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa::report::{geomean, BenchmarkReport};
@@ -231,17 +233,17 @@ struct BenchEntry {
     /// Simulated cycles of the high-miss-latency run (identical under both
     /// engines, asserted).
     himem_cycles: u64,
-    /// CGPA(P1) cycles under the default configuration in the himem regime
-    /// (the tuner's baseline).
+    /// CGPA(P1) cycles of the default point (4 workers, 16-beat FIFOs) in
+    /// the himem regime.
     himem_cgpa_cycles: u64,
-    /// CGPA(P1) cycles after profile-guided auto-tuning in the himem
+    /// CGPA cycles of the point the explorer recommends in the himem
     /// regime.
     himem_tuned_cycles: u64,
-    /// Worker count the tuner settled on.
+    /// Worker count of the recommended point.
     tuned_workers: u32,
-    /// FIFO depth (beats) the tuner settled on.
+    /// FIFO depth (beats) of the recommended point.
     tuned_fifo_depth_beats: usize,
-    /// Bottleneck verdict of the tuned configuration.
+    /// Bottleneck verdict of the recommended point.
     tuned_bottleneck: String,
 }
 
@@ -270,8 +272,8 @@ impl BenchEntry {
         self.legup_cycles as f64 / self.cgpa_cycles.max(1) as f64
     }
 
-    /// Simulated-cycle speedup of the auto-tuned configuration over the
-    /// default one, in the memory-latency-dominated regime.
+    /// Simulated-cycle speedup of the recommended point over the default
+    /// one, in the memory-latency-dominated regime.
     fn tuned_speedup(&self) -> f64 {
         self.himem_cgpa_cycles as f64 / self.himem_tuned_cycles.max(1) as f64
     }
@@ -280,9 +282,8 @@ impl BenchEntry {
 /// Harness self-benchmark: wall-clock compile+sim per kernel under both
 /// simulation engines, plus simulated cycles and speedup over LegUp.
 fn bench(set: KernelSet, json: bool, label: &str) {
-    use cgpa::flows::{
-        run, run_cgpa_tuned_auto, run_compiled, HwTuning, RunSpec, Target, TUNE_MIN_GAIN,
-    };
+    use cgpa::dse::{CompileCache, DseLattice, DEFAULT_AREA_BUDGET_ALUT};
+    use cgpa::flows::{run, run_cgpa_dse, run_compiled, HwTuning, RunSpec, Target};
     use cgpa_sim::cache::CacheConfig;
     use cgpa_sim::{HwConfig, HwSystem, SimEngine};
 
@@ -301,6 +302,7 @@ fn bench(set: KernelSet, json: bool, label: &str) {
     );
     let wall = Instant::now();
     let kernels = bench_kernels(set, 42);
+    let cache = CompileCache::new();
     let entries: Vec<BenchEntry> = kernels
         .iter()
         .map(|k| {
@@ -368,19 +370,39 @@ fn bench(set: KernelSet, json: bool, label: &str) {
             let (himem_ms_reference, himem_cyc_ref) = timed_himem(SimEngine::PerCycle);
             assert_eq!(himem_cyc_ev, himem_cyc_ref, "{}: himem engines disagree", k.name);
 
-            // Profile-guided tuning in the same memory-starved regime: the
-            // tuner's first step runs the default configuration, so its
-            // `baseline_cycles` IS `run_cgpa` under this tuning.
+            // Design-space search in the same memory-starved regime. The
+            // quick lattice contains the default point, so the recommended
+            // point can only match or beat it; profile the recommended point
+            // (a compile-cache hit) to name what still limits it.
             let himem_tuning = HwTuning {
                 miss_latency: HIMEM_MISS_LATENCY,
                 cache_lines: HIMEM_CACHE_LINES,
                 ..HwTuning::default()
             };
-            let tuned =
-                run_cgpa_tuned_auto(k, cfg, himem_tuning, TUNE_MIN_GAIN).unwrap_or_else(|e| {
-                    eprintln!("{}: auto-tune failed: {e}", k.name);
-                    std::process::exit(1);
-                });
+            let report = run_cgpa_dse(
+                k,
+                &DseLattice::quick(),
+                himem_tuning,
+                DEFAULT_AREA_BUDGET_ALUT,
+                &cache,
+            )
+            .unwrap_or_else(|e| {
+                eprintln!("{}: slow-memory search failed: {e}", k.name);
+                std::process::exit(1);
+            });
+            let default_fifo = HwTuning::default().fifo_depth_beats;
+            let default_point = report
+                .evaluated
+                .iter()
+                .find(|o| o.point.config(&cfg) == cfg && o.point.fifo_depth_beats == default_fifo)
+                .expect("the quick lattice contains the default point");
+            let best = report.recommended.as_ref().expect("a feasible search recommends a point");
+            let best_profile =
+                profile_of(k, best.point.config(&cfg), best.point.tuning(&himem_tuning), &cache)
+                    .unwrap_or_else(|e| {
+                        eprintln!("{}: slow-memory profile failed: {e}", k.name);
+                        std::process::exit(1);
+                    });
 
             let skipped = legup_ev.stats.as_ref().map_or(0, |s| s.skipped_cycles)
                 + cgpa_ev.stats.as_ref().map_or(0, |s| s.skipped_cycles);
@@ -395,11 +417,11 @@ fn bench(set: KernelSet, json: bool, label: &str) {
                 himem_ms_event,
                 himem_ms_reference,
                 himem_cycles: himem_cyc_ev,
-                himem_cgpa_cycles: tuned.baseline_cycles,
-                himem_tuned_cycles: tuned.best.result.cycles,
-                tuned_workers: tuned.best.profile.workers,
-                tuned_fifo_depth_beats: tuned.best.profile.fifo_depth_beats,
-                tuned_bottleneck: tuned.best.profile.bottleneck_summary(),
+                himem_cgpa_cycles: default_point.cycles,
+                himem_tuned_cycles: best.cycles,
+                tuned_workers: best.point.workers,
+                tuned_fifo_depth_beats: best.point.fifo_depth_beats,
+                tuned_bottleneck: best_profile.bottleneck_summary(),
             };
             println!(
                 "{:<14} {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.2}x {:>8.2}x {:>12} {:>12} {:>8.2}x",
@@ -419,12 +441,12 @@ fn bench(set: KernelSet, json: bool, label: &str) {
     let total_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     println!();
     println!(
-        "== Profile-guided tuning at {HIMEM_MISS_LATENCY}-cycle misses, \
+        "== Design-space search (quick lattice) at {HIMEM_MISS_LATENCY}-cycle misses, \
          {HIMEM_CACHE_LINES}-line cache (CGPA P1) =="
     );
     println!(
         "{:<14} {:>12} {:>12} {:>8} {:>8} {:>6}  bottleneck",
-        "benchmark", "default cyc", "tuned cyc", "speedup", "workers", "fifo"
+        "benchmark", "default cyc", "search cyc", "speedup", "workers", "fifo"
     );
     for e in &entries {
         println!(
@@ -503,28 +525,35 @@ fn bench_doc(label: &str, set: KernelSet, entries: &[BenchEntry], total_wall_ms:
     ])
 }
 
+/// Compile `k` under `cfg` through `cache`, run it with `tuning`, and roll
+/// the run up into its bottleneck profile.
+fn profile_of(
+    k: &cgpa_kernels::BuiltKernel,
+    cfg: CgpaConfig,
+    tuning: cgpa::flows::HwTuning,
+    cache: &cgpa::dse::CompileCache,
+) -> Result<cgpa::profile::Profile, cgpa::flows::FlowError> {
+    use cgpa::flows::{run_compiled, RunSpec, Target};
+    let compiled = cache.get_or_compile(&k.func, &k.model, cfg)?;
+    let r = run_compiled(k, &compiled, &RunSpec { tuning, ..RunSpec::new(Target::Cgpa(cfg)) })?;
+    let stats = r.stats.as_ref().expect("hardware runs capture stats");
+    Ok(cgpa::profile::Profile::from_stats(&k.name, &r.config, &compiled, stats, &tuning)?)
+}
+
 /// Per-kernel bottleneck report: compile each kernel as CGPA(P1), run it,
 /// and render the stage/queue/memory profile with the limiting-resource
 /// verdict. With `json`, also write `PROFILE_<label>.json`.
 fn profile_cmd(set: KernelSet, json: bool, label: &str) {
-    use cgpa::flows::{run_compiled, FlowError, HwTuning, RunSpec, Target};
-    use cgpa::profile::Profile;
-    use cgpa_kernels::BuiltKernel;
-
-    let profile_of = |k: &BuiltKernel| -> Result<Profile, FlowError> {
-        let cfg = CgpaConfig::default();
-        let compiled = CgpaCompiler::new(cfg).compile(&k.func, &k.model)?;
-        let r = run_compiled(k, &compiled, &RunSpec::new(Target::Cgpa(cfg)))?;
-        let stats = r.stats.as_ref().expect("hardware runs capture stats");
-        Ok(Profile::from_stats(&k.name, &r.config, &compiled, stats, &HwTuning::default())?)
-    };
+    use cgpa::dse::CompileCache;
+    use cgpa::flows::HwTuning;
 
     println!("== Profile: per-kernel bottleneck report (CGPA P1, default tuning) ==");
     let kernels = bench_kernels(set, 42);
+    let cache = CompileCache::new();
     let mut profiles = Vec::new();
     let mut csv_rows: Vec<String> = Vec::new();
     for k in &kernels {
-        match profile_of(k) {
+        match profile_of(k, CgpaConfig::default(), HwTuning::default(), &cache) {
             Ok(profile) => {
                 print!("{}", profile.render());
                 csv_rows.push(format!(
@@ -756,7 +785,8 @@ const COMPARE_INFO_METRICS: [&str; 4] =
     ["compile_ms", "sim_ms_event", "sim_ms_reference", "himem_sim_ms_event"];
 
 /// Correctness ratios that must not fall below 1.0 when the baseline holds
-/// them: CGPA beating LegUp, and profile-guided tuning never hurting.
+/// them: CGPA beating LegUp, and the slow-memory search never losing to
+/// the default point.
 const COMPARE_INVARIANTS: [&str; 2] = ["speedup_vs_legup", "himem_tuned_speedup"];
 
 /// Load a `BENCH_*.json`, exiting with code 2 on I/O or parse failure.

@@ -15,7 +15,7 @@ use crate::compiler::{
     CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationPolicy, DegradationRung,
     DegradedCompile,
 };
-use crate::profile::{Bottleneck, Profile, ProfileError};
+use crate::profile::ProfileError;
 use cgpa_kernels::BuiltKernel;
 use cgpa_obs::{Recorder, Track};
 use cgpa_pipeline::ReplicablePlacement;
@@ -27,6 +27,10 @@ use cgpa_sim::mips::{run_mips as sim_run_mips, MipsConfig};
 use cgpa_sim::{FaultPlan, HwConfig, HwError, HwSystem, SimEngine, SimMemory, SystemStats, Value};
 use std::error::Error;
 use std::fmt;
+
+/// The design-space explorer, [`crate::dse::explore`]: the library's one
+/// configuration search.
+pub use crate::dse::explore as run_cgpa_dse;
 
 /// Instruction budget of the MIPS core and of a fork's parent function.
 const INTERP_FUEL: u64 = 4_000_000_000;
@@ -109,11 +113,13 @@ impl From<ProfileError> for FlowError {
 /// Run the kernel on the MIPS soft-core model.
 ///
 /// # Errors
-/// [`FlowError::Interp`] on interpreter failures.
+/// [`FlowError::Interp`] on interpreter failures; [`FlowError::Mismatch`]
+/// when the result disagrees with the functional reference.
 pub fn run_mips(k: &BuiltKernel) -> Result<RunResult, FlowError> {
     let mut mem = k.mem.clone();
     let run = sim_run_mips(&k.func, &k.args, &mut mem, INTERP_FUEL, &MipsConfig::default())
         .map_err(|e| FlowError::Interp(e.to_string()))?;
+    verify_memory(k, &mem, run.ret)?;
     Ok(RunResult {
         config: "MIPS".to_string(),
         cycles: run.cycles,
@@ -137,8 +143,8 @@ pub struct HwTuning {
     /// Cache miss latency in cycles.
     pub miss_latency: u32,
     /// D-cache lines (shrinking this below the working set makes a run
-    /// memory-latency-dominated — the regime the profile-guided tuner is
-    /// exercised in).
+    /// memory-latency-dominated — the slow-memory regime `experiments bench`
+    /// runs the design-space explorer in).
     pub cache_lines: u32,
     /// D-cache banks (ports). `None` derives one port per worker, clamped
     /// to the 8-port cache of §4.1 — the paper's configuration; the
@@ -453,171 +459,6 @@ fn simulate(
     })
 }
 
-/// A pipeline run paired with its bottleneck profile (the tuner's output).
-#[derive(Debug, Clone)]
-pub struct ProfiledRun {
-    /// The run (cycles, area, power, stats).
-    pub result: RunResult,
-    /// Stage/queue/memory rollup naming the limiting resource.
-    pub profile: Profile,
-}
-
-/// Default marginal-speedup threshold for [`run_cgpa_tuned_auto`]: stop
-/// when a step improves cycles by less than 2%.
-pub const TUNE_MIN_GAIN: f64 = 0.02;
-
-/// Iteration cap for the tuner (each step doubles one knob, so 6 steps
-/// already cover a 64× range).
-const TUNE_MAX_ITERS: usize = 6;
-/// Parallel-stage worker ceiling (power of two; 8 cache ports of §4.1 plus
-/// one doubling of headroom).
-const TUNE_MAX_WORKERS: u32 = 16;
-/// FIFO depth ceiling in beats per channel.
-const TUNE_MAX_FIFO_DEPTH: usize = 256;
-
-/// One compile→run→profile iteration of the tuner.
-#[derive(Debug, Clone)]
-pub struct TuneStep {
-    /// Parallel-stage worker count of this step.
-    pub workers: u32,
-    /// FIFO depth of this step.
-    pub fifo_depth_beats: usize,
-    /// Measured kernel cycles.
-    pub cycles: u64,
-    /// This step's bottleneck verdict.
-    pub bottleneck: String,
-    /// Whether the step improved on the best-so-far by at least the
-    /// threshold (the first step is always accepted as the baseline).
-    pub accepted: bool,
-}
-
-/// The tuner's final configuration and its search trace.
-#[derive(Debug, Clone)]
-pub struct TuneOutcome {
-    /// Best run found (with its profile).
-    pub best: ProfiledRun,
-    /// Cycles of the starting configuration (the un-tuned baseline).
-    pub baseline_cycles: u64,
-    /// Every step tried, in order.
-    pub steps: Vec<TuneStep>,
-}
-
-impl TuneOutcome {
-    /// Baseline cycles over best cycles (1.0 = the tuner found nothing).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.baseline_cycles as f64 / self.best.result.cycles as f64
-    }
-}
-
-/// The knob adjustment a profile's bottleneck verdict calls for: double
-/// parallel-stage workers for a saturated parallel stage or a latency-bound
-/// memory port, double FIFO depth for a full queue. `None` means no knob
-/// addresses the verdict — a saturated sequential stage, conflict-bound
-/// memory, a knob at its cap, or (the degenerate case) a verdict naming a
-/// stage this profile does not carry (stats from another compile, a
-/// deserialized profile) — and the tuner stops with its best-so-far outcome
-/// instead of panicking.
-#[must_use]
-pub fn next_tune_step(
-    profile: &Profile,
-    mut config: CgpaConfig,
-    mut tuning: HwTuning,
-) -> Option<(CgpaConfig, HwTuning)> {
-    let has_parallel_stage = profile.stages.iter().any(|s| s.parallel);
-    match &profile.bottleneck {
-        Bottleneck::QueueFull { .. } if tuning.fifo_depth_beats < TUNE_MAX_FIFO_DEPTH => {
-            tuning.fifo_depth_beats *= 2;
-            Some((config, tuning))
-        }
-        Bottleneck::Stage { stage, .. } => match profile.stage(*stage) {
-            Some(s) if s.parallel && config.workers < TUNE_MAX_WORKERS => {
-                config.workers *= 2; // stays a power of two
-                Some((config, tuning))
-            }
-            // A sequential stage cannot be scaled; an absent stage cannot
-            // even be classified.
-            _ => None,
-        },
-        Bottleneck::MemoryPort { latency_bound: true, .. }
-            if has_parallel_stage && config.workers < TUNE_MAX_WORKERS =>
-        {
-            // More workers = more ports = more misses in flight.
-            config.workers *= 2;
-            Some((config, tuning))
-        }
-        _ => None, // conflict-bound memory, or every knob at its cap
-    }
-}
-
-/// Profile-guided auto-tuner: iterate compile→run→profile, doubling the
-/// knob the bottleneck verdict indicts (see [`next_tune_step`]) until a
-/// step improves cycles by less than `min_gain` (see [`TUNE_MIN_GAIN`]) or
-/// the bottleneck is one no knob addresses.
-///
-/// # Errors
-/// See [`FlowError`]. Every candidate run is verified against the
-/// functional reference, exactly like [`run_cgpa`].
-pub fn run_cgpa_tuned_auto(
-    k: &BuiltKernel,
-    mut config: CgpaConfig,
-    mut tuning: HwTuning,
-    min_gain: f64,
-) -> Result<TuneOutcome, FlowError> {
-    let mut steps: Vec<TuneStep> = Vec::new();
-    let mut best: Option<ProfiledRun> = None;
-    for _ in 0..TUNE_MAX_ITERS {
-        let compiled = CgpaCompiler::new(config).compile(&k.func, &k.model)?;
-        let spec = RunSpec { tuning, ..RunSpec::new(Target::Cgpa(config)) };
-        let result = run_compiled(k, &compiled, &spec)?;
-        let stats = result.stats.as_ref().expect("hardware runs capture stats");
-        let profile = Profile::from_stats(&k.name, &result.config, &compiled, stats, &tuning)?;
-        let cycles = result.cycles;
-        // The first step is the baseline; later ones must beat the best by
-        // `min_gain`.
-        let accepted = best
-            .as_ref()
-            .is_none_or(|b| (cycles as f64) < b.result.cycles as f64 * (1.0 - min_gain));
-        steps.push(TuneStep {
-            workers: config.workers,
-            fifo_depth_beats: tuning.fifo_depth_beats,
-            cycles,
-            bottleneck: profile.bottleneck_summary(),
-            accepted,
-        });
-        if !accepted {
-            break; // marginal speedup below threshold: stop climbing
-        }
-        let next = next_tune_step(&profile, config, tuning);
-        best = Some(ProfiledRun { result, profile });
-        let Some(next) = next else { break }; // no knob addresses this bottleneck
-        (config, tuning) = next;
-    }
-    let best = best.ok_or_else(|| FlowError::Interp("tuner completed no iteration".to_string()))?;
-    Ok(TuneOutcome { best, baseline_cycles: steps[0].cycles, steps })
-}
-
-/// Explore the design-space lattice for one kernel: compile each distinct
-/// configuration once (memoized through `cache`), simulate every lattice
-/// point concurrently, and report the (cycles, ALUTs, power) Pareto
-/// frontier plus a recommended point under `area_budget_alut`. Partition
-/// heuristics are the defaults; `env` supplies miss latency, cache lines
-/// when the lattice does not sweep them, and the simulation engine. See
-/// [`crate::dse`] for the building blocks.
-///
-/// # Errors
-/// See [`crate::dse::explore`]: per-point failures are recorded in the
-/// report, an error means no point was feasible.
-pub fn run_cgpa_dse(
-    k: &BuiltKernel,
-    lattice: &crate::dse::DseLattice,
-    env: HwTuning,
-    area_budget_alut: u32,
-    cache: &crate::dse::CompileCache,
-) -> Result<crate::dse::DseReport, FlowError> {
-    crate::dse::explore(k, lattice, CgpaConfig::default(), env, area_budget_alut, cache)
-}
-
 /// Compare a hardware run's memory and return value against the reference.
 fn verify_memory(k: &BuiltKernel, mem: &SimMemory, ret: Option<Value>) -> Result<(), FlowError> {
     let (ref_mem, ref_ret) = k.reference();
@@ -664,87 +505,62 @@ mod tests {
     }
 
     #[test]
-    fn tuner_improves_a_memory_latency_dominated_config() {
+    fn explorer_improves_a_memory_latency_dominated_config() {
+        use crate::dse::{CompileCache, DseLattice, DEFAULT_AREA_BUDGET_ALUT};
         let k = small_em3d();
         // Two cache lines + 400-cycle misses: every access essentially goes
-        // to DRAM, so the profile indicts the memory port and the tuner
-        // scales workers to get more misses in flight.
+        // to DRAM, so a two-worker pipeline leaves most of the latency
+        // exposed and the explorer finds a faster point on the lattice.
         let himem = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
-        let base = CgpaConfig { workers: 2, ..CgpaConfig::default() };
-        let outcome = run_cgpa_tuned_auto(&k, base, himem, TUNE_MIN_GAIN).unwrap();
-        assert!(
-            outcome.best.result.cycles < outcome.baseline_cycles,
-            "tuner found nothing: baseline {} vs best {}",
-            outcome.baseline_cycles,
-            outcome.best.result.cycles
-        );
-        assert!(outcome.steps.len() >= 2);
-        assert!(outcome.speedup() > 1.0);
+        let report = run_cgpa_dse(
+            &k,
+            &DseLattice::quick(),
+            himem,
+            DEFAULT_AREA_BUDGET_ALUT,
+            &CompileCache::new(),
+        )
+        .unwrap();
+        let w2 = report
+            .evaluated
+            .iter()
+            .find(|o| o.point.workers == 2 && o.point.fifo_depth_beats == 16)
+            .expect("the w2 fifo16 point is on the quick lattice");
+        let best = report.best_cycles().expect("non-empty frontier");
+        assert!(best < w2.cycles, "explorer found nothing: w2 fifo16 {} vs best {best}", w2.cycles);
     }
 
-    /// A hand-built profile whose bottleneck verdict names stage
-    /// `bottleneck_stage`, while the profile itself only carries stages 0
-    /// and 1 (1 parallel) — the shape of a profile deserialized from disk
-    /// or assembled against a different compile.
-    fn profile_with_bottleneck_stage(bottleneck_stage: usize) -> Profile {
-        use crate::profile::{MemoryProfile, StageProfile};
-        let stage = |idx: usize, parallel: bool| StageProfile {
-            stage: idx,
-            name: format!("k_stage{idx}"),
-            parallel,
-            workers: if parallel { 4 } else { 1 },
-            busy: 900,
-            stall_mem_read: 0,
-            stall_mem_write: 0,
-            stall_push: 0,
-            stall_pop: 0,
-            idle: 100,
-            utilization: 0.9,
-        };
-        Profile {
-            kernel: "k".to_string(),
-            config: "CGPA(P1)".to_string(),
-            shape: "S-P".to_string(),
-            workers: 4,
-            fifo_depth_beats: 16,
-            cycles: 1000,
-            stages: vec![stage(0, false), stage(1, true)],
-            queues: Vec::new(),
-            memory: MemoryProfile {
-                ports: 5,
-                accesses: 100,
-                hits: 90,
-                misses: 10,
-                conflict_cycles: 0,
-                read_stall_cycles: 0,
-                write_stall_cycles: 0,
-                stall_fraction: 0.0,
-            },
-            bottleneck: Bottleneck::Stage { stage: bottleneck_stage, utilization: 0.99 },
+    /// The five paper kernels at test scale (as in `tests/full_suite.rs`).
+    fn test_scale_suite() -> Vec<BuiltKernel> {
+        use cgpa_kernels::{gaussblur, hash_index, kmeans, ks};
+        vec![
+            kmeans::build(&kmeans::Params { points: 48, clusters: 4, features: 6 }, 3),
+            hash_index::build(&hash_index::Params { items: 128, buckets: 32, scatter: 16 }, 3),
+            ks::build(&ks::Params { a_cells: 16, b_cells: 16, scatter: 12 }, 3),
+            em3d::build(&em3d::Params::fixed(64, 64, 6, 16), 3),
+            gaussblur::build(&gaussblur::Params { width: 256 }, 3),
+        ]
+    }
+
+    #[test]
+    fn mips_runs_verify_on_every_kernel() {
+        for k in &test_scale_suite() {
+            let r = run_mips(k).unwrap_or_else(|e| panic!("{}: {e}", k.name));
+            assert!(r.cycles > 0, "{}", k.name);
         }
     }
 
     #[test]
-    fn tune_step_stops_when_the_bottleneck_names_an_absent_stage() {
-        // Regression: this used to panic on `.expect("stage")` inside the
-        // tuner loop. An out-of-band verdict must stop the climb instead.
-        let p = profile_with_bottleneck_stage(7);
-        assert!(p.stage(7).is_none());
-        assert!(next_tune_step(&p, CgpaConfig::default(), HwTuning::default()).is_none());
-        // The summary degrades to an index-only description, same as PR 4's
-        // bottleneck_summary fix.
-        assert!(p.bottleneck_summary().contains("not in profile"));
-    }
-
-    #[test]
-    fn tune_step_scales_a_saturated_parallel_stage() {
-        let p = profile_with_bottleneck_stage(1); // the parallel stage
-        let (c, t) = next_tune_step(&p, CgpaConfig::default(), HwTuning::default()).unwrap();
-        assert_eq!(c.workers, CgpaConfig::default().workers * 2);
-        assert_eq!(t.fifo_depth_beats, HwTuning::default().fifo_depth_beats);
-        // A sequential bottleneck stage has no knob.
-        let p = profile_with_bottleneck_stage(0);
-        assert!(next_tune_step(&p, CgpaConfig::default(), HwTuning::default()).is_none());
+    fn a_corrupted_mips_result_is_a_mismatch() {
+        let k = small_em3d();
+        let mut mem = k.mem.clone();
+        let run =
+            sim_run_mips(&k.func, &k.args, &mut mem, INTERP_FUEL, &MipsConfig::default()).unwrap();
+        verify_memory(&k, &mem, run.ret).expect("an untouched MIPS result verifies");
+        // Allocation starts at byte 64: flip the kernel's first data byte.
+        let byte = mem.read_bytes(64, 1)[0];
+        mem.write_bytes(64, &[byte ^ 0xff]);
+        let err = verify_memory(&k, &mem, run.ret).unwrap_err();
+        assert!(matches!(err, FlowError::Mismatch(_)), "{err}");
     }
 
     #[test]

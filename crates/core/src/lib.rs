@@ -49,9 +49,8 @@ pub use dse::{
     DseLattice, DseOutcome, DsePoint, DseReport, DEFAULT_AREA_BUDGET_ALUT,
 };
 pub use flows::{
-    next_tune_step, run, run_cgpa, run_cgpa_dse, run_cgpa_tuned, run_cgpa_tuned_auto, run_compiled,
-    run_legup, run_mips, FlowError, HwTuning, ProfiledRun, RunResult, RunSpec, Target, TuneOutcome,
-    TuneStep, TUNE_MIN_GAIN,
+    run, run_cgpa, run_cgpa_dse, run_cgpa_tuned, run_compiled, run_legup, run_mips, FlowError,
+    HwTuning, RunResult, RunSpec, Target,
 };
 pub use profile::{Bottleneck, MemoryProfile, Profile, ProfileError, QueueProfile, StageProfile};
 pub use report::{geomean, pipeline_summary, BenchmarkReport};

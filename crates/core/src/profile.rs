@@ -6,8 +6,10 @@
 //! stage, a FIFO, or the memory port. A [`Profile`] makes that diagnosis
 //! explicit: per-stage utilization (busy cycles over worker-cycles),
 //! per-queue occupancy/wait statistics, memory-port pressure, and a single
-//! [`Bottleneck`] verdict that the profile-guided tuner
-//! ([`crate::flows::run_cgpa_tuned_auto`]) steers by.
+//! [`Bottleneck`] verdict. It is a report, not a search: `experiments
+//! profile` renders it for the default design, and `experiments bench`
+//! renders the verdict for the point the design-space explorer
+//! ([`crate::dse`]) recommends.
 //!
 //! Profiles are engine-independent: both simulation engines produce
 //! bit-identical statistics (enforced by `tests/differential_engines.rs`),
@@ -165,7 +167,8 @@ pub struct Profile {
 const SATURATION_THRESHOLD: f64 = 0.95;
 
 /// Why [`Profile::from_stats`] could not roll a run up: its statistics come
-/// from a different compile than the pipeline it was given.
+/// from a different compile than the pipeline it was given, or the pipeline
+/// itself gives the verdict nothing to name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProfileError {
     /// The run has `got` workers; the pipeline instantiates `expected`.
@@ -182,6 +185,16 @@ pub enum ProfileError {
         /// Queues in the statistics.
         got: usize,
     },
+    /// The pipeline has no stages, so no stage can be the bottleneck.
+    NoStages,
+    /// The queue that starves its consumer names a producer stage the
+    /// pipeline does not have.
+    UnknownProducer {
+        /// Module queue index.
+        queue: u32,
+        /// The producer stage the queue names.
+        stage: usize,
+    },
 }
 
 impl fmt::Display for ProfileError {
@@ -192,6 +205,10 @@ impl fmt::Display for ProfileError {
             }
             ProfileError::MissingQueue { queue, got } => {
                 write!(f, "pipeline queue {queue} is not among the stats' {got} queues")
+            }
+            ProfileError::NoStages => write!(f, "the pipeline has no stages"),
+            ProfileError::UnknownProducer { queue, stage } => {
+                write!(f, "queue {queue} names producer stage {stage}, which is not a stage")
             }
         }
     }
@@ -208,7 +225,9 @@ impl Profile {
     ///
     /// # Errors
     /// [`ProfileError`] when `stats` do not match the pipeline's worker or
-    /// queue layout (stats from a different compile).
+    /// queue layout (stats from a different compile), or when the pipeline
+    /// has no stage to name (see [`ProfileError::NoStages`] and
+    /// [`ProfileError::UnknownProducer`]).
     pub fn from_stats(
         kernel: &str,
         config_label: &str,
@@ -290,7 +309,7 @@ impl Profile {
             },
         };
 
-        let bottleneck = diagnose(&stages, &queues, &memory);
+        let bottleneck = diagnose(&stages, &queues, &memory)?;
         Ok(Profile {
             kernel: kernel.to_string(),
             config: config_label.to_string(),
@@ -508,54 +527,61 @@ impl Profile {
 /// waits indict the starving queue's *producer* stage (the consumer is a
 /// victim, not a cause), and memory waits indict the port — split into
 /// latency-bound vs conflict-bound by which cost dominates.
+///
+/// # Errors
+/// [`ProfileError::NoStages`] for an empty `stages`, and
+/// [`ProfileError::UnknownProducer`] when the starving queue's producer is
+/// not among `stages`.
 fn diagnose(
     stages: &[StageProfile],
     queues: &[QueueProfile],
     memory: &MemoryProfile,
-) -> Bottleneck {
-    let busiest =
-        stages.iter().max_by(|a, b| a.utilization.total_cmp(&b.utilization)).expect("stages");
+) -> Result<Bottleneck, ProfileError> {
+    let Some(busiest) = stages.iter().max_by(|a, b| a.utilization.total_cmp(&b.utilization)) else {
+        return Err(ProfileError::NoStages);
+    };
+    let busiest_verdict =
+        Bottleneck::Stage { stage: busiest.stage, utilization: busiest.utilization };
     if busiest.utilization >= SATURATION_THRESHOLD {
-        return Bottleneck::Stage { stage: busiest.stage, utilization: busiest.utilization };
+        return Ok(busiest_verdict);
     }
     let push_total: u64 = queues.iter().map(|q| q.push_wait_cycles).sum();
     let pop_total: u64 = queues.iter().map(|q| q.pop_wait_cycles).sum();
     let mem_total = memory.read_stall_cycles + memory.write_stall_cycles;
     if mem_total >= push_total && mem_total >= pop_total && mem_total > 0 {
-        return Bottleneck::MemoryPort {
+        return Ok(Bottleneck::MemoryPort {
             stall_fraction: memory.stall_fraction,
             latency_bound: memory.conflict_cycles * 2 <= mem_total,
-        };
+        });
     }
     if push_total >= pop_total && push_total > 0 {
-        let q = queues
-            .iter()
-            .max_by_key(|q| q.push_wait_cycles)
-            .expect("push waits imply a queue exists");
-        return Bottleneck::QueueFull { queue: q.queue, full_fraction: q.full_fraction };
+        let Some(q) = queues.iter().max_by_key(|q| q.push_wait_cycles) else {
+            return Ok(busiest_verdict);
+        };
+        return Ok(Bottleneck::QueueFull { queue: q.queue, full_fraction: q.full_fraction });
     }
     if pop_total > 0 {
-        let q = queues
-            .iter()
-            .max_by_key(|q| q.pop_wait_cycles)
-            .expect("pop waits imply a queue exists");
-        let producer =
-            stages.iter().find(|s| s.stage == q.producer_stage).expect("queue producer is a stage");
-        return Bottleneck::Stage { stage: producer.stage, utilization: producer.utilization };
+        let Some(q) = queues.iter().max_by_key(|q| q.pop_wait_cycles) else {
+            return Ok(busiest_verdict);
+        };
+        let Some(producer) = stages.iter().find(|s| s.stage == q.producer_stage) else {
+            return Err(ProfileError::UnknownProducer { queue: q.queue, stage: q.producer_stage });
+        };
+        return Ok(Bottleneck::Stage { stage: producer.stage, utilization: producer.utilization });
     }
     // No waits anywhere: the busiest stage is the answer even if unsaturated.
-    Bottleneck::Stage { stage: busiest.stage, utilization: busiest.utilization }
+    Ok(busiest_verdict)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compiler::{CgpaCompiler, CgpaConfig};
-    use crate::flows::{run_compiled, ProfiledRun, RunSpec, Target};
+    use crate::flows::{run_compiled, RunResult, RunSpec, Target};
     use cgpa_kernels::em3d;
     use cgpa_sim::SimEngine;
 
-    fn em3d_profile(tuning: HwTuning) -> ProfiledRun {
+    fn em3d_profile(tuning: HwTuning) -> (RunResult, Profile) {
         let k = em3d::build(&em3d::Params::fixed(60, 60, 4, 16), 5);
         let config = CgpaConfig::default();
         let compiled = CgpaCompiler::new(config).compile(&k.func, &k.model).unwrap();
@@ -563,21 +589,21 @@ mod tests {
         let result = run_compiled(&k, &compiled, &spec).unwrap();
         let stats = result.stats.as_ref().unwrap();
         let profile = Profile::from_stats(&k.name, &result.config, &compiled, stats, &tuning);
-        ProfiledRun { profile: profile.unwrap(), result }
+        (result, profile.unwrap())
     }
 
     #[test]
     fn profile_is_engine_independent_and_names_a_bottleneck() {
-        let ev = em3d_profile(HwTuning::default());
-        let rf = em3d_profile(HwTuning { engine: SimEngine::PerCycle, ..HwTuning::default() });
-        assert_eq!(ev.profile, rf.profile);
-        assert!(!ev.profile.stages.is_empty());
-        for s in &ev.profile.stages {
+        let (result, ev) = em3d_profile(HwTuning::default());
+        let (_, rf) = em3d_profile(HwTuning { engine: SimEngine::PerCycle, ..HwTuning::default() });
+        assert_eq!(ev, rf);
+        assert!(!ev.stages.is_empty());
+        for s in &ev.stages {
             assert!((0.0..=1.0).contains(&s.utilization), "{s:?}");
         }
-        assert!(!ev.profile.bottleneck_summary().is_empty());
+        assert!(!ev.bottleneck_summary().is_empty());
         // Every worker-cycle is attributed to exactly one bucket.
-        let stats = ev.result.stats.as_ref().unwrap();
+        let stats = result.stats.as_ref().unwrap();
         for w in &stats.workers {
             assert_eq!(w.total(), stats.cycles);
         }
@@ -634,7 +660,7 @@ mod tests {
             &[queue(0, 500, 0)],
             &mem(800, 0),
         );
-        assert_eq!(b, Bottleneck::Stage { stage: 0, utilization: 0.99 });
+        assert_eq!(b, Ok(Bottleneck::Stage { stage: 0, utilization: 0.99 }));
     }
 
     #[test]
@@ -644,7 +670,7 @@ mod tests {
             &[queue(0, 900, 10), queue(1, 100, 10)],
             &mem(50, 0),
         );
-        assert_eq!(b, Bottleneck::QueueFull { queue: 0, full_fraction: 0.5 });
+        assert_eq!(b, Ok(Bottleneck::QueueFull { queue: 0, full_fraction: 0.5 }));
     }
 
     #[test]
@@ -654,7 +680,20 @@ mod tests {
             &[queue(0, 10, 900)],
             &mem(50, 0),
         );
-        assert_eq!(b, Bottleneck::Stage { stage: 0, utilization: 0.5 });
+        assert_eq!(b, Ok(Bottleneck::Stage { stage: 0, utilization: 0.5 }));
+    }
+
+    #[test]
+    fn no_stages_is_an_error_not_a_panic() {
+        assert_eq!(diagnose(&[], &[queue(0, 5, 7)], &mem(50, 0)), Err(ProfileError::NoStages));
+    }
+
+    #[test]
+    fn pop_starvation_by_an_absent_producer_is_an_error_not_a_panic() {
+        // Queue 3 starves its consumer, but its producer (stage 0) is not
+        // among the stages.
+        let b = diagnose(&[stage(1, true, 400, 0.4)], &[queue(3, 10, 900)], &mem(50, 0));
+        assert_eq!(b, Err(ProfileError::UnknownProducer { queue: 3, stage: 0 }));
     }
 
     #[test]
@@ -664,7 +703,7 @@ mod tests {
             &[queue(0, 100, 100)],
             &mem(2000, 10),
         );
-        match b {
+        match b.unwrap() {
             Bottleneck::MemoryPort { latency_bound, .. } => assert!(latency_bound),
             other => panic!("expected memory-port, got {other:?}"),
         }
@@ -673,7 +712,7 @@ mod tests {
     #[test]
     fn conflict_heavy_memory_is_not_latency_bound() {
         let b = diagnose(&[stage(0, false, 300, 0.3)], &[], &mem(2000, 1500));
-        match b {
+        match b.unwrap() {
             Bottleneck::MemoryPort { latency_bound, .. } => assert!(!latency_bound),
             other => panic!("expected memory-port, got {other:?}"),
         }
