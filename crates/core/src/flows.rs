@@ -16,7 +16,7 @@ use crate::compiler::{
     DegradedCompile,
 };
 use crate::profile::ProfileError;
-use cgpa_kernels::BuiltKernel;
+use cgpa_kernels::{BuiltKernel, CheckError};
 use cgpa_obs::{Recorder, Track};
 use cgpa_pipeline::ReplicablePlacement;
 use cgpa_rtl::area::{estimate_area, fifo_area, AreaModel, AreaReport};
@@ -24,7 +24,9 @@ use cgpa_rtl::power::{energy_efficiency, evaluate, ActivityTrace, PowerModel};
 use cgpa_sim::cache::CacheConfig;
 use cgpa_sim::interp::run_with_accelerator;
 use cgpa_sim::mips::{run_mips as sim_run_mips, MipsConfig};
-use cgpa_sim::{FaultPlan, HwConfig, HwError, HwSystem, SimEngine, SimMemory, SystemStats, Value};
+use cgpa_sim::{
+    FaultPlan, HwConfig, HwError, HwSystem, InterpError, SimEngine, SimMemory, SystemStats, Value,
+};
 use std::error::Error;
 use std::fmt;
 
@@ -116,6 +118,7 @@ impl From<ProfileError> for FlowError {
 /// [`FlowError::Interp`] on interpreter failures; [`FlowError::Mismatch`]
 /// when the result disagrees with the functional reference.
 pub fn run_mips(k: &BuiltKernel) -> Result<RunResult, FlowError> {
+    cache_reference(k)?;
     let mut mem = k.mem.clone();
     let run = sim_run_mips(&k.func, &k.args, &mut mem, INTERP_FUEL, &MipsConfig::default())
         .map_err(|e| FlowError::Interp(e.to_string()))?;
@@ -370,6 +373,7 @@ fn simulate(
     };
 
     // Simulate. The LegUp system outlives this step: scoring reads its FSM.
+    cache_reference(k)?;
     let mut mem = k.mem.clone();
     let mut single = None;
     let (ret, (stats, faults)) = match design {
@@ -459,24 +463,23 @@ fn simulate(
     })
 }
 
-/// Compare a hardware run's memory and return value against the reference.
+/// Interpret and cache the kernel's functional reference before a run
+/// allocates its memory image (see `BuiltKernel::cache_reference`).
+fn cache_reference(k: &BuiltKernel) -> Result<(), FlowError> {
+    k.cache_reference().map_err(|e| reference_error(k, &e))
+}
+
+fn reference_error(k: &BuiltKernel, e: &InterpError) -> FlowError {
+    FlowError::Interp(format!("{}: reference: {e}", k.name))
+}
+
+/// Compare a run's memory and return value against the kernel's cached
+/// functional reference.
 fn verify_memory(k: &BuiltKernel, mem: &SimMemory, ret: Option<Value>) -> Result<(), FlowError> {
-    let (ref_mem, ref_ret) = k.reference();
-    if mem.read_bytes(0, mem.size()) != ref_mem.read_bytes(0, ref_mem.size()) {
-        let diffs = cgpa_sim::diff_memories(mem, &ref_mem, 8);
-        return Err(FlowError::Mismatch(format!(
-            "{}: memory state differs\n{}",
-            k.name,
-            cgpa_sim::render_diffs(&diffs, None)
-        )));
-    }
-    if ret != ref_ret {
-        return Err(FlowError::Mismatch(format!(
-            "{}: return value {ret:?} != {ref_ret:?}",
-            k.name
-        )));
-    }
-    Ok(())
+    k.check(mem, ret).map_err(|e| match e {
+        CheckError::Reference(e) => reference_error(k, &e),
+        e => FlowError::Mismatch(format!("{}: {e}", k.name)),
+    })
 }
 
 #[cfg(test)]
@@ -561,6 +564,26 @@ mod tests {
         mem.write_bytes(64, &[byte ^ 0xff]);
         let err = verify_memory(&k, &mem, run.ret).unwrap_err();
         assert!(matches!(err, FlowError::Mismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn a_reference_failure_is_an_interp_error_naming_the_kernel() {
+        let mut k = small_em3d();
+        k.args.clear();
+        // Reported before the run is simulated, and by the check itself.
+        for err in [run_legup(&k).unwrap_err(), verify_memory(&k, &k.mem, None).unwrap_err()] {
+            assert!(
+                matches!(&err, FlowError::Interp(m) if m.starts_with("em3d: reference: ")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_differently_sized_image_is_a_mismatch() {
+        let k = small_em3d();
+        let err = verify_memory(&k, &SimMemory::new(128), None).unwrap_err();
+        assert!(matches!(&err, FlowError::Mismatch(m) if m.contains("memory size")), "{err}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use cgpa::compiler::{CgpaCompiler, CgpaConfig, CompileError, DegradationPolicy, 
 use cgpa::flows::{run, run_cgpa, run_cgpa_tuned, FlowError, HwTuning, RunResult, RunSpec, Target};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Ty};
-use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
+use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel, ReferenceCache};
 use cgpa_pipeline::{PartitionError, ReplicablePlacement};
 use cgpa_sim::{FaultClass, FaultKind, FaultPlan, HwError};
 use cgpa_sim::{SimMemory, Value};
@@ -198,6 +198,7 @@ fn sequential_only_kernel() -> BuiltKernel {
         mem,
         args: vec![Value::Ptr(addrs[0]), Value::Ptr(acc_cell)],
         iterations: u64::from(n),
+        reference_cache: ReferenceCache::default(),
     }
 }
 
@@ -310,6 +311,7 @@ fn prefix_product_kernel() -> BuiltKernel {
         mem,
         args: vec![Value::Ptr(obase), Value::I32(n as i32)],
         iterations: u64::from(n),
+        reference_cache: ReferenceCache::default(),
     }
 }
 

@@ -3,10 +3,10 @@
 //! undersized simulations.
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig, CompileError};
-use cgpa::flows::{run_cgpa, FlowError};
+use cgpa::flows::{run_cgpa, run_mips, FlowError};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
-use cgpa_kernels::BuiltKernel;
+use cgpa_kernels::{BuiltKernel, ReferenceCache};
 use cgpa_pipeline::PartitionError;
 use cgpa_sim::{SimMemory, Value};
 
@@ -60,6 +60,7 @@ fn workload(func: Function, model: MemoryModel) -> BuiltKernel {
         mem,
         args: vec![Value::Ptr(a), Value::Ptr(acc), Value::I32(64)],
         iterations: 64,
+        reference_cache: ReferenceCache::default(),
     }
 }
 
@@ -102,6 +103,19 @@ fn unsound_annotations_are_caught_by_verification() {
             panic!("unsound annotation produced a 'verified' run: {r:?}");
         }
         Err(other) => panic!("unexpected failure mode: {other}"),
+    }
+}
+
+#[test]
+fn a_mistyped_argument_is_an_interp_error_not_a_panic() {
+    // The IR verifier checks instruction types, not the runtime arguments:
+    // the accumulator's `Ptr` parameter is passed an `I32`, so its first
+    // load has no address.
+    let mut k = workload(acc_loop(), MemoryModel::new());
+    k.args[1] = Value::I32(64);
+    match run_mips(&k) {
+        Err(FlowError::Interp(msg)) => assert!(msg.contains("expected ptr"), "{msg}"),
+        other => panic!("expected an interp error, got {other:?}"),
     }
 }
 

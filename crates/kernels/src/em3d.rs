@@ -19,7 +19,7 @@
 //! Node layout: `value: f64 @0`, `from_count: i32 @8`, `from_nodes: ptr
 //! @12`, `coeffs: ptr @16`, `next: ptr @20` — 24 bytes.
 
-use crate::BuiltKernel;
+use crate::{BuiltKernel, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
 use cgpa_sim::{SimMemory, Value};
@@ -214,6 +214,7 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
         mem,
         args: vec![Value::Ptr(e_addrs.first().copied().unwrap_or(0))],
         iterations: u64::from(p.e_nodes),
+        reference_cache: ReferenceCache::default(),
     }
 }
 

@@ -19,7 +19,7 @@
 //! fetch) as a heavyweight section placed in a sequential stage that
 //! broadcasts the new pixel to all four shift chains.
 
-use crate::BuiltKernel;
+use crate::{BuiltKernel, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
 use cgpa_sim::{SimMemory, Value};
@@ -149,6 +149,7 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
         mem,
         args: vec![Value::Ptr(img), Value::Ptr(out), Value::I32(p.width as i32)],
         iterations: u64::from(p.width - 4),
+        reference_cache: ReferenceCache::default(),
     }
 }
 

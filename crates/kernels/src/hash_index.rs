@@ -18,7 +18,7 @@
 //! Item layout: `key: i32 @0`, `hash_next: ptr @4`, `next: ptr @8` —
 //! 12 bytes.
 
-use crate::BuiltKernel;
+use crate::{BuiltKernel, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
 use cgpa_sim::{SimMemory, Value};
@@ -178,6 +178,7 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
             Value::I32(p.buckets as i32 - 1),
         ],
         iterations: u64::from(p.items),
+        reference_cache: ReferenceCache::default(),
     }
 }
 

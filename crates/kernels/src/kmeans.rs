@@ -19,7 +19,7 @@
 //! `findNearestPoint` is inlined (HLS tools flatten calls before
 //! synthesis): a doubly-nested distance loop over clusters × features.
 
-use crate::BuiltKernel;
+use crate::{BuiltKernel, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{
     builder::FunctionBuilder, inst::FloatPredicate, inst::IntPredicate, BinOp, Function, Ty,
@@ -286,6 +286,7 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
             Value::I32(p.features as i32),
         ],
         iterations: u64::from(p.points),
+        reference_cache: ReferenceCache::default(),
     }
 }
 

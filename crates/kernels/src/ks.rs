@@ -20,7 +20,7 @@
 //! Cell layout: `ext: f32 @0`, `int: f32 @4`, `id: i32 @8`, `next: ptr
 //! @12` — 16 bytes.
 
-use crate::BuiltKernel;
+use crate::{BuiltKernel, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{
     builder::FunctionBuilder, inst::FloatPredicate, inst::IntPredicate, BinOp, Function, Ty,
@@ -215,6 +215,7 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
         mem,
         args: vec![Value::Ptr(head_a), Value::Ptr(head_b), Value::Ptr(out)],
         iterations: u64::from(p.a_cells),
+        reference_cache: ReferenceCache::default(),
     }
 }
 

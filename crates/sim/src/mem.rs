@@ -53,6 +53,12 @@ impl SimMemory {
         self.bytes.len() as u32
     }
 
+    /// The raw image, consuming the memory.
+    #[must_use]
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
+    }
+
     /// Allocate `size` bytes aligned to `align` (power of two).
     ///
     /// # Panics
