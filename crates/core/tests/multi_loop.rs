@@ -150,3 +150,34 @@ fn loopless_program_is_rejected() {
     let err = CgpaCompiler::default().compile_program(&f, &MemoryModel::new());
     assert!(matches!(err, Err(cgpa::compiler::CompileError::NoTargetLoop)));
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Pins `compile_program`'s output: every accelerator's printed task module,
+/// its rewritten parent, its FSMs and its Verilog, then the final parent. A
+/// deliberate change to the compiler's output has to update the hash.
+#[test]
+fn compile_program_output_matches_golden_fingerprint() {
+    use cgpa_ir::printer::{print_function, print_module};
+    let (f, mm) = two_loop_program();
+    let compiler = CgpaCompiler::new(CgpaConfig::default());
+    let prog = compiler.compile_program(&f, &mm).unwrap();
+    let mut text = String::new();
+    for acc in &prog.accelerators {
+        text.push_str(&print_module(&acc.pipeline.module));
+        text.push_str(&print_function(&acc.pipeline.parent));
+        text.push_str(&format!("{:?}", acc.fsms));
+        text.push_str(&compiler.emit_verilog(acc));
+    }
+    text.push_str(&print_function(&prog.parent));
+    assert_eq!(
+        format!("{:016x}", fnv1a(text.as_bytes())),
+        "399b92b648e5d973",
+        "compile_program output drifted"
+    );
+}
