@@ -302,7 +302,7 @@ pub fn partition_loop(
                 {
                     continue;
                 }
-                match feeder_closure(func, pdg, cond, &sef, &duplicated, producer) {
+                match feeder_closure(cond, &sef, &duplicated, producer) {
                     Some(closure)
                         if closure.iter().map(|&f| scc_weight(f)).sum::<f64>()
                             <= config.feeder_weight_limit =>
@@ -572,14 +572,11 @@ pub fn partition_loop(
 /// ks gain computation in the parallel stage while its max-reduction goes to
 /// a post sequential stage).
 fn feeder_closure(
-    func: &Function,
-    pdg: &Pdg,
     cond: &Condensation,
     sef: &[bool],
     duplicated: &BTreeSet<SccId>,
     producer: SccId,
 ) -> Option<BTreeSet<SccId>> {
-    let _ = func;
     let mut closure = BTreeSet::new();
     let mut work = vec![producer];
     while let Some(s) = work.pop() {
@@ -606,7 +603,6 @@ fn feeder_closure(
             }
         }
     }
-    let _ = pdg;
     Some(closure)
 }
 

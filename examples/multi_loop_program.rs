@@ -10,7 +10,7 @@
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Ty};
-use cgpa_sim::{run_with_accelerator, HwConfig, HwSystem, SimMemory, Value};
+use cgpa_sim::{interp, run_with_accelerator, HwConfig, HwSystem, SimMemory, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Loop 1 scales an array; loop 2 computes the sum of squares of the
@@ -97,6 +97,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mem.write_i32(abuf + 4 * k, k as i32 % 13 - 6);
     }
     let args = vec![Value::Ptr(abuf), Value::Ptr(bbuf), Value::I32(n_items as i32)];
+    let mut ref_mem = mem.clone();
+    let (ref_ret, _) =
+        interp::run_function(&func, &args, &mut ref_mem, 100_000_000, &mut interp::NoHooks)?;
     let mut cycles = Vec::new();
     let (ret, _) = run_with_accelerator(
         &prog.parent,
@@ -114,6 +117,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (id, cy) in &cycles {
         println!("loop {id} accelerator: {cy} cycles");
     }
-    println!("program result (sum of squares): {ret:?}");
+    println!("program result (sum of squares): {ret:?}, reference: {ref_ret:?}");
+    assert_eq!(ret, ref_ret);
+    assert_eq!(mem.read_bytes(0, mem.size()), ref_mem.read_bytes(0, ref_mem.size()));
+    println!("results match");
     Ok(())
 }
