@@ -614,6 +614,7 @@ fn dse_kernel_doc(report: &cgpa::dse::DseReport, revalidated: bool) -> Json {
         ("name", report.kernel.as_str().into()),
         ("points_evaluated", report.evaluated.len().into()),
         ("points_skipped", report.skipped.len().into()),
+        ("points_simulated", report.simulated.into()),
         ("compiles", report.compiles.into()),
         ("cache_hits", report.cache_hits.into()),
         ("best_cycles", report.best_cycles().into()),
@@ -635,10 +636,12 @@ fn dse_doc(label: &str, set: KernelSet, budget: u32, kernels: Vec<Json>) -> Json
 
 /// Design-space exploration: enumerate the configuration lattice per
 /// kernel, evaluate every point (compiles memoized behind the content-hash
-/// cache), and report the (cycles, ALUTs, power) Pareto frontier plus the
-/// recommended point under the DE4 area budget. The recommended point is
-/// re-validated through the warm cache — a cache hit plus a bit-identical
-/// re-run. With `json`, writes `DSE_<label>.json`.
+/// cache, push-free runs replayed at deeper FIFO depths), and report the
+/// (cycles, ALUTs, power) Pareto frontier plus the recommended point under
+/// the DE4 area budget. The recommended point is re-validated through the
+/// warm cache — a cache hit plus a re-run that reproduces its cycles,
+/// ALUTs, power and energy bit for bit. With `json`, writes
+/// `DSE_<label>.json`.
 fn dse_cmd(set: KernelSet, json: bool, label: &str) {
     use cgpa::dse::{CompileCache, DseLattice, DEFAULT_AREA_BUDGET_ALUT};
     use cgpa::flows::{run_cgpa_dse, run_compiled, HwTuning, RunSpec, Target};
@@ -649,10 +652,11 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
     let cache = CompileCache::new();
     println!("== DSE: Pareto frontier per kernel (area budget {budget} ALUTs) ==");
     println!(
-        "{:<12} {:>6} {:>6} {:>8} {:>6} {:>8}  {:<26} {:>10} {:>8} {:>8}",
+        "{:<12} {:>6} {:>6} {:>6} {:>8} {:>6} {:>8}  {:<26} {:>10} {:>8} {:>8}",
         "benchmark",
         "points",
         "skip",
+        "sims",
         "compiles",
         "hits",
         "frontier",
@@ -673,8 +677,8 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
             }
         };
         // Warm-cache re-validation: compiling the recommended point again
-        // must hit the cache (no compile) and re-simulate to the same
-        // cycle count.
+        // must hit the cache (no compile), and simulating it afresh must
+        // reproduce its objectives exactly — it may have been a replay.
         let revalidated = report.recommended.as_ref().is_some_and(|rec| {
             let before = cache.stats();
             let cfg = rec.point.config(&CgpaConfig::default());
@@ -686,7 +690,12 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
             let spec =
                 RunSpec { tuning: rec.point.tuning(&env), ..RunSpec::new(Target::Cgpa(cfg)) };
             match run_compiled(k, &design, &spec) {
-                Ok(rr) => warm && rr.cycles == rec.cycles,
+                Ok(rr) => {
+                    warm && rr.cycles == rec.cycles
+                        && rr.alut == rec.alut
+                        && rr.power_mw.to_bits() == rec.power_mw.to_bits()
+                        && rr.energy_uj.to_bits() == rec.energy_uj.to_bits()
+                }
                 Err(_) => false,
             }
         });
@@ -700,10 +709,11 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
             None => ("-".to_string(), "-".to_string(), "-".to_string(), "-".to_string()),
         };
         println!(
-            "{:<12} {:>6} {:>6} {:>8} {:>6} {:>8}  {:<26} {:>10} {:>8} {:>8}",
+            "{:<12} {:>6} {:>6} {:>6} {:>8} {:>6} {:>8}  {:<26} {:>10} {:>8} {:>8}",
             report.kernel,
             report.evaluated.len(),
             report.skipped.len(),
+            report.simulated,
             report.compiles,
             report.cache_hits,
             report.frontier.len(),
@@ -713,10 +723,11 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
             rec_mw,
         );
         csv_rows.push(format!(
-            "{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{}",
             report.kernel,
             report.evaluated.len(),
             report.skipped.len(),
+            report.simulated,
             report.compiles,
             report.cache_hits,
             report.frontier.len(),
@@ -730,7 +741,7 @@ fn dse_cmd(set: KernelSet, json: bool, label: &str) {
     println!();
     write_csv(
         "dse",
-        "benchmark,points,skipped,compiles,cache_hits,frontier,recommended,cycles,alut,power_mw",
+        "benchmark,points,skipped,sims,compiles,cache_hits,frontier,recommended,cycles,alut,power_mw",
         &csv_rows,
     );
     if json {
@@ -1189,6 +1200,7 @@ mod tests {
             skipped: Vec::new(),
             frontier: vec![outcome.clone()],
             recommended: Some(outcome),
+            simulated: 1,
             compiles: 1,
             cache_hits: 0,
         };

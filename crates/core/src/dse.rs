@@ -13,6 +13,21 @@
 //! budget (the DE4/Stratix IV envelope of the paper's evaluation,
 //! [`DE4_ALUT_BUDGET`]).
 //!
+//! **Depth replay.** FIFO depth reaches the simulator only through the
+//! push-side full check (`QueueState::can_push`): a run in which no push
+//! ever blocked takes the same path, cycle for cycle, at every deeper
+//! depth. The explorer therefore walks each *chain* — the points sharing
+//! one compiled design and one cache geometry, differing only in depth —
+//! shallowest first, and every point deeper than a successful run with
+//! zero push-wait cycles on every worker replays that run's outcome
+//! instead of simulating ([`DseReport::simulated`] counts the real runs).
+//! A failed run never seeds a replay. The rule is exact under two
+//! assumptions: the explorer arms no fault plan (an injected duplicate
+//! beat can exceed the nominal depth), and scoring never reads depth (the
+//! area model prices FIFO channels, not beats). `crates/core/tests/dse.rs`
+//! checks every replayed outcome against a brute-force run, so a model
+//! that starts pricing depth fails it.
+//!
 //! Every built-in lattice contains the paper's default point (4 workers,
 //! 16-beat FIFOs, P1), so the best frontier point never loses to the
 //! default configuration. `experiments bench` runs [`DseLattice::quick`] in
@@ -350,6 +365,10 @@ pub struct DseReport {
     /// Fastest frontier point fitting the area budget (falls back to the
     /// smallest frontier point when nothing fits).
     pub recommended: Option<DseOutcome>,
+    /// Runs this exploration actually simulated, failed ones included; the
+    /// other evaluated points replayed a shallower point of their FIFO-depth
+    /// chain.
+    pub simulated: u64,
     /// Compiler invocations this exploration performed (one per distinct
     /// `CgpaConfig` on a cold cache; zero on a warm one).
     pub compiles: u64,
@@ -381,9 +400,74 @@ fn outcome_of(point: DsePoint, r: &RunResult) -> DseOutcome {
     }
 }
 
+/// A feasible point with its compiler config and compiled design.
+type Sim = (DsePoint, CgpaConfig, Arc<Compiled>);
+
+/// A point's index into the `Sim` list and its outcome or failure text.
+type PointRun = (usize, Result<DseOutcome, String>);
+
+/// Split `sims` into FIFO-depth chains: the indices of points that share
+/// one compiled design and one cache geometry, each chain sorted
+/// shallowest first (ties keep lattice order). Chains come in order of
+/// their first point.
+fn depth_chains(sims: &[Sim]) -> Vec<Vec<usize>> {
+    let mut chains: Vec<Vec<usize>> = Vec::new();
+    for (i, (p, cfg, _)) in sims.iter().enumerate() {
+        let same_chain = |&j: &usize| {
+            let (q, qcfg, _) = &sims[j];
+            qcfg == cfg && q.cache_lines == p.cache_lines && q.cache_banks == p.cache_banks
+        };
+        match chains.iter_mut().find(|c| c.first().is_some_and(same_chain)) {
+            Some(c) => c.push(i),
+            None => chains.push(vec![i]),
+        }
+    }
+    for c in &mut chains {
+        c.sort_by_key(|&i| sims[i].0.fifo_depth_beats);
+    }
+    chains
+}
+
+/// Evaluate one FIFO-depth chain of `sims`: each point's index and outcome,
+/// and the number of runs simulated. Points simulate one by one until a
+/// run succeeds without a single push-wait cycle; every deeper point then
+/// replays that run's outcome, because depth only gates pushes.
+fn run_chain(
+    k: &BuiltKernel,
+    env: &HwTuning,
+    sims: &[Sim],
+    chain: &[usize],
+) -> (Vec<PointRun>, u64) {
+    let mut seed: Option<DseOutcome> = None;
+    let mut simulated = 0;
+    let outcomes = chain
+        .iter()
+        .map(|&i| {
+            let (p, cfg, design) = &sims[i];
+            if let Some(o) = &seed {
+                return (i, Ok(DseOutcome { point: *p, ..o.clone() }));
+            }
+            simulated += 1;
+            let spec = RunSpec { tuning: p.tuning(env), ..RunSpec::new(Target::Cgpa(*cfg)) };
+            let run = run_compiled(k, design, &spec).map(|r| {
+                let o = outcome_of(*p, &r);
+                let push_free =
+                    r.stats.as_ref().is_some_and(|s| s.workers.iter().all(|w| w.stall_push() == 0));
+                if push_free {
+                    seed = Some(o.clone());
+                }
+                o
+            });
+            (i, run.map_err(|e| e.to_string()))
+        })
+        .collect();
+    (outcomes, simulated)
+}
+
 /// Explore `lattice` for kernel `k`: compile each distinct configuration
-/// once through `cache`, simulate every point concurrently, and report the
-/// 3-objective Pareto frontier plus a recommendation under
+/// once through `cache`, simulate the FIFO-depth chains concurrently
+/// (replaying push-free runs at deeper depths, see the module doc), and
+/// report the 3-objective Pareto frontier plus a recommendation under
 /// `area_budget_alut`. Partition heuristics are [`CgpaConfig::default`]'s;
 /// miss latency, cache lines when the lattice does not sweep them, and the
 /// simulation engine come from `env`.
@@ -393,8 +477,9 @@ fn outcome_of(point: DsePoint, r: &RunResult) -> DseOutcome {
 /// recorded in [`DseReport::skipped`].
 ///
 /// # Errors
-/// [`FlowError`] when *no* lattice point is feasible; per-point failures
-/// (compile or simulate) are recorded in [`DseReport::skipped`] instead.
+/// [`FlowError::NoFeasiblePoint`] when *no* lattice point is feasible;
+/// per-point failures (compile or simulate) are recorded in
+/// [`DseReport::skipped`] instead.
 pub fn explore(
     k: &BuiltKernel,
     lattice: &DseLattice,
@@ -429,8 +514,9 @@ pub fn explore(
         cache.get_or_compile(&k.func, &k.model, *cfg).map_err(|e| e.to_string())
     });
 
-    // Phase 2: simulate every (point, design) pair.
-    let mut sims: Vec<(DsePoint, CgpaConfig, Arc<Compiled>)> = Vec::new();
+    // Phase 2: simulate each FIFO-depth chain, shallowest point first; a
+    // run that never blocked a push seeds every deeper point of its chain.
+    let mut sims: Vec<Sim> = Vec::new();
     for ((cfg, ps), c) in groups.iter().zip(compiled) {
         match c {
             Ok(design) => {
@@ -439,17 +525,17 @@ pub fn explore(
             Err(e) => skipped.extend(ps.iter().map(|&p| (p, format!("compile: {e}")))),
         }
     }
-    let runs = par_map_capped(&sims, cap, |(p, cfg, design)| {
-        run_compiled(
-            k,
-            design,
-            &RunSpec { tuning: p.tuning(&env), ..RunSpec::new(Target::Cgpa(*cfg)) },
-        )
-        .map(|r| outcome_of(*p, &r))
-        .map_err(|e| e.to_string())
-    });
+    let mut runs = Vec::with_capacity(sims.len());
+    let mut simulated = 0;
+    for (outcomes, n) in
+        par_map_capped(&depth_chains(&sims), cap, |chain| run_chain(k, &env, &sims, chain))
+    {
+        runs.extend(outcomes);
+        simulated += n;
+    }
+    runs.sort_by_key(|&(i, _)| i);
     let mut evaluated: Vec<DseOutcome> = Vec::new();
-    for ((p, _, _), r) in sims.iter().zip(runs) {
+    for ((p, _, _), (_, r)) in sims.iter().zip(runs) {
         match r {
             Ok(o) => evaluated.push(o),
             Err(e) => skipped.push((*p, format!("simulate: {e}"))),
@@ -459,7 +545,7 @@ pub fn explore(
         let why = skipped
             .first()
             .map_or_else(|| "empty lattice".to_string(), |(p, e)| format!("{}: {e}", p.label()));
-        return Err(FlowError::Interp(format!("no feasible design point ({why})")));
+        return Err(FlowError::NoFeasiblePoint(format!("no feasible design point ({why})")));
     }
 
     let frontier = pareto_frontier(&evaluated);
@@ -481,6 +567,7 @@ pub fn explore(
         skipped,
         frontier,
         recommended,
+        simulated,
         compiles: stats_after.compiles - stats_before.compiles,
         cache_hits: stats_after.hits - stats_before.hits,
     })

@@ -78,6 +78,9 @@ pub enum FlowError {
     Mismatch(String),
     /// A run's statistics do not fit its compiled pipeline.
     Profile(ProfileError),
+    /// A design-space exploration found no lattice point that compiles and
+    /// simulates; the text names the first skipped point and its reason.
+    NoFeasiblePoint(String),
 }
 
 impl fmt::Display for FlowError {
@@ -88,6 +91,7 @@ impl fmt::Display for FlowError {
             FlowError::Interp(e) => write!(f, "interpret: {e}"),
             FlowError::Mismatch(e) => write!(f, "verification: {e}"),
             FlowError::Profile(e) => write!(f, "profile: {e}"),
+            FlowError::NoFeasiblePoint(e) => write!(f, "explore: {e}"),
         }
     }
 }

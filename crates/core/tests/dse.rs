@@ -1,17 +1,19 @@
 //! Design-space explorer acceptance tests: the explorer must strictly beat
 //! the default design point on every kernel, memoization must be observable
 //! (warm re-runs compile strictly less) and bit-exact (same Verilog, same
-//! schedules), and the Pareto frontier must be exactly the non-dominated
-//! subset for arbitrary inputs.
+//! schedules), FIFO-depth replay must agree with simulating every point,
+//! and the Pareto frontier must be exactly the non-dominated subset for
+//! arbitrary inputs.
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa::dse::{
     dominates, pareto_frontier, schedule_hash, CompileCache, DseLattice, DseOutcome, DsePoint,
     DEFAULT_AREA_BUDGET_ALUT,
 };
-use cgpa::flows::{run_cgpa_dse, HwTuning};
+use cgpa::flows::{run_cgpa_dse, run_compiled, FlowError, HwTuning, RunSpec, Target};
 use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_pipeline::ReplicablePlacement;
+use cgpa_rtl::power::{energy_delay_product, PowerReport, CLOCK_HZ};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -146,6 +148,136 @@ fn memoized_compile_is_bit_identical_to_fresh() {
     let stats = cache.stats();
     assert_eq!(stats.compiles as usize, suite().len());
     assert_eq!(stats.hits as usize, suite().len());
+}
+
+/// Assert two outcomes are equal field by field, floats by bit pattern.
+fn assert_same_outcome(got: &DseOutcome, want: &DseOutcome, what: &str) {
+    assert_eq!(got.point, want.point, "{what}: point");
+    let label = want.point.label();
+    assert_eq!(got.cycles, want.cycles, "{what} {label}: cycles");
+    assert_eq!(got.alut, want.alut, "{what} {label}: alut");
+    assert_eq!(got.power_mw.to_bits(), want.power_mw.to_bits(), "{what} {label}: power_mw");
+    assert_eq!(got.energy_uj.to_bits(), want.energy_uj.to_bits(), "{what} {label}: energy_uj");
+    assert_eq!(got.edp.to_bits(), want.edp.to_bits(), "{what} {label}: edp");
+}
+
+fn assert_same_outcomes(got: &[DseOutcome], want: &[DseOutcome], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (g, w) in got.iter().zip(want) {
+        assert_same_outcome(g, w, what);
+    }
+}
+
+/// The explorer's report with every point simulated directly: each
+/// configuration compiles once, each point runs through `run_compiled`,
+/// and the recommendation follows the explorer's rule.
+struct BruteForce {
+    evaluated: Vec<DseOutcome>,
+    skipped: Vec<(DsePoint, String)>,
+    frontier: Vec<DseOutcome>,
+    recommended: Option<DseOutcome>,
+}
+
+fn brute_force(k: &BuiltKernel, lattice: &DseLattice, env: HwTuning) -> BruteForce {
+    let base = CgpaConfig::default();
+    let cache = CompileCache::new();
+    let (mut evaluated, mut compile_skips, mut sim_skips) = (Vec::new(), Vec::new(), Vec::new());
+    for p in lattice.points(&env) {
+        let tuning = p.tuning(&env);
+        assert!(tuning.cache_config(p.workers).validate().is_ok(), "built-in lattices are valid");
+        let cfg = p.config(&base);
+        let design = match cache.get_or_compile(&k.func, &k.model, cfg) {
+            Ok(d) => d,
+            Err(e) => {
+                compile_skips.push((p, format!("compile: {e}")));
+                continue;
+            }
+        };
+        let spec = RunSpec { tuning, ..RunSpec::new(Target::Cgpa(cfg)) };
+        match run_compiled(k, &design, &spec) {
+            Ok(r) => {
+                let power = PowerReport {
+                    power_mw: r.power_mw,
+                    energy_uj: r.energy_uj,
+                    runtime_s: r.cycles as f64 / CLOCK_HZ,
+                };
+                evaluated.push(DseOutcome {
+                    point: p,
+                    cycles: r.cycles,
+                    alut: r.alut,
+                    power_mw: r.power_mw,
+                    energy_uj: r.energy_uj,
+                    edp: energy_delay_product(&power),
+                });
+            }
+            Err(e) => sim_skips.push((p, format!("simulate: {e}"))),
+        }
+    }
+    let frontier = pareto_frontier(&evaluated);
+    let mut fits: Vec<&DseOutcome> =
+        frontier.iter().filter(|o| o.alut <= DEFAULT_AREA_BUDGET_ALUT).collect();
+    fits.sort_by(|a, b| a.cycles.cmp(&b.cycles).then_with(|| a.edp.total_cmp(&b.edp)));
+    let recommended = match fits.first() {
+        Some(o) => Some((**o).clone()),
+        None => frontier.iter().min_by_key(|o| o.alut).cloned(),
+    };
+    compile_skips.extend(sim_skips);
+    BruteForce { evaluated, skipped: compile_skips, frontier, recommended }
+}
+
+/// FIFO-depth replay is exact: on every kernel, under the default lattice
+/// and environment and under the quick lattice in the slow-memory regime,
+/// the explorer's report equals one that simulates every point. A model
+/// that starts pricing FIFO depth, or a simulator in which depth reaches
+/// more than the push-side full check, fails here.
+#[test]
+fn depth_replay_matches_simulating_every_point() {
+    let mut replayed_somewhere = false;
+    for k in &suite() {
+        for (regime, lattice, env) in [
+            ("default", DseLattice::default(), HwTuning::default()),
+            ("quick himem", DseLattice::quick(), himem()),
+        ] {
+            let what = format!("{} {regime}", k.name);
+            let report =
+                run_cgpa_dse(k, &lattice, env, DEFAULT_AREA_BUDGET_ALUT, &CompileCache::new())
+                    .unwrap_or_else(|e| panic!("{what}: explorer failed: {e}"));
+            let brute = brute_force(k, &lattice, env);
+            assert_same_outcomes(&report.evaluated, &brute.evaluated, &format!("{what} evaluated"));
+            assert_eq!(report.skipped, brute.skipped, "{what}: skipped");
+            assert_same_outcomes(&report.frontier, &brute.frontier, &format!("{what} frontier"));
+            match (&report.recommended, &brute.recommended) {
+                (Some(got), Some(want)) => assert_same_outcome(got, want, &what),
+                (got, want) => panic!("{what}: recommended {got:?}, brute force {want:?}"),
+            }
+            let simulated = usize::try_from(report.simulated).expect("fits");
+            assert!(simulated <= report.evaluated.len() + report.skipped.len(), "{what}");
+            replayed_somewhere |= simulated < report.evaluated.len();
+        }
+    }
+    assert!(replayed_somewhere, "no exploration replayed a single point");
+}
+
+/// A lattice whose every point is rejected up front reports the typed
+/// error, naming the first skipped point.
+#[test]
+fn a_lattice_without_a_valid_point_is_a_typed_error() {
+    let k = kmeans::build(&kmeans::Params { points: 48, clusters: 4, features: 6 }, SEED);
+    let lattice = DseLattice { cache_lines: vec![0], ..DseLattice::quick() };
+    let err = run_cgpa_dse(
+        &k,
+        &lattice,
+        HwTuning::default(),
+        DEFAULT_AREA_BUDGET_ALUT,
+        &CompileCache::new(),
+    )
+    .expect_err("every point has a zero-line cache");
+    match err {
+        FlowError::NoFeasiblePoint(msg) => {
+            assert!(msg.starts_with("no feasible design point (P1 w1 fifo16 lines0: "), "{msg}");
+        }
+        other => panic!("expected NoFeasiblePoint, got {other}"),
+    }
 }
 
 fn outcome(cycles: u64, alut: u32, power: f64) -> DseOutcome {
