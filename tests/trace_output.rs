@@ -5,16 +5,22 @@
 //! Begin has a matching End per thread, timestamps never run backwards), and
 //! the simulator-side event stream must be bit-identical between the
 //! per-cycle reference stepper and the event-driven engine — tracing rides
-//! the architectural schedule, not the engine's evaluation order.
+//! the architectural schedule, not the engine's evaluation order. The
+//! compile track's events, timestamps aside, are pinned in
+//! `tests/golden/compile_trace.txt`.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use cgpa_repro::cgpa::compiler::CgpaConfig;
 use cgpa_repro::cgpa::flows::{run, FlowError, HwTuning, RunResult, RunSpec, Target};
-use cgpa_repro::kernels::{em3d, kmeans, BuiltKernel};
+use cgpa_repro::kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_repro::obs::json::Json;
 use cgpa_repro::obs::Recorder;
+use cgpa_repro::pipeline::ReplicablePlacement;
 use cgpa_repro::sim::{FaultClass, FaultPlan, HwError, SimEngine};
+
+const COMPILE_GOLDEN: &str = include_str!("golden/compile_trace.txt");
 
 fn suite() -> Vec<BuiltKernel> {
     vec![
@@ -229,4 +235,82 @@ fn failed_runs_close_every_span() {
         let kernel = format!("em3d/drop-beat seed {seed}");
         check_well_formed(&kernel, &recorder.to_chrome_json());
     }
+}
+
+/// The kernels of `tests/golden_sim.rs`, at its scale and seed.
+fn golden_suite() -> Vec<BuiltKernel> {
+    vec![
+        kmeans::build(&kmeans::Params { points: 48, clusters: 4, features: 6 }, 9),
+        hash_index::build(&hash_index::Params { items: 128, buckets: 32, scatter: 16 }, 9),
+        ks::build(&ks::Params { a_cells: 16, b_cells: 16, scatter: 12 }, 9),
+        em3d::build(&em3d::Params::fixed(64, 64, 6, 16), 9),
+        gaussblur::build(&gaussblur::Params { width: 256 }, 9),
+    ]
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The compile track (pid 1) of a traced run of `k` under `placement`: one
+/// Chrome event per line, in recording order, with the wall-clock `ts`
+/// deleted so only names, categories, args and nesting remain.
+fn compile_track(k: &BuiltKernel, placement: ReplicablePlacement) -> Vec<String> {
+    let recorder = Recorder::new();
+    let spec = RunSpec {
+        recorder: Some(&recorder),
+        ..RunSpec::new(Target::Cgpa(CgpaConfig { placement, ..CgpaConfig::default() }))
+    };
+    run(k, &spec).unwrap_or_else(|e| panic!("{}: traced run failed: {e}", k.name));
+    let doc = Json::parse(&recorder.to_chrome_json()).unwrap();
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+    events
+        .iter()
+        .filter(|e| e.get("pid").and_then(Json::as_u64) == Some(1))
+        .map(|e| match e {
+            Json::Obj(members) => {
+                Json::Obj(members.iter().filter(|(key, _)| key != "ts").cloned().collect())
+                    .to_string()
+            }
+            other => panic!("{}: trace event is not an object: {other:?}", k.name),
+        })
+        .collect()
+}
+
+/// The compile track records the same phases, in the same order, with the
+/// same annotations as the committed fingerprints: every golden-scale
+/// kernel under P1, plus em3d and gaussblur under P2 (where replication
+/// folds the whole loop into one parallel stage).
+#[test]
+fn compile_track_matches_golden_fingerprints() {
+    let mut got = String::new();
+    for k in golden_suite() {
+        let mut placements = vec![("P1", ReplicablePlacement::Pipelined)];
+        if matches!(k.name.as_str(), "em3d" | "gaussblur") {
+            placements.push(("P2", ReplicablePlacement::Replicated));
+        }
+        for (label, placement) in placements {
+            let lines = compile_track(&k, placement);
+            let _ = writeln!(
+                got,
+                "{} {label} events={} trace={:016x}",
+                k.name,
+                lines.len(),
+                fnv1a(lines.join("\n").as_bytes())
+            );
+        }
+    }
+    let want: String =
+        COMPILE_GOLDEN.lines().filter(|l| !l.starts_with('#')).map(|l| format!("{l}\n")).collect();
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(g, w, "compile trace drifted; full output:\n{got}");
+    }
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "case count differs from the golden file; full output:\n{got}"
+    );
 }
