@@ -26,7 +26,6 @@
 pub mod alias;
 pub mod classify;
 pub mod control;
-pub mod obs;
 pub mod pdg;
 pub mod scc;
 

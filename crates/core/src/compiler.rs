@@ -1,23 +1,18 @@
 //! The CGPA compiler driver (paper Figure 3's analysis/transform/backend
 //! pipeline).
 
-use cgpa_analysis::classify::SccClassification;
-use cgpa_analysis::obs::{
-    build_pdg_traced, classify_traced, condensation_traced, points_to_traced,
-};
-use cgpa_analysis::{Condensation, MemoryModel, Pdg};
+use cgpa_analysis::classify::{classify_sccs, SccClass, SccClassification};
+use cgpa_analysis::{build_pdg, Condensation, DepKind, MemoryModel, Pdg, PointsTo};
 use cgpa_ir::cfg::Cfg;
 use cgpa_ir::dom::DomTree;
 use cgpa_ir::loops::{Loop, LoopInfo};
 use cgpa_ir::Function;
-use cgpa_obs::Track;
-use cgpa_pipeline::obs::{partition_traced, transform_traced};
+use cgpa_obs::{Span, Track};
 use cgpa_pipeline::transform::TransformConfig;
 use cgpa_pipeline::{
-    PartitionConfig, PartitionError, PipelineModule, PipelinePlan, ReplicablePlacement,
-    TransformError,
+    partition_loop, transform_loop, PartitionConfig, PartitionError, PipelineModule, PipelinePlan,
+    ReplicablePlacement, StageKind, TransformError,
 };
-use cgpa_rtl::obs::{emit_worker_traced, schedule_traced};
 use cgpa_rtl::schedule::try_schedule_function;
 use cgpa_rtl::{verilog, Fsm};
 use std::error::Error;
@@ -209,24 +204,12 @@ impl CgpaCompiler {
         self.compile_inner(func, model, None)
     }
 
-    /// [`CgpaCompiler::compile`] with every phase recorded as a span on
-    /// `track` (alias → PDG → SCC condensation → classification →
+    /// [`CgpaCompiler::compile`], recording every phase as a span on `obs`
+    /// when it is given (alias → PDG → SCC condensation → classification →
     /// partition → transform → per-task FSM scheduling), each annotated
-    /// with its artifact sizes. The compiled result is identical to the
-    /// untraced flow.
-    ///
-    /// # Errors
-    /// See [`CompileError`].
-    pub fn compile_traced(
-        &self,
-        func: &Function,
-        model: &MemoryModel,
-        track: &Track,
-    ) -> Result<Compiled, CompileError> {
-        self.compile_inner(func, model, Some(track))
-    }
-
-    fn compile_inner(
+    /// with its artifact sizes. The compiled result does not depend on
+    /// `obs`.
+    pub(crate) fn compile_inner(
         &self,
         func: &Function,
         model: &MemoryModel,
@@ -260,27 +243,115 @@ impl CgpaCompiler {
         loop_id: u32,
         obs: Option<&Track>,
     ) -> Result<Compiled, CompileError> {
-        let pt = points_to_traced(func, model, obs);
-        let pdg = build_pdg_traced(func, cfg, target, &pt, model, obs);
-        let condensation = condensation_traced(&pdg, obs);
-        let classification = classify_traced(func, &pdg, &condensation, obs);
+        let pt = phase(
+            obs,
+            "alias",
+            "analysis",
+            || PointsTo::compute(func, model),
+            |s, _| {
+                s.arg("regions", model.regions().len());
+                s.arg("values", func.values.len());
+            },
+        );
+        let pdg = phase(
+            obs,
+            "pdg",
+            "analysis",
+            || build_pdg(func, cfg, target, &pt, model),
+            |s, pdg| {
+                s.arg("nodes", pdg.nodes.len());
+                s.arg("edges", pdg.edges.len());
+                s.arg("loop_carried_edges", pdg.edges.iter().filter(|e| e.loop_carried).count());
+                s.arg(
+                    "memory_edges",
+                    pdg.edges.iter().filter(|e| e.kind == DepKind::Memory).count(),
+                );
+            },
+        );
+        let condensation = phase(
+            obs,
+            "scc condense",
+            "analysis",
+            || Condensation::compute(&pdg),
+            |s, cond| {
+                s.arg("sccs", cond.len());
+                s.arg("dag_edges", cond.edges.len());
+                s.arg("largest_scc", cond.sccs.iter().map(Vec::len).max().unwrap_or(0));
+            },
+        );
+        let classification = phase(
+            obs,
+            "scc classify",
+            "analysis",
+            || classify_sccs(func, &pdg, &condensation),
+            |s, classification| {
+                let classes = classification.classes();
+                let count = |letter: char| classes.iter().filter(|c| c.letter() == letter).count();
+                s.arg("parallel", count('P'));
+                s.arg("replicable", count('R'));
+                s.arg("sequential", count('S'));
+                let lightweight = classes
+                    .iter()
+                    .filter(|c| matches!(c, SccClass::Replicable { lightweight: true }))
+                    .count();
+                s.arg("lightweight_replicable", lightweight);
+            },
+        );
         let mut pconfig = self.config.partition;
         pconfig.placement = self.config.placement;
-        let plan = partition_traced(func, &pdg, &condensation, &classification, pconfig, obs)?;
-        let shape = plan.shape();
-        let pipeline = transform_traced(
-            func,
-            cfg,
-            target,
-            &pdg,
-            &condensation,
-            &plan,
-            TransformConfig { workers: self.config.workers, loop_id },
+        let plan = phase(
             obs,
+            "partition",
+            "pipeline",
+            || partition_loop(func, &pdg, &condensation, &classification, pconfig),
+            |s, plan| match plan {
+                Ok(plan) => {
+                    s.arg("shape", plan.shape());
+                    s.arg("stages", plan.stages.len());
+                    s.arg(
+                        "parallel_stages",
+                        plan.stages.iter().filter(|st| st.kind == StageKind::Parallel).count(),
+                    );
+                    s.arg("duplicated_sccs", plan.duplicated.len());
+                }
+                Err(e) => s.arg("error", e.to_string()),
+            },
+        )?;
+        let shape = plan.shape();
+        let tconfig = TransformConfig { workers: self.config.workers, loop_id };
+        let pipeline = phase(
+            obs,
+            "transform",
+            "pipeline",
+            || transform_loop(func, cfg, target, &pdg, &condensation, &plan, tconfig),
+            |s, pipeline| match pipeline {
+                Ok(pipeline) => {
+                    s.arg("tasks", pipeline.tasks.len());
+                    s.arg("queues", pipeline.queues.len());
+                    s.arg("workers", pipeline.workers);
+                    s.arg("live_ins", pipeline.live_ins.len());
+                    s.arg("liveouts", pipeline.liveouts.len());
+                }
+                Err(e) => s.arg("error", e.to_string()),
+            },
         )?;
         let mut fsms = Vec::new();
         for f in &pipeline.module.funcs {
-            let fsm = schedule_traced(f, obs).map_err(|e| CompileError::Schedule(e.to_string()))?;
+            let name = format!("schedule {}", f.name);
+            let fsm = phase(
+                obs,
+                name,
+                "rtl",
+                || try_schedule_function(f),
+                |s, fsm| match fsm {
+                    Ok(fsm) => {
+                        s.arg("fsm_states", fsm.states.len());
+                        s.arg("blocks", f.blocks.len());
+                    }
+                    Err(e) => s.arg("error", e.to_string()),
+                },
+            )
+            .map_err(|e| CompileError::Schedule(e.to_string()))?;
             fsms.push(fsm);
         }
         Ok(Compiled { pipeline, plan, shape, fsms, pdg, condensation, classification })
@@ -342,15 +413,10 @@ impl CgpaCompiler {
         self.emit_verilog_inner(compiled, None)
     }
 
-    /// [`CgpaCompiler::emit_verilog`] with one span per emitted worker
-    /// module (plus an enclosing `verilog` span with the total output size)
-    /// recorded on `track`.
-    #[must_use]
-    pub fn emit_verilog_traced(&self, compiled: &Compiled, track: &Track) -> String {
-        self.emit_verilog_inner(compiled, Some(track))
-    }
-
-    fn emit_verilog_inner(&self, compiled: &Compiled, obs: Option<&Track>) -> String {
+    /// [`CgpaCompiler::emit_verilog`], recording one span per emitted worker
+    /// module inside an enclosing `verilog` span (total output size) on
+    /// `obs` when it is given.
+    pub(crate) fn emit_verilog_inner(&self, compiled: &Compiled, obs: Option<&Track>) -> String {
         let span = obs.map(|t| t.span("verilog", "rtl"));
         let mut out = String::new();
         out.push_str(&verilog::emit_fifo_library());
@@ -359,7 +425,18 @@ impl CgpaCompiler {
         for task in &compiled.pipeline.tasks {
             let f = &compiled.pipeline.module.funcs[task.func_index];
             let fsm = &compiled.fsms[task.func_index];
-            out.push_str(&emit_worker_traced(f, fsm, &task.name, obs));
+            let name = format!("verilog {}", task.name);
+            let text = phase(
+                obs,
+                name,
+                "rtl",
+                || verilog::emit_worker(f, fsm, &task.name),
+                |s, text| {
+                    s.arg("bytes", text.len());
+                    s.arg("lines", text.lines().count());
+                },
+            );
+            out.push_str(&text);
             out.push('\n');
             worker_insts.push((task.name.clone(), compiled.pipeline.instances(task)));
         }
@@ -383,6 +460,22 @@ impl CgpaCompiler {
         }
         out
     }
+}
+
+/// Run one compile phase: inside a `name` span on `obs`, annotated by
+/// `note` once `run` returns, or as a plain call when `obs` is `None`.
+fn phase<R>(
+    obs: Option<&Track>,
+    name: impl Into<String>,
+    cat: &str,
+    run: impl FnOnce() -> R,
+    note: impl FnOnce(&Span, &R),
+) -> R {
+    let Some(track) = obs else { return run() };
+    let span = track.span(name, cat);
+    let out = run();
+    note(&span, &out);
+    out
 }
 
 #[cfg(test)]

@@ -286,18 +286,16 @@ pub fn run(k: &BuiltKernel, spec: &RunSpec<'_>) -> Result<RunResult, FlowError> 
         };
         return simulate(k, design, spec).map(|r| RunResult { rung: Some(rung), ..r });
     }
-    let compiled = match spec.recorder {
-        Some(rec) => {
-            rec.name_process(1, format!("compile {}", k.name));
-            rec.name_thread(1, 1, "compiler");
-            let track = Track { rec: rec.clone(), pid: 1, tid: 1 };
-            let compiled = compiler.compile_traced(&k.func, &k.model, &track)?;
-            // Emit (and discard) the Verilog to record the backend's span.
-            let _ = compiler.emit_verilog_traced(&compiled, &track);
-            compiled
-        }
-        None => compiler.compile(&k.func, &k.model)?,
-    };
+    let track = spec.recorder.map(|rec| {
+        rec.name_process(1, format!("compile {}", k.name));
+        rec.name_thread(1, 1, "compiler");
+        Track { rec: rec.clone(), pid: 1, tid: 1 }
+    });
+    let compiled = compiler.compile_inner(&k.func, &k.model, track.as_ref())?;
+    if track.is_some() {
+        // Emit (and discard) the Verilog to record the backend's spans.
+        let _ = compiler.emit_verilog_inner(&compiled, track.as_ref());
+    }
     simulate(k, Design::Pipeline(&compiled, cgpa_label(config.placement)), spec)
 }
 

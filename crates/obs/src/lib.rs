@@ -3,11 +3,11 @@
 //! A zero-dependency span/event API with a Chrome-trace/Perfetto JSON
 //! exporter. Two layers of the toolchain record into it:
 //!
-//! - the **compile pipeline** emits one span per phase (alias, PDG, SCC
-//!   condensation, classification, partition, transform, FSM scheduling,
-//!   Verilog emission) on a wall-clock timeline, each annotated with
-//!   artifact-size counters (PDG nodes/edges, SCC counts by class, stage
-//!   and worker counts, FSM states);
+//! - the **compiler driver** (`cgpa::compiler`) emits one span per phase
+//!   (alias, PDG, SCC condensation, classification, partition, transform,
+//!   FSM scheduling, Verilog emission) on a wall-clock timeline, each
+//!   annotated with artifact-size counters (PDG nodes/edges, SCC counts by
+//!   class, stage and worker counts, FSM states);
 //! - the **simulator** emits per-iteration pipeline spans (iteration *N*
 //!   enters/retires on worker *W*) and asynchronous FIFO-occupancy counter
 //!   tracks on a cycle timeline, identically under both engines.
@@ -18,10 +18,12 @@
 //! spans tick one trace-microsecond per simulated cycle.
 //!
 //! [`Recorder`] is clonable and thread-safe (an `Arc` around a mutexed
-//! event list); [`Span`] is an RAII guard for wall-clock phases; [`Counter`]
-//! is a handle for one counter track. [`Recorder::to_chrome_json`] renders
-//! the whole recording in the Chrome trace-event format, which Perfetto
-//! (<https://ui.perfetto.dev>) and `chrome://tracing` load directly.
+//! event list); [`Span`] is an RAII guard for wall-clock phases, and
+//! [`Track`] names the lane a compile records its phases on. Counter tracks
+//! are sampled at explicit timestamps with [`Recorder::counter_at`].
+//! [`Recorder::to_chrome_json`] renders the whole recording in the Chrome
+//! trace-event format, which Perfetto (<https://ui.perfetto.dev>) and
+//! `chrome://tracing` load directly.
 //!
 //! ```
 //! use cgpa_obs::{Recorder, Track};
@@ -323,37 +325,9 @@ impl Drop for Span {
     }
 }
 
-/// Handle for one counter track (a named value-over-time lane in Perfetto).
-#[derive(Clone)]
-pub struct Counter {
-    rec: Recorder,
-    pid: u32,
-    tid: u32,
-    name: String,
-}
-
-impl Counter {
-    /// Create a handle for counter `name` on `(pid, tid)`.
-    #[must_use]
-    pub fn new(rec: &Recorder, pid: u32, tid: u32, name: impl Into<String>) -> Self {
-        Counter { rec: rec.clone(), pid, tid, name: name.into() }
-    }
-
-    /// Sample the counter at an explicit timestamp.
-    pub fn sample_at(&self, ts: u64, value: f64) {
-        self.rec.counter_at(self.pid, self.tid, ts, self.name.clone(), value);
-    }
-
-    /// Sample the counter now (wall clock).
-    pub fn sample(&self, value: f64) {
-        let ts = self.rec.now_us();
-        self.sample_at(ts, value);
-    }
-}
-
 /// A `(recorder, pid, tid)` bundle: the context a compile phase needs to
-/// record onto one track. Threading a `&Track` through the compiler keeps
-/// the per-crate instrumentation signatures small.
+/// record onto one track. The compiler driver takes an `Option<&Track>` and
+/// opens one span per phase on it.
 #[derive(Clone)]
 pub struct Track {
     /// The shared recorder.
@@ -369,12 +343,6 @@ impl Track {
     #[must_use]
     pub fn span(&self, name: impl Into<String>, cat: impl Into<String>) -> Span {
         self.rec.span(self.pid, self.tid, name, cat)
-    }
-
-    /// Sample a counter on this track now.
-    pub fn counter(&self, name: impl Into<String>, value: f64) {
-        let ts = self.rec.now_us();
-        self.rec.counter_at(self.pid, self.tid, ts, name, value);
     }
 }
 

@@ -19,7 +19,6 @@
 //!    parallel workers (Figure 1(e)), and rewrites the parent function to
 //!    `parallel_fork`/`parallel_join` plus liveout retrieval.
 
-pub mod obs;
 pub mod partition;
 pub mod plan;
 pub mod transform;

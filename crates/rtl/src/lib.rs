@@ -19,7 +19,6 @@
 
 pub mod area;
 pub mod fsm;
-pub mod obs;
 pub mod power;
 pub mod schedule;
 pub mod timing;
