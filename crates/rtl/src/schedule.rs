@@ -27,7 +27,7 @@
 
 use crate::fsm::{Fsm, State, StateId};
 use crate::timing::{op_timing, CHAIN_LIMIT};
-use cgpa_ir::{Function, InstId, Op, ValueId};
+use cgpa_ir::{BlockId, Function, InstId, Op, ValueId};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -50,6 +50,9 @@ pub enum ScheduleError {
     /// Two multi-cycle operations of the same kind share a state (the
     /// worker has one functional unit per kind).
     UnitConflict(StateId),
+    /// The FSM is not a state sequence over this function (for example one
+    /// scheduled from another function); see [`check_fsm`].
+    Malformed(String),
 }
 
 impl fmt::Display for ScheduleError {
@@ -67,6 +70,7 @@ impl fmt::Display for ScheduleError {
             ScheduleError::UnitConflict(s) => {
                 write!(f, "state {s} double-books a shared functional unit")
             }
+            ScheduleError::Malformed(e) => write!(f, "malformed FSM: {e}"),
         }
     }
 }
@@ -307,21 +311,106 @@ fn unit_kind(op: &Op) -> Option<&'static str> {
     }
 }
 
+/// Check that `fsm` is a state sequence over exactly `func`: every block
+/// owns a contiguous, non-empty run of states starting at its
+/// `block_entry`, the run starts with the entry block, every non-phi
+/// instruction is listed by exactly its own block and held by exactly one
+/// state of that block, and `state_of` has one entry per instruction that
+/// names the state holding it. [`verify_schedule`] runs this first; the
+/// simulator runs it before it lowers an FSM.
+///
+/// # Errors
+/// [`ScheduleError::Unscheduled`] for a non-phi instruction no state holds,
+/// [`ScheduleError::Malformed`] for any other mismatch.
+pub fn check_fsm(func: &Function, fsm: &Fsm) -> Result<(), ScheduleError> {
+    let malformed = |e: String| Err(ScheduleError::Malformed(e));
+    let mut block_of: Vec<Option<BlockId>> = vec![None; func.insts.len()];
+    for b in func.block_ids() {
+        for &i in &func.block(b).insts {
+            let Some(slot) = block_of.get_mut(i.index()) else {
+                return malformed(format!("block {b} lists unknown instruction {i}"));
+            };
+            if slot.replace(b).is_some() || func.inst(i).block != b {
+                return malformed(format!("{i} is not listed exactly once, in its own block"));
+            }
+        }
+    }
+    if fsm.block_entry.len() != func.blocks.len() {
+        return malformed(format!(
+            "{} block entries for {} blocks",
+            fsm.block_entry.len(),
+            func.blocks.len()
+        ));
+    }
+    if fsm.state_of.len() != func.insts.len() {
+        return malformed(format!(
+            "{} instruction states for {} instructions",
+            fsm.state_of.len(),
+            func.insts.len()
+        ));
+    }
+    let mut first_state: Vec<Option<usize>> = vec![None; func.blocks.len()];
+    let mut scheduled = vec![false; func.insts.len()];
+    for (sidx, state) in fsm.states.iter().enumerate() {
+        let b = state.block.index();
+        if b >= func.blocks.len() {
+            return malformed(format!("state S{sidx} belongs to unknown block {}", state.block));
+        }
+        let continues = sidx > 0 && fsm.states[sidx - 1].block == state.block;
+        match first_state[b] {
+            None => first_state[b] = Some(sidx),
+            Some(_) if continues => {}
+            Some(_) => {
+                return malformed(format!("block {} has non-contiguous states", state.block))
+            }
+        }
+        for &i in &state.ops {
+            if block_of.get(i.index()).copied().flatten() != Some(state.block) {
+                return malformed(format!(
+                    "state S{sidx} holds {i}, which is not in block {}",
+                    state.block
+                ));
+            }
+            if std::mem::replace(&mut scheduled[i.index()], true) {
+                return malformed(format!("{i} is scheduled twice"));
+            }
+            if fsm.state_of[i.index()] != Some(StateId(sidx as u32)) {
+                return malformed(format!(
+                    "state_of does not place {i} in S{sidx}, which holds it"
+                ));
+            }
+        }
+    }
+    for b in func.block_ids() {
+        if first_state[b.index()] != Some(fsm.block_entry[b.index()].index()) {
+            return malformed(format!("block {b} does not start at its FSM entry state"));
+        }
+    }
+    if first_state.first().copied().flatten() != Some(0) {
+        return malformed("the FSM does not start in the entry block".to_string());
+    }
+    for (idx, inst) in func.insts.iter().enumerate() {
+        if scheduled[idx] {
+            continue;
+        }
+        let i = InstId(idx as u32);
+        if fsm.state_of[idx].is_some() {
+            return malformed(format!("state_of places {i} in a state that does not hold it"));
+        }
+        if !matches!(inst.op, Op::Phi { .. }) {
+            return Err(ScheduleError::Unscheduled(i));
+        }
+    }
+    Ok(())
+}
+
 /// Check the scheduling invariants (paper eqs. 1–4 plus data hazards) on a
-/// produced FSM.
+/// produced FSM, after [`check_fsm`] has checked its structure.
 ///
 /// # Errors
 /// Returns the first violation found.
 pub fn verify_schedule(func: &Function, fsm: &Fsm) -> Result<(), ScheduleError> {
-    // Every non-phi instruction is scheduled.
-    for (idx, inst) in func.insts.iter().enumerate() {
-        if matches!(inst.op, Op::Phi { .. }) {
-            continue;
-        }
-        if fsm.state_of[idx].is_none() {
-            return Err(ScheduleError::Unscheduled(InstId(idx as u32)));
-        }
-    }
+    check_fsm(func, fsm)?;
 
     for (sidx, state) in fsm.states.iter().enumerate() {
         let sid = StateId(sidx as u32);

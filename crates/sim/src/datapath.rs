@@ -39,6 +39,7 @@ use cgpa_ir::{
     BinOp, BlockId, CastKind, FloatPredicate, Function, InstId, IntPredicate, Op, Ty, ValueDef,
     ValueId,
 };
+use cgpa_rtl::schedule::check_fsm;
 use cgpa_rtl::Fsm;
 
 /// A register: a dense index into a worker's register file, which holds
@@ -157,8 +158,8 @@ pub(crate) fn lower(
     liveouts: usize,
 ) -> Result<Program, LowerError> {
     cgpa_ir::verify::verify(func).map_err(|e| e.to_string())?;
-    let block_of = check_fsm(func, fsm)?;
-    check_schedule_order(func, fsm, &block_of)?;
+    check_fsm(func, fsm).map_err(|e| e.to_string())?;
+    check_schedule_order(func, fsm)?;
 
     let mut prog = Program {
         init: func
@@ -199,80 +200,12 @@ pub(crate) fn lower(
     Ok(prog)
 }
 
-/// The FSM is a state sequence over exactly this function: every block
-/// owns a contiguous, non-empty run of states starting at its
-/// `block_entry`, the run starts with the entry block, and every non-phi
-/// instruction is listed by exactly its own block and scheduled exactly
-/// once, in that block. Returns each listed instruction's block.
-fn check_fsm(func: &Function, fsm: &Fsm) -> Result<Vec<Option<BlockId>>, LowerError> {
-    let mut block_of: Vec<Option<BlockId>> = vec![None; func.insts.len()];
-    for b in func.block_ids() {
-        for &i in &func.block(b).insts {
-            if block_of[i.index()].replace(b).is_some() || func.inst(i).block != b {
-                return Err(format!("{i} is not listed exactly once, in its own block"));
-            }
-        }
-    }
-    if fsm.block_entry.len() != func.blocks.len() {
-        return Err(format!(
-            "FSM has {} block entries for {} blocks",
-            fsm.block_entry.len(),
-            func.blocks.len()
-        ));
-    }
-    let mut first_state: Vec<Option<usize>> = vec![None; func.blocks.len()];
-    let mut scheduled = vec![false; func.insts.len()];
-    for (sidx, state) in fsm.states.iter().enumerate() {
-        let b = state.block.index();
-        if b >= func.blocks.len() {
-            return Err(format!("state S{sidx} belongs to unknown block {}", state.block));
-        }
-        let continues = sidx > 0 && fsm.states[sidx - 1].block == state.block;
-        match first_state[b] {
-            None => first_state[b] = Some(sidx),
-            Some(_) if continues => {}
-            Some(_) => return Err(format!("block {} has non-contiguous states", state.block)),
-        }
-        for &i in &state.ops {
-            if i.index() >= func.insts.len() || block_of[i.index()] != Some(state.block) {
-                return Err(format!(
-                    "state S{sidx} holds {i}, which is not in block {}",
-                    state.block
-                ));
-            }
-            if std::mem::replace(&mut scheduled[i.index()], true) {
-                return Err(format!("{i} is scheduled twice"));
-            }
-        }
-    }
-    for b in func.block_ids() {
-        if first_state[b.index()] != Some(fsm.block_entry[b.index()].index()) {
-            return Err(format!("block {b} does not start at its FSM entry state"));
-        }
-    }
-    if first_state.first().copied().flatten() != Some(0) {
-        return Err("the FSM does not start in the entry block".to_string());
-    }
-    for b in func.block_ids() {
-        for &i in &func.block(b).insts {
-            if !scheduled[i.index()] && !matches!(func.inst(i).op, Op::Phi { .. }) {
-                return Err(format!("{i} ({:?}) is not scheduled", func.inst(i).op));
-            }
-        }
-    }
-    Ok(block_of)
-}
-
 /// Within each block, every operand defined by a non-phi instruction of
 /// the same block is computed by an op that runs earlier in schedule
 /// order (an earlier state, or earlier in the same state). Uses across
 /// blocks are covered by the verifier's dominance check; terminators and
 /// phi copies run after every op of their block.
-fn check_schedule_order(
-    func: &Function,
-    fsm: &Fsm,
-    block_of: &[Option<BlockId>],
-) -> Result<(), LowerError> {
+fn check_schedule_order(func: &Function, fsm: &Fsm) -> Result<(), LowerError> {
     // Whether each value's defining op has run, walking states in order
     // (a block's states are contiguous, so a same-block definition that is
     // still unset here runs later than its use).
@@ -285,9 +218,9 @@ fn check_schedule_order(
             }
             for v in inst.op.operands() {
                 let Some(def) = func.def_of(v) else { continue };
-                let same_block = block_of.get(def.index()).copied().flatten() == Some(state.block);
-                if same_block && !matches!(func.inst(def).op, Op::Phi { .. }) && !defined[v.index()]
-                {
+                let dinst = func.inst(def);
+                let same_block = dinst.block == state.block;
+                if same_block && !matches!(dinst.op, Op::Phi { .. }) && !defined[v.index()] {
                     return Err(format!("{i} reads {v} before {def} computes it"));
                 }
             }

@@ -1015,6 +1015,37 @@ mod tests {
         }
     }
 
+    /// `fn chain() -> i32`: `adds` chained integer adds, then `ret`.
+    fn chain(adds: usize) -> Function {
+        let mut b = FunctionBuilder::new("chain", &[], Some(Ty::I32));
+        let one = b.const_i32(1);
+        let mut v = one;
+        for _ in 0..adds {
+            v = b.binary(BinOp::Add, v, one);
+        }
+        b.ret(Some(v));
+        b.finish().unwrap()
+    }
+
+    /// An FSM scheduled from a smaller or a larger function is an error
+    /// for both the schedule checker and the simulator, not an index out
+    /// of bounds.
+    #[test]
+    fn foreign_fsms_are_errors_in_both_directions() {
+        let (short, long) = (chain(1), chain(3));
+        for (func, donor) in [(&short, &long), (&long, &short)] {
+            let fsm = schedule_function(donor);
+            let err = cgpa_rtl::verify_schedule(func, &fsm).unwrap_err();
+            assert!(matches!(err, cgpa_rtl::ScheduleError::Malformed(_)), "{err:?}");
+            let instance = Instance { func: 0, args: Vec::new(), label: "chain".into() };
+            let cfg = HwConfig::default();
+            let mut sys =
+                HwSystem::build(vec![func], vec![fsm].into(), &[], 0, vec![instance], cfg, "x");
+            let err = sys.run(&mut SimMemory::new(1 << 12)).unwrap_err();
+            assert!(matches!(err, HwError::Malformed { worker: 0, .. }), "{err:?}");
+        }
+    }
+
     #[test]
     fn foreign_fsm_and_bad_arity_are_malformed() {
         let f = scale_fn();
