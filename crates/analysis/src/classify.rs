@@ -57,17 +57,6 @@ impl SccClassification {
     pub fn classes(&self) -> &[SccClass] {
         &self.classes
     }
-
-    /// Ids of all SCCs with the given class letter (`'P'`, `'R'`, `'S'`).
-    #[must_use]
-    pub fn with_letter(&self, letter: char) -> Vec<SccId> {
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.letter() == letter)
-            .map(|(i, _)| SccId(i as u32))
-            .collect()
-    }
 }
 
 /// Classify every SCC of `cond`.

@@ -87,16 +87,6 @@ impl Pdg {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Successor adjacency (node → outgoing edge indices).
-    #[must_use]
-    pub fn succ_adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.nodes.len()];
-        for (i, e) in self.edges.iter().enumerate() {
-            adj[e.from].push(i);
-        }
-        adj
-    }
 }
 
 /// Build the PDG of `target` in `func`.

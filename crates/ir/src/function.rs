@@ -280,12 +280,6 @@ impl Module {
         self.funcs.len() - 1
     }
 
-    /// Find a function by name.
-    #[must_use]
-    pub fn func_by_name(&self, name: &str) -> Option<&Function> {
-        self.funcs.iter().find(|f| f.name == name)
-    }
-
     /// Declare a queue set, returning its id.
     pub fn add_queue(&mut self, name: impl Into<String>, elem_ty: Ty, channels: u32) -> QueueId {
         let id = QueueId(self.queues.len() as u32);

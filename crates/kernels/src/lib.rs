@@ -228,16 +228,3 @@ impl BuiltKernel {
         mem
     }
 }
-
-/// All five benchmarks with their default (paper-scale-ish) parameters, in
-/// Table 2 order.
-#[must_use]
-pub fn default_suite(seed: u64) -> Vec<BuiltKernel> {
-    vec![
-        kmeans::build(&kmeans::Params::default(), seed),
-        hash_index::build(&hash_index::Params::default(), seed),
-        ks::build(&ks::Params::default(), seed),
-        em3d::build(&em3d::Params::default(), seed),
-        gaussblur::build(&gaussblur::Params::default(), seed),
-    ]
-}

@@ -113,15 +113,6 @@ impl Json {
         }
     }
 
-    /// Member list, if this is an object.
-    #[must_use]
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// An object from `(key, value)` members, in order.
     #[must_use]
     pub fn obj<'k>(members: impl IntoIterator<Item = (&'k str, Json)>) -> Json {

@@ -200,12 +200,6 @@ impl CacheSystem {
         let line = (block % self.cfg.lines) as usize;
         self.tags[line] == Some(block)
     }
-
-    /// Reset timing state but keep tags (used between measurement phases).
-    pub fn reset_timing(&mut self) {
-        self.bank_free_at.iter_mut().for_each(|c| *c = 0);
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]

@@ -403,12 +403,6 @@ impl<'m> HwSystem<'m> {
         &self.fsms
     }
 
-    /// Function index of worker `w` (into the module's function table).
-    #[must_use]
-    pub fn worker_func(&self, w: usize) -> usize {
-        self.workers[w].func
-    }
-
     /// Liveout register contents after a run.
     #[must_use]
     pub fn liveouts(&self) -> &[Option<Value>] {
@@ -506,7 +500,7 @@ impl<'m> HwSystem<'m> {
             }
             if self.trace.is_some() {
                 for (qi, occ) in queue_occ_before.iter_mut().enumerate() {
-                    *occ = total_occupancy(&self.queues[qi]);
+                    *occ = self.queues[qi].total_occupancy() as u32;
                 }
             }
             let mut progressed = false;
@@ -587,7 +581,7 @@ impl<'m> HwSystem<'m> {
             }
             if let Some(trace) = &mut self.trace {
                 for (qi, &before) in queue_occ_before.iter().enumerate() {
-                    let now = total_occupancy(&self.queues[qi]);
+                    let now = self.queues[qi].total_occupancy() as u32;
                     if now != before {
                         trace.record(TraceEvent::QueueOccupancy {
                             cycle,
@@ -723,12 +717,6 @@ impl<'m> HwSystem<'m> {
     pub fn fifo_channels(&self) -> u32 {
         self.fifo_total_channels
     }
-}
-
-/// Total beat occupancy of a queue set across channels.
-#[inline]
-fn total_occupancy(q: &QueueState) -> u32 {
-    (0..q.channels()).map(|c| q.occupancy(c) as u32).sum()
 }
 
 /// Credit `k` skipped cycles to a live worker according to its
