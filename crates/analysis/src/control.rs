@@ -13,101 +13,40 @@ pub struct ControlDeps {
 }
 
 impl ControlDeps {
-    /// Compute control dependences with the classic FOW walk: for each CFG
-    /// edge `(u, v)` where `v` does not post-dominate `u`, every node on the
-    /// post-dominator-tree path from `v` up to (excluding) `ipdom(u)` is
-    /// control-dependent on `u`.
+    /// Compute control dependences with the classic FOW walk on the CFG with
+    /// `back_edges` removed: for each edge `(u, v)` where `v` does not
+    /// post-dominate `u`, every node on the post-dominator-tree path from `v`
+    /// up to (excluding) `ipdom(u)` is control-dependent on `u`.
     ///
-    /// Note that a loop header is control-dependent on its own exit branch —
-    /// that is what makes loop bodies re-execute — and the PDG builder turns
-    /// that into loop-carried control edges.
+    /// Passing a target loop's `(latch, header)` back edges gives the
+    /// standard DSWP treatment: the loop body becomes acyclic, so an
+    /// inner-loop header's self-dependence is still found (inner back edges
+    /// stay), while the *target* loop's cross-iteration control is handled
+    /// separately by the PDG builder as a blanket loop-carried edge from
+    /// every exit branch to every loop instruction. With no edges removed, a
+    /// loop header is control-dependent on its own exit branch — that is
+    /// what makes loop bodies re-execute.
     #[must_use]
-    pub fn compute(func: &Function, cfg: &Cfg, pdom: &DomTree) -> Self {
-        let n = func.blocks.len();
-        let mut deps: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    pub fn compute(func: &Function, cfg: &Cfg, back_edges: &[(BlockId, BlockId)]) -> Self {
+        let pdom = DomTree::post_dominators(func, cfg, back_edges);
+        let mut deps: Vec<Vec<BlockId>> = vec![Vec::new(); func.blocks.len()];
         for u in func.block_ids() {
-            let succs = cfg.succs(u);
+            let succs: Vec<BlockId> =
+                cfg.succs(u).iter().copied().filter(|&v| !back_edges.contains(&(u, v))).collect();
             if succs.len() < 2 {
                 continue; // only conditional branches create control deps
             }
-            for &v in succs {
-                // Walk from v up the post-dominator tree to ipdom(u).
-                let stop = pdom.idom(u.index());
+            let stop = pdom.idom(u.index());
+            for v in succs {
                 let mut w = Some(v.index());
                 while let Some(cur) = w {
-                    if Some(cur) == stop {
+                    if Some(cur) == stop || cur == pdom.virtual_exit() {
                         break;
                     }
-                    if cur < n {
-                        let b = BlockId(cur as u32);
-                        if !deps[cur].contains(&u) {
-                            deps[cur].push(u);
-                        }
-                        let _ = b;
+                    if !deps[cur].contains(&u) {
+                        deps[cur].push(u);
                     }
                     w = pdom.idom(cur);
-                }
-            }
-        }
-        ControlDeps { deps }
-    }
-
-    /// Compute *intra-iteration* control dependences with respect to a
-    /// target loop: the same FOW walk, but on a view of the CFG with the
-    /// loop's back edges removed.
-    ///
-    /// This is the standard DSWP treatment — removing the back edges makes
-    /// the loop body acyclic, so an inner-loop header's self-dependence is
-    /// still found (inner back edges stay), while the *target* loop's
-    /// cross-iteration control is handled separately by the PDG builder as a
-    /// blanket loop-carried edge from every exit branch to every loop
-    /// instruction.
-    ///
-    /// `back_edges` are `(latch, header)` pairs to remove.
-    #[must_use]
-    pub fn compute_acyclic(func: &Function, cfg: &Cfg, back_edges: &[(BlockId, BlockId)]) -> Self {
-        use cgpa_ir::dom::idoms_of_graph;
-        let n = func.blocks.len();
-        let exit = n; // virtual exit node
-                      // Forward successors with back edges removed.
-        let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for u in func.block_ids() {
-            for &v in cfg.succs(u) {
-                if !back_edges.contains(&(u, v)) {
-                    fwd[u.index()].push(v.index());
-                }
-            }
-        }
-        // Reverse graph rooted at a virtual exit; blocks with no remaining
-        // successors (cut latches, `ret` blocks) attach to the exit.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        for (u, succs) in fwd.iter().enumerate() {
-            if succs.is_empty() {
-                rev[exit].push(u);
-            }
-            for &v in succs {
-                rev[v].push(u);
-            }
-        }
-        let ipdom = idoms_of_graph(n + 1, exit, &rev);
-        let mut deps: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        #[allow(clippy::needless_range_loop)]
-        for u in 0..n {
-            if fwd[u].len() < 2 {
-                continue;
-            }
-            for &v in &fwd[u] {
-                let stop = ipdom[u];
-                let mut w = Some(v);
-                while let Some(cur) = w {
-                    if Some(cur) == stop || cur == exit {
-                        break;
-                    }
-                    let ub = BlockId(u as u32);
-                    if !deps[cur].contains(&ub) {
-                        deps[cur].push(ub);
-                    }
-                    w = ipdom[cur];
                 }
             }
         }
@@ -144,8 +83,7 @@ mod tests {
         b.ret(None);
         let f = b.finish().unwrap();
         let cfg = Cfg::new(&f);
-        let pdom = DomTree::post_dominators(&f, &cfg);
-        let cd = ControlDeps::compute(&f, &cfg, &pdom);
+        let cd = ControlDeps::compute(&f, &cfg, &[]);
         assert_eq!(cd.deps_of(l), &[BlockId(0)]);
         assert_eq!(cd.deps_of(r), &[BlockId(0)]);
         assert!(cd.deps_of(j).is_empty());
@@ -171,8 +109,7 @@ mod tests {
         b.ret(None);
         let f = b.finish().unwrap();
         let cfg = Cfg::new(&f);
-        let pdom = DomTree::post_dominators(&f, &cfg);
-        let cd = ControlDeps::compute(&f, &cfg, &pdom);
+        let cd = ControlDeps::compute(&f, &cfg, &[]);
         // Body is controlled by the header branch; the header re-executes
         // depending on its own branch (via the back edge walk).
         assert_eq!(cd.deps_of(body), &[header]);
@@ -209,7 +146,7 @@ mod tests {
         let f = b.finish().unwrap();
         let cfg = Cfg::new(&f);
         // Remove only the *outer* back edge (ol -> oh).
-        let cd = ControlDeps::compute_acyclic(&f, &cfg, &[(ol, oh)]);
+        let cd = ControlDeps::compute(&f, &cfg, &[(ol, oh)]);
         // The outer header no longer depends on itself…
         assert!(!cd.deps_of(oh).contains(&oh));
         // …but the inner header still self-depends via the inner back edge.

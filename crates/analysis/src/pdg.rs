@@ -10,7 +10,7 @@
 //!   is a back edge of the target loop.
 //! - **Control**: intra-iteration dependences come from the FOW walk on the
 //!   loop body with the target's back edges removed
-//!   ([`ControlDeps::compute_acyclic`]); cross-iteration control is the
+//!   ([`ControlDeps::compute`]); cross-iteration control is the
 //!   standard DSWP blanket — every exit branch of the target loop carries a
 //!   loop-carried control edge to *every* instruction of the loop (whether
 //!   iteration `i+1` runs anything at all is decided by iteration `i`'s
@@ -23,7 +23,7 @@
 //!   loop-carried unless the alias analysis proves the conflict
 //!   intra-iteration (`distinct_per_iteration` regions).
 //!
-//! [`ControlDeps::compute_acyclic`]: crate::control::ControlDeps::compute_acyclic
+//! [`ControlDeps::compute`]: crate::control::ControlDeps::compute
 
 use crate::alias::{AliasResult, MemoryModel, PointsTo};
 use crate::control::ControlDeps;
@@ -129,7 +129,7 @@ pub fn build_pdg(
 
     // --- Control dependences ----------------------------------------------
     let back_edges: Vec<_> = target.latches.iter().map(|l| (*l, target.header)).collect();
-    let cd = ControlDeps::compute_acyclic(func, cfg, &back_edges);
+    let cd = ControlDeps::compute(func, cfg, &back_edges);
     for (to, &iid) in nodes.iter().enumerate() {
         let inst = func.inst(iid);
         for &dep_block in cd.deps_of(inst.block) {

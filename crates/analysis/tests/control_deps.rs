@@ -175,21 +175,15 @@ fn check(f: &Function, cut: &[(BlockId, BlockId)]) -> Result<(), TestCaseError> 
     prop_assert!(escapes(&succs, &preds, None).iter().all(|&e| e), "a block reaches no exit");
     let pdom = brute_post_dominance(&succs, &preds);
 
-    if cut.is_empty() {
-        let tree = DomTree::post_dominators(f, &cfg);
-        for b in 0..n {
-            prop_assert!(tree.dominates(tree.virtual_exit(), b));
-            for (a, pdom_a) in pdom.iter().enumerate() {
-                prop_assert_eq!(tree.dominates(a, b), pdom_a[b], "does {} post-dominate {}?", a, b);
-            }
+    let tree = DomTree::post_dominators(f, &cfg, cut);
+    for b in 0..n {
+        prop_assert!(tree.dominates(tree.virtual_exit(), b));
+        for (a, pdom_a) in pdom.iter().enumerate() {
+            prop_assert_eq!(tree.dominates(a, b), pdom_a[b], "does {} post-dominate {}?", a, b);
         }
     }
 
-    let cd = if cut.is_empty() {
-        ControlDeps::compute(f, &cfg, &DomTree::post_dominators(f, &cfg))
-    } else {
-        ControlDeps::compute_acyclic(f, &cfg, cut)
-    };
+    let cd = ControlDeps::compute(f, &cfg, cut);
     for (y, pdom_y) in pdom.iter().enumerate() {
         // FOW: `y` depends on `x` when some edge `x -> z` has `y`
         // post-dominating `z`, and `y` does not strictly post-dominate `x`.

@@ -1,13 +1,13 @@
 //! Dominator and post-dominator trees (Cooper–Harvey–Kennedy iterative
 //! algorithm).
 //!
-//! Post-dominance is computed on the reverse CFG augmented with one virtual
-//! exit node that every `ret` block feeds; the PDG builder in `cgpa-analysis`
-//! derives control dependences from it.
+//! Post-dominance is computed on the reverse CFG, optionally with some edges
+//! cut, augmented with one virtual exit node that every successor-less block
+//! feeds; the PDG builder in `cgpa-analysis` derives control dependences from
+//! it, and the pipeline transform collapses branches to it.
 
 use crate::cfg::Cfg;
 use crate::function::{BlockId, Function};
-use crate::inst::Op;
 
 /// Index space for dominance computations: real blocks are `0..n`; the
 /// post-dominator tree adds a virtual exit at index `n`.
@@ -36,29 +36,33 @@ impl DomTree {
         DomTree { idom, root: 0, num_blocks: n }
     }
 
-    /// Compute the post-dominator tree of `func`, rooted at a virtual exit
-    /// node with index `func.blocks.len()`.
+    /// Compute the post-dominator tree of `func` with the `cut` edges
+    /// removed, rooted at a virtual exit node with index `func.blocks.len()`.
     ///
-    /// Every block whose terminator is `ret` gets an edge to the virtual
-    /// exit. Blocks on infinite loops (none in this workspace's kernels)
-    /// would be unreachable in the reverse graph and report no
-    /// post-dominator.
+    /// Every block left without a successor (a `ret` block, or a latch whose
+    /// only edge was cut) feeds the virtual exit. Cutting a loop's
+    /// `(latch, header)` back edges gives the intra-iteration view that the
+    /// PDG builder and the pipeline transform use. Blocks on infinite loops
+    /// (none in this workspace's kernels) would be unreachable in the reverse
+    /// graph and report no post-dominator.
     #[must_use]
-    pub fn post_dominators(func: &Function, cfg: &Cfg) -> Self {
+    pub fn post_dominators(_func: &Function, cfg: &Cfg, cut: &[(BlockId, BlockId)]) -> Self {
         let n = cfg.len();
         let exit = n;
-        // Reverse graph: succs_rev[v] = predecessors of v in reverse CFG
-        // = successors in forward CFG... we need, for the dominator algorithm
-        // run on the reverse graph, the successor map of the reverse graph,
-        // which is the predecessor map of the forward graph, plus exit edges.
+        // Successor map of the reverse graph: each kept edge `u -> v` becomes
+        // `v -> u`, and the virtual exit leads to every successor-less block.
         let mut succs_rev: Vec<Vec<NodeIdx>> = vec![Vec::new(); n + 1];
-        for i in 0..n {
-            let b = BlockId(i as u32);
-            succs_rev[i] = cfg.preds(b).iter().map(|p| p.index()).collect();
-            if let Some(t) = func.terminator(b) {
-                if matches!(func.inst(t).op, Op::Ret { .. }) {
-                    succs_rev[exit].push(i);
+        for u in 0..n {
+            let ub = BlockId(u as u32);
+            let mut has_succ = false;
+            for &v in cfg.succs(ub) {
+                if !cut.contains(&(ub, v)) {
+                    succs_rev[v.index()].push(u);
+                    has_succ = true;
                 }
+            }
+            if !has_succ {
+                succs_rev[exit].push(u);
             }
         }
         let idom = compute_idoms(n + 1, exit, &succs_rev);
@@ -105,17 +109,6 @@ impl DomTree {
     pub fn strictly_dominates(&self, a: NodeIdx, b: NodeIdx) -> bool {
         a != b && self.dominates(a, b)
     }
-}
-
-/// Immediate dominators of an arbitrary graph given as a successor list —
-/// the engine behind [`DomTree`], exposed for analyses that dominate
-/// modified views of the CFG (e.g. the PDG builder computes post-dominators
-/// of the loop body with back edges removed).
-///
-/// Returns `idom[v]`; the root and unreachable nodes get `None`.
-#[must_use]
-pub fn idoms_of_graph(n: usize, root: NodeIdx, succs: &[Vec<NodeIdx>]) -> Vec<Option<NodeIdx>> {
-    compute_idoms(n, root, succs)
 }
 
 /// Cooper–Harvey–Kennedy "A Simple, Fast Dominance Algorithm".
@@ -241,7 +234,7 @@ mod tests {
     fn diamond_post_dominators() {
         let f = diamond();
         let cfg = Cfg::new(&f);
-        let pdom = DomTree::post_dominators(&f, &cfg);
+        let pdom = DomTree::post_dominators(&f, &cfg, &[]);
         let exit = pdom.virtual_exit();
         assert_eq!(exit, 4);
         // join post-dominates everything; l/r post-dominate only themselves.
@@ -272,7 +265,7 @@ mod tests {
         b.ret(None);
         let f = b.finish().unwrap();
         let cfg = Cfg::new(&f);
-        let pdom = DomTree::post_dominators(&f, &cfg);
+        let pdom = DomTree::post_dominators(&f, &cfg, &[]);
         // The loop body does NOT post-dominate the header (the header can
         // skip it), which is what creates the control dependence of the body
         // on the header's branch.

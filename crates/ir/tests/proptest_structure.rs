@@ -119,7 +119,7 @@ proptest! {
     fn post_dominators_root_every_reachable_block(regions in proptest::collection::vec(region(), 1..8)) {
         let f = build(&regions);
         let cfg = Cfg::new(&f);
-        let pdom = DomTree::post_dominators(&f, &cfg);
+        let pdom = DomTree::post_dominators(&f, &cfg, &[]);
         let exit = pdom.virtual_exit();
         for b in f.block_ids() {
             if cfg.reachable()[b.index()] {

@@ -27,7 +27,7 @@ use crate::plan::{PipelinePlan, StageKind};
 use cgpa_analysis::pdg::DepKind;
 use cgpa_analysis::{Condensation, Pdg, SccId};
 use cgpa_ir::cfg::Cfg;
-use cgpa_ir::dom::{idoms_of_graph, DomTree};
+use cgpa_ir::dom::DomTree;
 use cgpa_ir::loops::{Loop, LoopInfo};
 use cgpa_ir::{
     BinOp, BlockId, Const, Function, FunctionBuilder, InstId, IntPredicate, Module, Op, QueueId,
@@ -309,9 +309,10 @@ pub fn transform_loop(
         });
     }
 
-    // Acyclic immediate post-dominators of loop blocks (for collapsing
-    // un-needed branches).
-    let acyclic_ipdom = compute_acyclic_ipdom(func, cfg, target);
+    // Post-dominators of the loop body with its back edges cut, for
+    // collapsing un-needed branches.
+    let back_edges: Vec<_> = target.latches.iter().map(|&l| (l, target.header)).collect();
+    let pdom = DomTree::post_dominators(func, cfg, &back_edges);
     let dom = DomTree::dominators(func, cfg);
     let loop_info = LoopInfo::compute(func, cfg, &dom);
 
@@ -410,7 +411,7 @@ pub fn transform_loop(
             top_produces: &top_produces_by_stage[si],
             live_ins: &live_ins,
             liveouts: &liveouts,
-            acyclic_ipdom: &acyclic_ipdom,
+            pdom: &pdom,
         };
         let name = format!("{}_stage{}", func.name, si);
         let mut task = match stage.kind {
@@ -587,33 +588,6 @@ fn comm_block(
     Ok(db)
 }
 
-/// Immediate post-dominators of the loop body with back edges removed,
-/// including a virtual exit; used to collapse un-needed branches.
-fn compute_acyclic_ipdom(func: &Function, cfg: &Cfg, target: &Loop) -> Vec<Option<usize>> {
-    let n = func.blocks.len();
-    let exit = n;
-    let back: BTreeSet<(BlockId, BlockId)> =
-        target.latches.iter().map(|&l| (l, target.header)).collect();
-    let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for u in func.block_ids() {
-        for &v in cfg.succs(u) {
-            if !back.contains(&(u, v)) {
-                fwd[u.index()].push(v.index());
-            }
-        }
-    }
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-    for (u, succs) in fwd.iter().enumerate() {
-        if succs.is_empty() {
-            rev[exit].push(u);
-        }
-        for &v in succs {
-            rev[v].push(u);
-        }
-    }
-    idoms_of_graph(n + 1, exit, &rev)
-}
-
 /// Shared emission context for one task.
 struct TaskEmitter<'a> {
     func: &'a Function,
@@ -625,7 +599,7 @@ struct TaskEmitter<'a> {
     top_produces: &'a BTreeMap<BlockId, Vec<usize>>,
     live_ins: &'a [ValueId],
     liveouts: &'a [LiveoutSpec],
-    acyclic_ipdom: &'a [Option<usize>],
+    pdom: &'a DomTree,
 }
 
 /// One body's cloning state.
@@ -936,10 +910,10 @@ impl<'a> TaskEmitter<'a> {
                     b.cond_br(c, tt, ft);
                 } else {
                     // Collapse to the acyclic immediate post-dominator.
-                    let ip = self.acyclic_ipdom[ob.index()].ok_or_else(|| {
+                    let ip = self.pdom.idom(ob.index()).ok_or_else(|| {
                         TransformError::Internal(format!("loop block {ob} has no acyclic ipdom"))
                     })?;
-                    let t = if ip >= self.func.blocks.len() {
+                    let t = if ip == self.pdom.virtual_exit() {
                         task_exit
                     } else {
                         map_target(state, BlockId(ip as u32))
