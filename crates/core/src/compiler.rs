@@ -54,23 +54,6 @@ impl DegradationRung {
     }
 }
 
-/// Policy for graceful degradation: which fallback rungs a failed compile
-/// may retry before giving up.
-#[derive(Debug, Clone, Copy)]
-pub struct DegradationPolicy {
-    /// Retry weaker placements (P2 → P1) after a compile failure.
-    pub allow_placement_fallback: bool,
-    /// Fall back to a single sequential worker when every pipeline shape
-    /// fails.
-    pub allow_sequential_fallback: bool,
-}
-
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        DegradationPolicy { allow_placement_fallback: true, allow_sequential_fallback: true }
-    }
-}
-
 /// Outcome of [`CgpaCompiler::compile_degraded`].
 #[derive(Debug)]
 pub enum DegradedCompile {
@@ -360,17 +343,16 @@ impl CgpaCompiler {
     /// [`CgpaCompiler::compile`] with graceful degradation: when a rung
     /// fails (partition infeasible, transform invariant broken, schedule
     /// rejected), step down the ladder P2 → P1 → single sequential worker
-    /// instead of erroring, as far as `policy` allows. The ladder starts at
-    /// the configured placement, so a P1 compiler never "upgrades" to P2.
+    /// instead of erroring. The ladder starts at the configured placement,
+    /// so a P1 compiler never "upgrades" to P2.
     ///
     /// # Errors
-    /// The last rung's [`CompileError`] when every permitted rung fails
-    /// (including schedule verification of the sequential fallback).
+    /// [`CompileError::Schedule`] when even the sequential fallback fails
+    /// schedule verification.
     pub fn compile_degraded(
         &self,
         func: &Function,
         model: &MemoryModel,
-        policy: DegradationPolicy,
     ) -> Result<DegradedCompile, CompileError> {
         let ladder: &[DegradationRung] = match self.config.placement {
             ReplicablePlacement::Replicated => {
@@ -380,9 +362,6 @@ impl CgpaCompiler {
         };
         let mut attempts: Vec<(DegradationRung, CompileError)> = Vec::new();
         for &rung in ladder {
-            if !attempts.is_empty() && !policy.allow_placement_fallback {
-                break;
-            }
             let mut config = self.config;
             config.placement = rung.placement().unwrap_or(config.placement);
             match CgpaCompiler::new(config).compile(func, model) {
@@ -396,13 +375,10 @@ impl CgpaCompiler {
                 Err(e) => attempts.push((rung, e)),
             }
         }
-        if policy.allow_sequential_fallback {
-            // The LegUp-shaped fallback still has to schedule cleanly.
-            try_schedule_function(func)
-                .map_err(|e| CompileError::Schedule(format!("sequential fallback: {e}")))?;
-            return Ok(DegradedCompile::Sequential { attempts });
-        }
-        Err(attempts.pop().map_or(CompileError::NoTargetLoop, |(_, e)| e))
+        // The LegUp-shaped fallback still has to schedule cleanly.
+        try_schedule_function(func)
+            .map_err(|e| CompileError::Schedule(format!("sequential fallback: {e}")))?;
+        Ok(DegradedCompile::Sequential { attempts })
     }
 
     /// Emit the complete Verilog design: the primitive library, one module
@@ -571,7 +547,7 @@ mod tests {
         let compiler = CgpaCompiler::default();
         let err = compiler.compile(&f, &mm).unwrap_err();
         assert!(matches!(err, CompileError::Transform(TransformError::MultipleExits(2))), "{err}");
-        let degraded = compiler.compile_degraded(&f, &mm, DegradationPolicy::default()).unwrap();
+        let degraded = compiler.compile_degraded(&f, &mm).unwrap();
         let DegradedCompile::Sequential { attempts } = degraded else {
             panic!("an early-exit loop must fall back to the sequential rung")
         };

@@ -275,16 +275,14 @@ impl CompileCache {
 
     /// The content hash for (kernel IR, compiler config). The IR is keyed
     /// by its printed text — the printer is stable and covers everything
-    /// the compiler reads; floats are hashed by bit pattern.
+    /// the compiler reads. `config.partition` is not hashed: its only field
+    /// is the placement, which the compiler takes from `config.placement`.
     #[must_use]
     pub fn key(func: &Function, config: &CgpaConfig) -> u64 {
         let mut h = DefaultHasher::new();
         print_function(func).hash(&mut h);
         config.workers.hash(&mut h);
         matches!(config.placement, ReplicablePlacement::Replicated).hash(&mut h);
-        config.partition.feeder_weight_limit.to_bits().hash(&mut h);
-        config.partition.demotion_weight_fraction.to_bits().hash(&mut h);
-        config.partition.min_parallel_fraction.to_bits().hash(&mut h);
         h.finish()
     }
 

@@ -12,8 +12,7 @@
 //! reference, and only then scores area and power.
 
 use crate::compiler::{
-    CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationPolicy, DegradationRung,
-    DegradedCompile,
+    CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationRung, DegradedCompile,
 };
 use crate::profile::ProfileError;
 use cgpa_kernels::{BuiltKernel, CheckError};
@@ -57,8 +56,8 @@ pub struct RunResult {
     pub shape: Option<String>,
     /// Detailed simulator statistics, when applicable.
     pub stats: Option<SystemStats>,
-    /// Degradation rung the compile landed on (None when the run's
-    /// [`RunSpec`] carried no degradation policy).
+    /// Degradation rung the compile landed on (None unless the run's
+    /// [`RunSpec`] set `degrade`).
     pub rung: Option<DegradationRung>,
     /// The armed fault plan after the run, recording which faults fired
     /// (None when the run's [`RunSpec`] armed no plan).
@@ -219,12 +218,11 @@ pub struct RunSpec<'r> {
     /// fork records its own process from 2 up (one µs per simulated cycle).
     /// Both engines emit bit-identical simulator streams.
     pub recorder: Option<&'r Recorder>,
-    /// Compile through the degradation ladder (P2 → P1 → sequential, as the
-    /// policy allows) and run the rung the compile lands on, recorded in
-    /// [`RunResult::rung`]. The sequential rung is the [`Target::Legup`]
+    /// Compile through the degradation ladder (P2 → P1 → sequential) and
+    /// run the rung the compile lands on, recorded in [`RunResult::rung`]. The sequential rung is the [`Target::Legup`]
     /// design labelled `CGPA(seq-fallback)`. Only [`run`] with a
     /// [`Target::Cgpa`] reads it; the ladder's compiles are not traced.
-    pub degrade: Option<DegradationPolicy>,
+    pub degrade: bool,
 }
 
 impl RunSpec<'_> {
@@ -232,7 +230,13 @@ impl RunSpec<'_> {
     /// degradation.
     #[must_use]
     pub fn new(target: Target) -> Self {
-        RunSpec { target, tuning: HwTuning::default(), faults: None, recorder: None, degrade: None }
+        RunSpec {
+            target,
+            tuning: HwTuning::default(),
+            faults: None,
+            recorder: None,
+            degrade: false,
+        }
     }
 }
 
@@ -268,15 +272,15 @@ pub fn run_cgpa_tuned(
 /// Build, simulate, verify and score the accelerator `spec` describes.
 ///
 /// # Errors
-/// See [`FlowError`]. With a degradation policy, [`FlowError::Compile`]
-/// means even the last permitted rung failed.
+/// See [`FlowError`]. With `degrade` set, [`FlowError::Compile`] means even
+/// the sequential fallback failed to schedule.
 pub fn run(k: &BuiltKernel, spec: &RunSpec<'_>) -> Result<RunResult, FlowError> {
     let Target::Cgpa(config) = spec.target else {
         return simulate(k, Design::Sequential("LegUp"), spec);
     };
     let compiler = CgpaCompiler::new(config);
-    if let Some(policy) = spec.degrade {
-        let degraded = compiler.compile_degraded(&k.func, &k.model, policy)?;
+    if spec.degrade {
+        let degraded = compiler.compile_degraded(&k.func, &k.model)?;
         let rung = degraded.rung();
         let design = match &degraded {
             DegradedCompile::Pipeline { compiled, .. } => {

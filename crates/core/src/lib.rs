@@ -41,8 +41,7 @@ pub mod profile;
 pub mod report;
 
 pub use compiler::{
-    CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationPolicy, DegradationRung,
-    DegradedCompile,
+    CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationRung, DegradedCompile,
 };
 pub use dse::{
     dominates, par_map_capped, pareto_frontier, schedule_hash, CompileCache, CompileCacheStats,

@@ -14,7 +14,7 @@
 //!
 //! [`RunResult`]: cgpa::flows::RunResult
 
-use cgpa::compiler::{CgpaCompiler, CgpaConfig, CompileError, DegradationPolicy, DegradationRung};
+use cgpa::compiler::{CgpaCompiler, CgpaConfig, CompileError, DegradationRung};
 use cgpa::flows::{run, run_cgpa, run_cgpa_tuned, FlowError, HwTuning, RunResult, RunSpec, Target};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Ty};
@@ -28,13 +28,9 @@ fn run_with_faults(k: &BuiltKernel, plan: FaultPlan) -> Result<RunResult, FlowEr
     run(k, &RunSpec { faults: Some(plan), ..RunSpec::new(Target::Cgpa(CgpaConfig::default())) })
 }
 
-/// A run of `config` through the degradation ladder under `policy`.
-fn run_degraded(
-    k: &BuiltKernel,
-    config: CgpaConfig,
-    policy: DegradationPolicy,
-) -> Result<RunResult, FlowError> {
-    run(k, &RunSpec { degrade: Some(policy), ..RunSpec::new(Target::Cgpa(config)) })
+/// A run of `config` through the degradation ladder.
+fn run_degraded(k: &BuiltKernel, config: CgpaConfig) -> Result<RunResult, FlowError> {
+    run(k, &RunSpec { degrade: true, ..RunSpec::new(Target::Cgpa(config)) })
 }
 
 /// All five paper benchmarks at matrix-friendly sizes (same parameters the
@@ -221,28 +217,14 @@ fn degradation_ladder_lands_on_sequential_rung() {
     let cfg = CgpaConfig { placement: ReplicablePlacement::Replicated, ..CgpaConfig::default() };
 
     let compiler = CgpaCompiler::new(cfg);
-    let degraded = compiler
-        .compile_degraded(&k.func, &k.model, DegradationPolicy::default())
-        .expect("sequential fallback schedules");
+    let degraded =
+        compiler.compile_degraded(&k.func, &k.model).expect("sequential fallback schedules");
     assert_eq!(degraded.rung(), DegradationRung::Sequential);
 
-    let r = run_degraded(&k, cfg, DegradationPolicy::default()).expect("fallback run");
+    let r = run_degraded(&k, cfg).expect("fallback run");
     assert_eq!(r.rung, Some(DegradationRung::Sequential));
     assert_eq!(r.config, "CGPA(seq-fallback)");
     assert!(r.cycles > 0);
-}
-
-/// With the sequential rung disabled, the ladder surfaces the original
-/// compile error instead of silently succeeding.
-#[test]
-fn degradation_ladder_respects_policy() {
-    let k = sequential_only_kernel();
-    let policy = DegradationPolicy { allow_sequential_fallback: false, ..Default::default() };
-    let err = run_degraded(&k, CgpaConfig::default(), policy);
-    assert!(
-        matches!(err, Err(FlowError::Compile(CompileError::Partition(_)))),
-        "expected the partition error to surface, got: {err:?}"
-    );
 }
 
 /// A kernel that compiles as requested reports the top rung, not a
@@ -250,8 +232,7 @@ fn degradation_ladder_respects_policy() {
 #[test]
 fn feasible_kernel_reports_top_rung() {
     let k = em3d::build(&em3d::Params::fixed(8, 8, 3, 4), 1);
-    let r = run_degraded(&k, CgpaConfig::default(), DegradationPolicy::default())
-        .expect("em3d compiles at the top rung");
+    let r = run_degraded(&k, CgpaConfig::default()).expect("em3d compiles at the top rung");
     assert_eq!(r.rung, Some(DegradationRung::Pipelined));
     assert_eq!(r.config, "CGPA(P1)");
 }

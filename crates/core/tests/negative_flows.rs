@@ -167,7 +167,7 @@ fn ptr_mul_loop() -> Function {
 
 #[test]
 fn unsupported_op_is_a_typed_error_on_every_rung() {
-    use cgpa::compiler::{DegradationPolicy, DegradedCompile};
+    use cgpa::compiler::DegradedCompile;
     use cgpa_sim::{run_function, HwConfig, HwSystem, InterpError, NoHooks};
 
     // Honest model: `acc` is read-write through one cell, so every pipeline
@@ -190,9 +190,8 @@ fn unsupported_op_is_a_typed_error_on_every_rung() {
     // structurally wrong) — and the cycle-level simulator then reports the
     // op as `HwError::Unsupported` instead of aborting the process,
     // whichever rung the ladder landed on.
-    let degraded = CgpaCompiler::new(CgpaConfig::default())
-        .compile_degraded(&k.func, &k.model, DegradationPolicy::default())
-        .unwrap();
+    let degraded =
+        CgpaCompiler::new(CgpaConfig::default()).compile_degraded(&k.func, &k.model).unwrap();
     let mut mem = k.mem.clone();
     let err = match &degraded {
         DegradedCompile::Pipeline { compiled, .. } => {

@@ -29,7 +29,7 @@ fn pipeline_of(
     let pdg = build_pdg(f, &cfg, target, &pt, &k.model);
     let cond = Condensation::compute(&pdg);
     let classes = classify_sccs(f, &pdg, &cond);
-    let pc = PartitionConfig { placement, ..PartitionConfig::default() };
+    let pc = PartitionConfig { placement };
     let plan = partition_loop(f, &pdg, &cond, &classes, pc).map_err(|e| e.to_string())?;
     let shape = plan.shape();
     let pm = transform_loop(

@@ -38,42 +38,33 @@ pub enum ReplicablePlacement {
 }
 
 /// Partitioner options.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PartitionConfig {
     /// P1 vs P2 placement of heavyweight replicable sections.
     pub placement: ReplicablePlacement,
-    /// Maximum frequency-weighted instruction count a duplicated section's
-    /// *feeder closure* (the per-iteration producers hoisted into the pre
-    /// stage) may have. Beyond this, communicating the section's value over
-    /// a FIFO is cheaper than feeding its duplicate copies — the paper's
-    /// computation-vs-communication tradeoff (§3.3).
-    pub feeder_weight_limit: f64,
-    /// Affinity demotion: a side-effect-free component of the parallel
-    /// stage whose results are consumed only by sequential stages is moved
-    /// into the consuming stage when its weight is at most this fraction of
-    /// the parallel stage's weight. This keeps cheap helper computation
-    /// (K-means' `new_centers` operand loads) with its consumer instead of
-    /// streaming fine-grained values through FIFOs, without ever demoting
-    /// the dominant parallel work (ks' gain computation fails the fraction
-    /// test).
-    pub demotion_weight_fraction: f64,
-    /// Minimum fraction of the loop's frequency-weighted instruction count
-    /// that must end up in the parallel stage for pipelining to be
-    /// worthwhile; below this the loop is reported as having no parallel
-    /// work and falls back to sequential HLS.
-    pub min_parallel_fraction: f64,
 }
 
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        PartitionConfig {
-            placement: ReplicablePlacement::default(),
-            feeder_weight_limit: 4.0,
-            demotion_weight_fraction: 0.3,
-            min_parallel_fraction: 0.25,
-        }
-    }
-}
+/// Maximum frequency-weighted instruction count a duplicated section's
+/// *feeder closure* (the per-iteration producers hoisted into the pre stage)
+/// may have. Beyond this, communicating the section's value over a FIFO is
+/// cheaper than feeding its duplicate copies — the paper's
+/// computation-vs-communication tradeoff (§3.3).
+const FEEDER_WEIGHT_LIMIT: f64 = 4.0;
+
+/// Affinity demotion: a side-effect-free component of the parallel stage
+/// whose results are consumed only by sequential stages is moved into the
+/// consuming stage when its weight is at most this fraction of the parallel
+/// stage's weight. This keeps cheap helper computation (K-means'
+/// `new_centers` operand loads) with its consumer instead of streaming
+/// fine-grained values through FIFOs, without ever demoting the dominant
+/// parallel work (ks' gain computation fails the fraction test).
+const DEMOTION_WEIGHT_FRACTION: f64 = 0.3;
+
+/// Minimum fraction of the loop's frequency-weighted instruction count that
+/// must end up in the parallel stage for pipelining to be worthwhile; below
+/// this the loop is reported as having no parallel work and falls back to
+/// sequential HLS.
+const MIN_PARALLEL_FRACTION: f64 = 0.25;
 
 /// Why a loop could not be partitioned.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,6 +185,19 @@ pub fn partition_loop(
     classes: &SccClassification,
     config: PartitionConfig,
 ) -> Result<PipelinePlan, PartitionError> {
+    partition_with(func, pdg, cond, classes, config.placement, FEEDER_WEIGHT_LIMIT)
+}
+
+/// [`partition_loop`] with an explicit feeder-closure weight limit; a limit
+/// of zero disables feeders.
+fn partition_with(
+    func: &Function,
+    pdg: &Pdg,
+    cond: &Condensation,
+    classes: &SccClassification,
+    placement: ReplicablePlacement,
+    feeder_limit: f64,
+) -> Result<PipelinePlan, PartitionError> {
     let n = cond.len();
     let all: Vec<SccId> = cond.topo_order().collect();
 
@@ -255,7 +259,7 @@ pub fn partition_loop(
             continue;
         }
         let heavy = subset.iter().any(|&s| scc_heavy(s));
-        let dup = match config.placement {
+        let dup = match placement {
             ReplicablePlacement::Pipelined => !heavy,
             ReplicablePlacement::Replicated => true,
         };
@@ -304,10 +308,9 @@ pub fn partition_loop(
                 }
                 match feeder_closure(cond, &sef, &duplicated, producer) {
                     Some(closure)
-                        if closure.iter().map(|&f| scc_weight(f)).sum::<f64>()
-                            <= config.feeder_weight_limit =>
+                        if closure.iter().map(|&f| scc_weight(f)).sum::<f64>() <= feeder_limit =>
                     {
-                        match config.placement {
+                        match placement {
                             ReplicablePlacement::Pipelined => feeders.extend(closure),
                             ReplicablePlacement::Replicated => duplicated.extend(closure),
                         }
@@ -398,21 +401,15 @@ pub fn partition_loop(
         // Degenerate duplication: hoisting feeders ate the whole parallel
         // stage (a tiny reduction loop). Retry with feeders disabled so the
         // reduction pipelines as P-S instead.
-        if !feeders.is_empty() && config.feeder_weight_limit > 0.0 {
-            return partition_loop(
-                func,
-                pdg,
-                cond,
-                classes,
-                PartitionConfig { feeder_weight_limit: 0.0, ..config },
-            );
+        if !feeders.is_empty() && feeder_limit > 0.0 {
+            return partition_with(func, pdg, cond, classes, placement, 0.0);
         }
         return Err(PartitionError::NoParallelWork);
     }
 
     // --- 7. Affinity demotion: side-effect-free parallel components whose
     // every result flows into sequential stages move there when cheap
-    // relative to the parallel stage (see `demotion_weight_fraction`).
+    // relative to the parallel stage (see `DEMOTION_WEIGHT_FRACTION`).
     {
         let p_weight: f64 = parallel.iter().map(|&s| scc_weight(s)).sum();
         // ok_forward[s]: s is SEF and no path inside P from s reaches a
@@ -453,7 +450,7 @@ pub fn partition_loop(
                         && !feeders.contains(&e.to)
                 })
             });
-            if feeds_sequential && w <= config.demotion_weight_fraction * p_weight {
+            if feeds_sequential && w <= DEMOTION_WEIGHT_FRACTION * p_weight {
                 for &s in members {
                     parallel.remove(&s);
                 }
@@ -469,7 +466,7 @@ pub fn partition_loop(
     {
         let total: f64 = all.iter().map(|&s| scc_weight(s)).sum();
         let p_weight: f64 = parallel.iter().map(|&s| scc_weight(s)).sum();
-        if total > 0.0 && p_weight / total < config.min_parallel_fraction {
+        if total > 0.0 && p_weight / total < MIN_PARALLEL_FRACTION {
             return Err(PartitionError::NoParallelWork);
         }
     }
@@ -604,26 +601,6 @@ fn feeder_closure(
         }
     }
     Some(closure)
-}
-
-/// Static per-stage workload estimate: instruction count weighted by each
-/// block's frequency hint. Used for reporting pipeline balance (Appendix
-/// B.1 discusses how sequential-stage workload bounds scalability).
-#[must_use]
-pub fn stage_weights(
-    func: &Function,
-    pdg: &Pdg,
-    cond: &Condensation,
-    plan: &PipelinePlan,
-) -> Vec<f64> {
-    let mut weights = vec![0.0; plan.num_stages()];
-    for (scc, &stage) in &plan.assignment {
-        for &node in cond.members(*scc) {
-            let inst = func.inst(pdg.nodes[node]);
-            weights[stage] += func.block(inst.block).freq_hint;
-        }
-    }
-    weights
 }
 
 #[cfg(test)]
@@ -815,10 +792,7 @@ mod tests {
     #[test]
     fn list_traversal_is_replicated_under_p2() {
         let (f, mm) = list_loop();
-        let cfgc = PartitionConfig {
-            placement: ReplicablePlacement::Replicated,
-            ..PartitionConfig::default()
-        };
+        let cfgc = PartitionConfig { placement: ReplicablePlacement::Replicated };
         let (pdg, cond, plan) = analyze(&f, &mm, cfgc).unwrap();
         assert_eq!(plan.shape(), "P");
         let eb_scc = cond.scc_of[pdg.exit_branches[0]];
@@ -862,14 +836,5 @@ mod tests {
         let f = b.finish().unwrap();
         let err = analyze(&f, &mm, PartitionConfig::default()).unwrap_err();
         assert_eq!(err, PartitionError::NoParallelWork);
-    }
-
-    #[test]
-    fn stage_weights_are_positive() {
-        let (f, mm) = map_reduce_loop();
-        let (pdg, cond, plan) = analyze(&f, &mm, PartitionConfig::default()).unwrap();
-        let w = stage_weights(&f, &pdg, &cond, &plan);
-        assert_eq!(w.len(), 2);
-        assert!(w.iter().all(|&x| x > 0.0));
     }
 }

@@ -1350,7 +1350,7 @@ mod tests {
         let pdg = build_pdg(f, &cfg, target, &pt, mm);
         let cond = Condensation::compute(&pdg);
         let classes = classify_sccs(f, &pdg, &cond);
-        let pc = PartitionConfig { placement, ..PartitionConfig::default() };
+        let pc = PartitionConfig { placement };
         let plan = partition_loop(f, &pdg, &cond, &classes, pc).unwrap();
         transform_loop(f, &cfg, target, &pdg, &cond, &plan, TransformConfig { workers, loop_id: 7 })
             .unwrap()
