@@ -176,7 +176,6 @@ pub struct HwSystem<'m> {
     cache: CacheSystem,
     liveouts: Vec<Option<Value>>,
     cfg: HwConfig,
-    fifo_total_channels: u32,
     trace: Option<Trace>,
     fault: Option<FaultPlan>,
     /// Design name for the trace's run label.
@@ -305,7 +304,6 @@ impl<'m> HwSystem<'m> {
             cache: CacheSystem::new(cfg.cache),
             liveouts: vec![None; liveouts],
             cfg,
-            fifo_total_channels: channels.iter().sum(),
             trace: None,
             fault: None,
             design: design.to_string(),
@@ -426,27 +424,8 @@ impl<'m> HwSystem<'m> {
     /// combinations, [`HwError::OutOfRange`] on an access outside memory,
     /// [`HwError::Fault`] when injected corruption is detected.
     pub fn run(&mut self, mem: &mut SimMemory) -> Result<SystemStats, HwError> {
-        self.run_traced(mem, self.cfg.engine == SimEngine::EventDriven)
-    }
-
-    /// Run to completion with the per-cycle reference stepper, regardless
-    /// of the configured engine. Retained for differential testing: the
-    /// event-driven engine must match it bit- and cycle-exactly.
-    ///
-    /// # Errors
-    /// Same as [`HwSystem::run`].
-    pub fn run_reference(&mut self, mem: &mut SimMemory) -> Result<SystemStats, HwError> {
-        self.run_traced(mem, false)
-    }
-
-    /// [`HwSystem::run_impl`], then stamp the armed trace with where the
-    /// run stopped.
-    fn run_traced(
-        &mut self,
-        mem: &mut SimMemory,
-        skip_ahead: bool,
-    ) -> Result<SystemStats, HwError> {
-        let result = self.run_impl(mem, skip_ahead);
+        let result = self.run_impl(mem, self.cfg.engine == SimEngine::EventDriven);
+        // Stamp the armed trace with where the run stopped.
         if let Some(trace) = &mut self.trace {
             let last_event = trace.events.last().map_or(0, |&e| crate::trace::cycle_of(e));
             trace.end_cycle = match &result {
@@ -464,7 +443,7 @@ impl<'m> HwSystem<'m> {
         (self.cfg.fuel_cycles / 2500).max(10_000)
     }
 
-    /// Shared run loop. `skip_ahead = false` is the per-cycle reference
+    /// The run loop. `skip_ahead = false` is the per-cycle reference
     /// stepper; `true` adds the event-driven layer: after a cycle in which
     /// every live worker is blocked (memory wait, FIFO handshake, injected
     /// stall) or deterministically burning state latency, jump straight to
@@ -711,12 +690,6 @@ impl<'m> HwSystem<'m> {
             HwError::Deadlock { cycle, detail }
         }
     }
-
-    /// Total FIFO channels (for area accounting).
-    #[must_use]
-    pub fn fifo_channels(&self) -> u32 {
-        self.fifo_total_channels
-    }
 }
 
 /// Credit `k` skipped cycles to a live worker according to its
@@ -927,10 +900,11 @@ mod tests {
         let mut mem_ref = mem_ev.clone();
         let args = [Value::Ptr(base), Value::I32(n as i32)];
 
-        let mut ev = HwSystem::for_single(&f, &args, HwConfig::default());
+        let [event, per_cycle] = engines();
+        let mut ev = HwSystem::for_single(&f, &args, event);
         let stats_ev = ev.run(&mut mem_ev).unwrap();
-        let mut rf = HwSystem::for_single(&f, &args, HwConfig::default());
-        let stats_rf = rf.run_reference(&mut mem_ref).unwrap();
+        let mut rf = HwSystem::for_single(&f, &args, per_cycle);
+        let stats_rf = rf.run(&mut mem_ref).unwrap();
 
         assert_eq!(stats_ev.cycles, stats_rf.cycles);
         assert_eq!(stats_ev.workers, stats_rf.workers);
@@ -960,12 +934,13 @@ mod tests {
         let mut mem_ref = mem_ev.clone();
         let args = [Value::Ptr(base), Value::I32(n as i32)];
 
-        let mut ev = HwSystem::for_single(&f, &args, HwConfig::default());
+        let [event, per_cycle] = engines();
+        let mut ev = HwSystem::for_single(&f, &args, event);
         ev.inject_faults(plan.clone());
         let stats_ev = ev.run(&mut mem_ev).unwrap();
-        let mut rf = HwSystem::for_single(&f, &args, HwConfig::default());
+        let mut rf = HwSystem::for_single(&f, &args, per_cycle);
         rf.inject_faults(plan);
-        let stats_rf = rf.run_reference(&mut mem_ref).unwrap();
+        let stats_rf = rf.run(&mut mem_ref).unwrap();
 
         assert_eq!(stats_ev.cycles, stats_rf.cycles);
         assert_eq!(stats_ev.workers, stats_rf.workers);
@@ -1041,10 +1016,10 @@ mod tests {
         let fsms = vec![schedule_function(&other)];
         let args = vec![Value::Ptr(64), Value::I32(1)];
         let instance = Instance { func: 0, args, label: "scale".into() };
-        let cfg = HwConfig::default();
+        let cfg = engines()[1];
         let mut sys = HwSystem::build(vec![&f], fsms.into(), &[], 0, vec![instance], cfg, "x");
         let mut mem = SimMemory::new(1 << 12);
-        let err = sys.run_reference(&mut mem).unwrap_err();
+        let err = sys.run(&mut mem).unwrap_err();
         assert!(matches!(err, HwError::Malformed { worker: 0, .. }), "{err:?}");
 
         let err = HwSystem::for_single(&f, &[Value::Ptr(64)], cfg).run(&mut mem).unwrap_err();
