@@ -29,6 +29,7 @@ use cgpa_analysis::{Condensation, Pdg, SccId};
 use cgpa_ir::cfg::Cfg;
 use cgpa_ir::dom::DomTree;
 use cgpa_ir::loops::{Loop, LoopInfo};
+use cgpa_ir::verify::VerifyError;
 use cgpa_ir::{
     BinOp, BlockId, Const, Function, FunctionBuilder, InstId, IntPredicate, Module, Op, QueueId,
     Ty, ValueDef, ValueId,
@@ -170,6 +171,9 @@ pub enum TransformError {
     ParallelLiveout(String),
     /// Internal: a value needed by a task could not be resolved.
     UnresolvedValue(String),
+    /// Internal: a generated task or the rewritten parent failed IR
+    /// verification.
+    Verify(VerifyError),
     /// Internal: a structural invariant did not hold (a would-be panic
     /// surfaced as an error so degradation ladders can retry).
     Internal(String),
@@ -193,6 +197,9 @@ impl fmt::Display for TransformError {
             }
             TransformError::UnresolvedValue(v) => {
                 write!(f, "internal error: task value {v} could not be resolved")
+            }
+            TransformError::Verify(e) => {
+                write!(f, "internal error: generated function fails verification: {e}")
             }
             TransformError::Internal(m) => write!(f, "internal error: {m}"),
         }
@@ -927,9 +934,7 @@ impl<'a> TaskEmitter<'a> {
                 b.br(task_exit);
             }
             other => {
-                return Err(TransformError::UnresolvedValue(format!(
-                    "unexpected terminator {other:?}"
-                )))
+                return Err(TransformError::Internal(format!("unexpected terminator {other:?}")))
             }
         }
         Ok(())
@@ -972,7 +977,7 @@ impl<'a> TaskEmitter<'a> {
         }
         b.ret(None);
 
-        b.finish().map_err(|e| TransformError::UnresolvedValue(format!("verify: {e}")))
+        b.finish().map_err(TransformError::Verify)
     }
 
     /// Emit a sequential-stage task.
@@ -1269,7 +1274,7 @@ fn rewrite_parent(
         }
     }
 
-    b.finish().map_err(|e| TransformError::UnresolvedValue(format!("parent verify: {e}")))
+    b.finish().map_err(TransformError::Verify)
 }
 
 fn intern(b: &mut FunctionBuilder, c: Const) -> ValueId {
