@@ -431,15 +431,6 @@ impl PointsTo {
         let loop_carried = !common.iter().all(|r| model.region(*r).distinct_per_iteration);
         AliasResult::MayAlias { loop_carried }
     }
-
-    /// True if `addr` can only target read-only regions.
-    #[must_use]
-    pub fn all_read_only(&self, model: &MemoryModel, addr: ValueId) -> bool {
-        match self.fact(addr).known_regions() {
-            Some(rs) => rs.iter().all(|r| model.region(*r).read_only),
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -563,14 +554,6 @@ mod tests {
         assert_eq!(pt.fact(elem).offset.known(), Some(4));
         assert_eq!(pt.fact(odd).offset, OffsetFact::Any);
         assert_eq!(pt.fact(odd).regions, pt.fact(elem).regions);
-    }
-
-    #[test]
-    fn read_only_helper() {
-        let (f, mm, vs) = traversal();
-        let pt = PointsTo::compute(&f, &mm);
-        assert!(pt.all_read_only(&mm, vs[1])); // q->val in read-only region
-        assert!(!pt.all_read_only(&mm, vs[2])); // p->val writable
     }
 
     #[test]

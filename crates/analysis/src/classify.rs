@@ -103,19 +103,6 @@ pub fn is_heavyweight(func: &Function, pdg: &Pdg, cond: &Condensation, scc: SccI
     cond.members(scc).iter().any(|&n| func.inst(pdg.nodes[n]).op.is_heavyweight())
 }
 
-/// Convenience: true when `scc` contains a terminator of the target loop's
-/// exiting blocks (an exit branch).
-#[must_use]
-pub fn contains_exit_branch(pdg: &Pdg, cond: &Condensation, scc: SccId) -> bool {
-    cond.members(scc).iter().any(|n| pdg.exit_branches.contains(n))
-}
-
-/// Convenience: true when `scc` contains any memory access.
-#[must_use]
-pub fn has_memory_access(func: &Function, pdg: &Pdg, cond: &Condensation, scc: SccId) -> bool {
-    cond.members(scc).iter().any(|&n| func.inst(pdg.nodes[n]).op.is_memory())
-}
-
 /// Statement-level section report for a classified loop, used by examples
 /// and the Table 2 reproduction: which instructions belong to P/R/S
 /// sections.
@@ -266,8 +253,6 @@ mod tests {
         assert_eq!(cls.class(cond.scc_of[store]), SccClass::Parallel);
 
         // Helper predicates.
-        assert!(contains_exit_branch(&pdg, &cond, cond.scc_of[phi_i]));
-        assert!(!has_memory_access(&f, &pdg, &cond, cond.scc_of[phi_i]));
         assert!(is_side_effect_free(&f, &pdg, &cond, cond.scc_of[phi_s]));
         assert!(!is_heavyweight(&f, &pdg, &cond, cond.scc_of[phi_s]));
         let summary = section_summary(&f, &pdg, &cond, &cls);

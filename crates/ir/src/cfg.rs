@@ -52,42 +52,6 @@ impl Cfg {
         &self.preds[b.index()]
     }
 
-    /// Blocks in reverse post-order from the entry. Unreachable blocks are
-    /// appended at the end (in index order) so every block appears exactly
-    /// once.
-    #[must_use]
-    pub fn reverse_post_order(&self) -> Vec<BlockId> {
-        let n = self.len();
-        let mut visited = vec![false; n];
-        let mut post = Vec::with_capacity(n);
-        // Iterative DFS with an explicit stack of (block, next-successor).
-        let mut stack: Vec<(BlockId, usize)> = Vec::new();
-        if n > 0 {
-            visited[0] = true;
-            stack.push((BlockId(0), 0));
-        }
-        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            if *next < self.succs(b).len() {
-                let s = self.succs(b)[*next];
-                *next += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        for (i, seen) in visited.iter().enumerate() {
-            if !seen {
-                post.push(BlockId(i as u32));
-            }
-        }
-        post
-    }
-
     /// Blocks reachable from the entry.
     #[must_use]
     pub fn reachable(&self) -> Vec<bool> {
@@ -145,18 +109,6 @@ mod tests {
         let mut preds = cfg.preds(BlockId(1)).to_vec();
         preds.sort();
         assert_eq!(preds, vec![BlockId(0), BlockId(2)]);
-    }
-
-    #[test]
-    fn rpo_starts_at_entry_and_covers_all() {
-        let f = loop_fn();
-        let cfg = Cfg::new(&f);
-        let rpo = cfg.reverse_post_order();
-        assert_eq!(rpo[0], BlockId(0));
-        assert_eq!(rpo.len(), 4);
-        // header precedes its body in RPO.
-        let pos = |b: BlockId| rpo.iter().position(|&x| x == b).unwrap();
-        assert!(pos(BlockId(1)) < pos(BlockId(2)));
     }
 
     #[test]

@@ -118,12 +118,6 @@ impl ValueDef {
             _ => None,
         }
     }
-
-    /// True if the value is a constant.
-    #[must_use]
-    pub fn is_const(&self) -> bool {
-        matches!(self, ValueDef::Const(_))
-    }
 }
 
 #[cfg(test)]
@@ -148,8 +142,6 @@ mod tests {
         let d = ValueDef::Inst { inst: InstId(3), ty: Ty::F32 };
         assert_eq!(d.ty(), Ty::F32);
         assert_eq!(d.def_inst(), Some(InstId(3)));
-        assert!(!d.is_const());
-        assert!(ValueDef::Const(Const::I1(true)).is_const());
     }
 
     #[test]

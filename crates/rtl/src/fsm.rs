@@ -38,17 +38,6 @@ pub struct State {
     pub min_cycles: u32,
 }
 
-impl State {
-    /// True if the state contains a memory or queue operation.
-    #[must_use]
-    pub fn has_port_op(&self, func: &Function) -> bool {
-        self.ops.iter().any(|&i| {
-            let op = &func.inst(i).op;
-            op.is_memory() || op.is_queue_op()
-        })
-    }
-}
-
 /// A scheduled task: blocks flattened into a state sequence.
 #[derive(Debug, Clone)]
 pub struct Fsm {
@@ -208,13 +197,5 @@ mod tests {
         // At least: i phi, load result (used by fmul next state), fmul
         // result (used by store).
         assert!(regs >= 3, "registers = {regs}");
-    }
-
-    #[test]
-    fn port_op_states_are_flagged() {
-        let f = loop_fn();
-        let fsm = schedule_function(&f);
-        let with_port = fsm.states.iter().filter(|s| s.has_port_op(&f)).count();
-        assert_eq!(with_port, 2); // load + store
     }
 }

@@ -199,14 +199,6 @@ pub struct SystemStats {
     pub skipped_cycles: u64,
 }
 
-impl SystemStats {
-    /// Total busy cycles across workers.
-    #[must_use]
-    pub fn total_busy(&self) -> u64 {
-        self.workers.iter().map(|w| w.busy).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,8 +238,6 @@ mod tests {
     fn empty_stats_are_safe() {
         let w = WorkerStats::default();
         assert_eq!(w.activity(), 0.0);
-        let s = SystemStats::default();
-        assert_eq!(s.total_busy(), 0);
         let q = QueueStats::default();
         assert_eq!(q.mean_occupancy(), 0.0);
         assert_eq!(q.full_fraction(), 0.0);
