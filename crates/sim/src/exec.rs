@@ -168,7 +168,9 @@ fn gep(base: u32, index: i64, scale: u32, offset: i32) -> u32 {
         .wrapping_add(i64::from(offset)) as u32
 }
 
-/// Evaluate a binary operation (see [`int32`] for the integer rules).
+/// Evaluate a binary operation. Integer arithmetic wraps (two's
+/// complement), division by zero never traps (`sdiv` gives 0, `srem` the
+/// dividend), and shift amounts are masked to the operand width.
 ///
 /// # Errors
 /// [`ExecError`] on operand-type combinations the semantics do not define.

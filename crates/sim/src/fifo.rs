@@ -142,7 +142,8 @@ impl QueueState {
         &self.occ_hist
     }
 
-    /// Snapshot the accounting state as a [`QueueStats`] record.
+    /// Snapshot the accounting state as a [`QueueStats`](crate::stats::QueueStats)
+    /// record.
     #[must_use]
     pub fn stats(&self) -> crate::stats::QueueStats {
         crate::stats::QueueStats {
