@@ -219,9 +219,10 @@ pub struct RunSpec<'r> {
     /// Both engines emit bit-identical simulator streams.
     pub recorder: Option<&'r Recorder>,
     /// Compile through the degradation ladder (P2 → P1 → sequential) and
-    /// run the rung the compile lands on, recorded in [`RunResult::rung`]. The sequential rung is the [`Target::Legup`]
-    /// design labelled `CGPA(seq-fallback)`. Only [`run`] with a
-    /// [`Target::Cgpa`] reads it; the ladder's compiles are not traced.
+    /// run the rung the compile lands on, recorded in [`RunResult::rung`].
+    /// The sequential rung is the [`Target::Legup`] design labelled
+    /// `CGPA(seq-fallback)`. Only [`run`] with a [`Target::Cgpa`] reads it;
+    /// the ladder's compiles are not traced.
     pub degrade: bool,
 }
 

@@ -4,7 +4,8 @@
 //! Post-dominance is computed on the reverse CFG, optionally with some edges
 //! cut, augmented with one virtual exit node that every successor-less block
 //! feeds; the PDG builder in `cgpa-analysis` derives control dependences from
-//! it, and the pipeline transform collapses branches to it.
+//! it, and the pipeline transform collapses unneeded branches to immediate
+//! post-dominators.
 
 use crate::cfg::Cfg;
 use crate::function::{BlockId, Function};

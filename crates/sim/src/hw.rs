@@ -1016,7 +1016,7 @@ mod tests {
         let fsms = vec![schedule_function(&other)];
         let args = vec![Value::Ptr(64), Value::I32(1)];
         let instance = Instance { func: 0, args, label: "scale".into() };
-        let cfg = engines()[1];
+        let cfg = HwConfig { engine: SimEngine::PerCycle, ..HwConfig::default() };
         let mut sys = HwSystem::build(vec![&f], fsms.into(), &[], 0, vec![instance], cfg, "x");
         let mut mem = SimMemory::new(1 << 12);
         let err = sys.run(&mut mem).unwrap_err();
