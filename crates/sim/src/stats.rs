@@ -6,8 +6,9 @@
 //! run instead of reporting one undifferentiated stall total. Both
 //! simulation engines fill these buckets identically: the per-cycle
 //! reference stepper increments them cycle by cycle, and the event-driven
-//! engine bulk-credits skipped windows into the same buckets
-//! (`tests/differential_engines.rs` enforces bit-equality per bucket).
+//! engine credits each worker's slept cycles into the same buckets when it
+//! wakes (`tests/differential_engines.rs` enforces bit-equality per
+//! bucket).
 
 use crate::cache::CacheStats;
 
@@ -193,9 +194,12 @@ pub struct SystemStats {
     pub queues: Vec<QueueStats>,
     /// Cache statistics.
     pub cache: CacheStats,
-    /// Cycles the event-driven engine bulk-credited instead of evaluating
-    /// (0 under the per-cycle reference stepper). Diagnostic only: every
-    /// other field is engine-independent, this one is not.
+    /// Cycles in which the event-driven engine stepped no worker: every
+    /// live worker was asleep (waiting on memory, a queue or a fault
+    /// window, burning state latency, or running ahead of the clock) and is
+    /// credited those cycles when it wakes. 0 under the per-cycle reference
+    /// stepper. Diagnostic only: every other field is engine-independent,
+    /// this one is not.
     pub skipped_cycles: u64,
 }
 

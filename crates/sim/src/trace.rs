@@ -10,10 +10,14 @@
 //! (the sequential stage running ahead, workers stalling on empty FIFOs) is
 //! directly visible in both.
 //!
-//! Both engines record the same log: every change happens on a cycle the
-//! event-driven engine evaluates (a skipped window is one in which no
-//! worker's state, classification or queue handshake can change), so
-//! arming a trace does not force the per-cycle stepper.
+//! Both engines record the same log, so arming a trace does not force the
+//! per-cycle stepper. Stall-cause changes, finishes and queue handshakes
+//! happen only on cycles the event-driven engine steps the worker in. A
+//! worker that runs ahead of the clock through register-only states
+//! changes FSM state (and takes back edges) on cycles the engine may not
+//! evaluate at all; those `State` and `Iteration` events come from the
+//! worker's run-ahead log and are recorded at their exact cycles, in
+//! (cycle, worker) order, as the per-cycle stepper records them.
 
 use cgpa_obs::Recorder;
 use std::fmt::Write as _;
