@@ -83,6 +83,8 @@ pub struct MipsRun {
 
 struct MipsTimer<'c> {
     cfg: &'c MipsConfig,
+    /// Issue cycles per instruction of the timed function, by `InstId`.
+    issue: Vec<u64>,
     cycles: u64,
     dcache: CacheSystem,
     icache: CacheSystem,
@@ -91,8 +93,47 @@ struct MipsTimer<'c> {
     raw_insts: u64,
 }
 
+/// Issue cycles of one instruction, before fetch and data-cache stalls.
+fn issue_cost(cfg: &MipsConfig, func: &Function, inst: InstId) -> u64 {
+    let op = &func.inst(inst).op;
+    let cost = match op {
+        Op::Binary { op, lhs, .. } => {
+            let wide = func.value_ty(*lhs) == Ty::F64;
+            match op {
+                BinOp::Mul => cfg.mul,
+                BinOp::SDiv | BinOp::SRem => cfg.div,
+                BinOp::FAdd | BinOp::FSub => {
+                    if wide {
+                        cfg.fadd64
+                    } else {
+                        cfg.fadd32
+                    }
+                }
+                BinOp::FMul => {
+                    if wide {
+                        cfg.fmul64
+                    } else {
+                        cfg.fmul32
+                    }
+                }
+                BinOp::FDiv => cfg.fdiv,
+                _ => cfg.int_op,
+            }
+        }
+        Op::FCmp { .. } => cfg.fcmp,
+        // Loads/stores issue in 1 cycle; the D-cache adds its latency in
+        // `on_mem`.
+        Op::Load { .. } | Op::Store { .. } => cfg.int_op,
+        Op::Phi { .. } => 0, // register move folded into the producer
+        _ => cfg.int_op,
+    };
+    // Apply the IR→MIPS expansion to the base issue cost only.
+    let cost = if cost == cfg.int_op { cost * cfg.fetch_expansion_pct / 100 } else { cost };
+    cost.max(if matches!(op, Op::Phi { .. }) { 0 } else { 1 })
+}
+
 impl ExecHooks for MipsTimer<'_> {
-    fn on_inst(&mut self, func: &Function, inst: InstId) {
+    fn on_inst(&mut self, _func: &Function, inst: InstId) {
         self.raw_insts += 1;
         // Instruction fetch: a miss stalls the front end.
         let pc = self.code_base + inst.0 * 4;
@@ -100,41 +141,7 @@ impl ExecHooks for MipsTimer<'_> {
         if done > self.cycles + u64::from(self.cfg.icache.hit_latency) {
             self.cycles = done;
         }
-        let cost = match &func.inst(inst).op {
-            Op::Binary { op, lhs, .. } => {
-                let wide = func.value_ty(*lhs) == Ty::F64;
-                match op {
-                    BinOp::Mul => self.cfg.mul,
-                    BinOp::SDiv | BinOp::SRem => self.cfg.div,
-                    BinOp::FAdd | BinOp::FSub => {
-                        if wide {
-                            self.cfg.fadd64
-                        } else {
-                            self.cfg.fadd32
-                        }
-                    }
-                    BinOp::FMul => {
-                        if wide {
-                            self.cfg.fmul64
-                        } else {
-                            self.cfg.fmul32
-                        }
-                    }
-                    BinOp::FDiv => self.cfg.fdiv,
-                    _ => self.cfg.int_op,
-                }
-            }
-            Op::FCmp { .. } => self.cfg.fcmp,
-            // Loads/stores issue in 1 cycle; the D-cache adds its latency in
-            // `on_mem`.
-            Op::Load { .. } | Op::Store { .. } => self.cfg.int_op,
-            Op::Phi { .. } => 0, // register move folded into the producer
-            _ => self.cfg.int_op,
-        };
-        // Apply the IR→MIPS expansion to the base issue cost only.
-        let cost =
-            if cost == self.cfg.int_op { cost * self.cfg.fetch_expansion_pct / 100 } else { cost };
-        self.cycles += cost.max(if matches!(func.inst(inst).op, Op::Phi { .. }) { 0 } else { 1 });
+        self.cycles += self.issue[inst.index()];
     }
 
     fn on_mem(&mut self, addr: u32, _size: u32, _store: bool) {
@@ -184,8 +191,10 @@ pub fn run_mips(
     fuel: u64,
     cfg: &MipsConfig,
 ) -> Result<MipsRun, InterpError> {
+    let issue = (0..func.insts.len() as u32).map(|i| issue_cost(cfg, func, InstId(i))).collect();
     let mut timer = MipsTimer {
         cfg,
+        issue,
         cycles: 0,
         dcache: CacheSystem::new(cfg.dcache),
         icache: CacheSystem::new(cfg.icache),
