@@ -1,6 +1,7 @@
 //! Property-based end-to-end fuzzing: random loop bodies are compiled
 //! through the full CGPA flow and the pipelined hardware must be
-//! bit-identical to the functional reference.
+//! bit-identical to the functional reference, with the event-driven
+//! engine agreeing with the per-cycle reference on every statistic.
 //!
 //! The generator emits loops of the shape
 //! `for (i = 0; i < n; i++) { t = expr(a[i], …); s (+)= t; b[i] = t' }`
@@ -14,7 +15,7 @@ use cgpa_repro::cgpa::compiler::{CgpaCompiler, CgpaConfig, CompileError};
 use cgpa_repro::ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
 use cgpa_repro::pipeline::PartitionError;
 use cgpa_repro::sim::interp::{run_function, NoHooks};
-use cgpa_repro::sim::{run_with_accelerator, HwConfig, HwSystem, SimMemory, Value};
+use cgpa_repro::sim::{run_with_accelerator, HwConfig, HwSystem, SimEngine, SimMemory, Value};
 use proptest::prelude::*;
 
 /// One random arithmetic node: combine two earlier values.
@@ -172,8 +173,22 @@ fn check(spec: &LoopSpec, workers: u32) -> Result<(), TestCaseError> {
         &mut hw_mem,
         10_000_000,
         &mut |_loop_id: u32, live_ins: &[Value], m: &mut SimMemory| {
+            let per_cycle = HwConfig { engine: SimEngine::PerCycle, ..HwConfig::default() };
+            let mut rf = HwSystem::for_pipeline(pm, live_ins, per_cycle);
+            let mut rf_mem = m.clone();
+            let rs = rf.run(&mut rf_mem).map_err(|e| format!("per-cycle engine: {e}"))?;
             let mut sys = HwSystem::for_pipeline(pm, live_ins, HwConfig::default());
-            sys.run(m).map_err(|e| e.to_string())?;
+            let es = sys.run(m).map_err(|e| e.to_string())?;
+            let agree = es.cycles == rs.cycles
+                && es.workers == rs.workers
+                && es.queues == rs.queues
+                && es.cache == rs.cache
+                && es.fifo_beats == rs.fifo_beats
+                && sys.liveouts() == rf.liveouts()
+                && m.read_bytes(0, m.size()) == rf_mem.read_bytes(0, rf_mem.size());
+            if !agree {
+                return Err(format!("engines disagree: {es:?} vs {rs:?}"));
+            }
             Ok(sys.liveouts().to_vec())
         },
     )
