@@ -15,10 +15,11 @@
 //! - each state's exit is precomputed: fall through to the next state of
 //!   the block, or take a jump/branch edge that carries its target state,
 //!   whether it is a back edge, and its phi copy list;
-//! - a state is marked *register-only* when none of its ops touches a
-//!   port (cache, FIFO) and it does not return. Nobody else can observe
-//!   such a state, so the event-driven engine runs a worker through a
-//!   chain of them in one step ("run-ahead", see [`step_worker`]).
+//! - a state is marked *register-only* when every op is a [`RegOp`] and it
+//!   does not return. Such a state reads and writes only its worker's
+//!   registers, so nobody else can observe it, and the event-driven engine
+//!   runs a worker through a chain of them in one step ("run-ahead", see
+//!   [`step_worker`]).
 //!
 //! Lowering first runs the IR verifier (every id in range, dominance) and
 //! then checks that the FSM covers the function and orders every in-block
@@ -50,9 +51,10 @@ use cgpa_rtl::Fsm;
 /// one slot per IR value of the task function.
 type Reg = u32;
 
-/// One lowered operation.
+/// An op that reads and writes only its worker's registers (see
+/// [`exec_reg`]).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum MicroOp {
+pub(crate) enum RegOp {
     /// Binary op, evaluated by [`eval_binary`].
     Binary { op: BinOp, dst: Reg, a: Reg, b: Reg },
     /// Integer compare, evaluated by [`eval_icmp`].
@@ -65,6 +67,13 @@ pub(crate) enum MicroOp {
     Cast { kind: CastKind, to: Ty, dst: Reg, src: Reg },
     /// `base + index * scale + offset`, evaluated by [`eval_gep`].
     Gep { dst: Reg, base: Reg, index: Option<Reg>, scale: u32, offset: i32 },
+}
+
+/// One lowered operation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MicroOp {
+    /// A register op.
+    Reg(RegOp),
     /// Load a `ty` through the worker's cache port; blocks the worker.
     Load { dst: Reg, addr: Reg, ty: Ty },
     /// Store through the store buffer (fire and forget).
@@ -116,8 +125,8 @@ struct StateProg {
     /// Minimum cycles spent in the state.
     min_cycles: u32,
     exit: Exit,
-    /// Every op is a register op (see [`exec_reg`]) and the exit is not
-    /// `Ret`: a worker may run through the state ahead of the clock.
+    /// Every op is a [`RegOp`] and the exit is not `Ret`: a worker may run
+    /// through the state ahead of the clock.
     register_only: bool,
 }
 
@@ -198,18 +207,7 @@ pub(crate) fn lower(
             Exit::Next
         };
         let register_only = !matches!(exit, Exit::Ret(_))
-            && prog.ops[start as usize..].iter().all(|op| {
-                matches!(
-                    op,
-                    MicroOp::Binary { .. }
-                        | MicroOp::ICmp { .. }
-                        | MicroOp::FCmp { .. }
-                        | MicroOp::Select { .. }
-                        | MicroOp::Cast { .. }
-                        | MicroOp::Gep { .. }
-                        | MicroOp::StoreLiveout { .. }
-                )
-            });
+            && prog.ops[start as usize..].iter().all(|op| matches!(op, MicroOp::Reg(_)));
         prog.states.push(StateProg {
             start,
             end: prog.ops.len() as u32,
@@ -275,25 +273,26 @@ fn lower_op(
     Ok(Some(match &inst.op {
         Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. } | Op::Phi { .. } => return Ok(None),
         &Op::Binary { op, lhs, rhs } => {
-            MicroOp::Binary { op, dst: result()?, a: reg(lhs), b: reg(rhs) }
+            MicroOp::Reg(RegOp::Binary { op, dst: result()?, a: reg(lhs), b: reg(rhs) })
         }
         &Op::ICmp { pred, lhs, rhs } => {
-            MicroOp::ICmp { pred, dst: result()?, a: reg(lhs), b: reg(rhs) }
+            MicroOp::Reg(RegOp::ICmp { pred, dst: result()?, a: reg(lhs), b: reg(rhs) })
         }
         &Op::FCmp { pred, lhs, rhs } => {
-            MicroOp::FCmp { pred, dst: result()?, a: reg(lhs), b: reg(rhs) }
+            MicroOp::Reg(RegOp::FCmp { pred, dst: result()?, a: reg(lhs), b: reg(rhs) })
         }
-        &Op::Select { cond, on_true, on_false } => MicroOp::Select {
+        &Op::Select { cond, on_true, on_false } => MicroOp::Reg(RegOp::Select {
             dst: result()?,
             cond: reg(cond),
             on_true: reg(on_true),
             on_false: reg(on_false),
-        },
+        }),
         &Op::Cast { kind, value, to } => {
-            MicroOp::Cast { kind, to, dst: result()?, src: reg(value) }
+            MicroOp::Reg(RegOp::Cast { kind, to, dst: result()?, src: reg(value) })
         }
         &Op::Gep { base, index, scale, offset } => {
-            MicroOp::Gep { dst: result()?, base: reg(base), index: index.map(reg), scale, offset }
+            let index = index.map(reg);
+            MicroOp::Reg(RegOp::Gep { dst: result()?, base: reg(base), index, scale, offset })
         }
         &Op::Load { addr, ty } => MicroOp::Load { dst: result()?, addr: reg(addr), ty },
         &Op::Store { addr, value } => MicroOp::Store { addr: reg(addr), value: reg(value) },
@@ -405,9 +404,6 @@ pub(crate) struct Worker {
     pub(crate) ahead: Vec<Entered>,
     /// How many entries of `ahead` the trace has recorded.
     pub(crate) logged: usize,
-    /// An op error run-ahead met, raised when the clock reaches the
-    /// window's end (the cycle the per-cycle stepper would raise it in).
-    pending: Option<HwError>,
 }
 
 impl Worker {
@@ -441,16 +437,13 @@ impl Worker {
             stats: WorkerStats::default(),
             ahead: Vec::new(),
             logged: 0,
-            pending: None,
         }
     }
 
-    /// End a sleep: close the run-ahead window, if any, and raise the op
-    /// error it met.
-    pub(crate) fn wake(&mut self) -> Result<(), HwError> {
+    /// End a sleep: close the run-ahead window, if any.
+    pub(crate) fn wake(&mut self) {
         self.ahead.clear();
         self.logged = 0;
-        self.pending.take().map_or(Ok(()), Err)
     }
 
     /// The FSM state the per-cycle stepper would show after stepping this
@@ -513,7 +506,8 @@ pub(crate) enum StepOutcome {
         until: u64,
     },
     /// Ran ahead through register-only states; accrues `busy` and touches
-    /// no shared state until it enters its next port state at `until`.
+    /// no shared state until it enters, at `until`, the state
+    /// [`run_ahead`] stopped before.
     Ahead {
         /// Cycle the worker enters the state it stopped before.
         until: u64,
@@ -528,10 +522,6 @@ pub(crate) struct Shared<'a> {
     pub(crate) cache: &'a mut CacheSystem,
     pub(crate) mem: &'a mut SimMemory,
     pub(crate) liveouts: &'a mut [Option<Value>],
-    /// Per liveout register, the `(cycle, worker)` of the write it holds:
-    /// a worker that runs ahead writes early, and the latest write in
-    /// simulated time must still win.
-    pub(crate) liveout_stamps: &'a mut [(u64, u32)],
     pub(crate) fault: &'a mut Option<FaultPlan>,
 }
 
@@ -685,11 +675,14 @@ pub(crate) fn step_worker(
                 }
                 w.extra_wait += beats - 1;
             }
+            MicroOp::StoreLiveout { slot, value } => {
+                hw.liveouts[slot as usize] = Some(w.reg(value))
+            }
             MicroOp::Unsupported { what } => {
                 let msg = prog.unsupported.get(what as usize).cloned().unwrap_or_default();
                 return Err(HwError::Unsupported(msg));
             }
-            op => exec_reg(op, w, hw, cycle, wi)?,
+            MicroOp::Reg(op) => exec_reg(op, w)?,
         }
         w.cursor += 1;
     }
@@ -708,47 +701,26 @@ pub(crate) fn step_worker(
     if w.finished || horizon <= cycle + 1 {
         return Ok(StepOutcome::Active);
     }
-    Ok(run_ahead(prog, w, hw, cycle, wi, horizon, back))
+    Ok(run_ahead(prog, w, cycle, horizon, back))
 }
 
-/// Execute one register op: an op that reads and writes only the worker's
-/// registers (a liveout register is write-only to workers). Port ops are
-/// [`step_worker`]'s and never reach here.
+/// Execute one register op. It touches nothing outside the worker, which
+/// is what lets [`run_ahead`] run it ahead of the clock.
 #[inline]
-fn exec_reg(
-    op: MicroOp,
-    w: &mut Worker,
-    hw: &mut Shared<'_>,
-    cycle: u64,
-    wi: usize,
-) -> Result<(), HwError> {
-    let r = match op {
-        MicroOp::Binary { op, dst, a, b } => (dst, eval_binary(op, w.reg(a), w.reg(b))?),
-        MicroOp::ICmp { pred, dst, a, b } => (dst, eval_icmp(pred, w.reg(a), w.reg(b))?),
-        MicroOp::FCmp { pred, dst, a, b } => (dst, eval_fcmp(pred, w.reg(a), w.reg(b))?),
-        MicroOp::Select { dst, cond, on_true, on_false } => {
+fn exec_reg(op: RegOp, w: &mut Worker) -> Result<(), HwError> {
+    let (dst, v) = match op {
+        RegOp::Binary { op, dst, a, b } => (dst, eval_binary(op, w.reg(a), w.reg(b))?),
+        RegOp::ICmp { pred, dst, a, b } => (dst, eval_icmp(pred, w.reg(a), w.reg(b))?),
+        RegOp::FCmp { pred, dst, a, b } => (dst, eval_fcmp(pred, w.reg(a), w.reg(b))?),
+        RegOp::Select { dst, cond, on_true, on_false } => {
             (dst, if as_bool(w.reg(cond))? { w.reg(on_true) } else { w.reg(on_false) })
         }
-        MicroOp::Cast { kind, to, dst, src } => (dst, eval_cast(kind, w.reg(src), to)?),
-        MicroOp::Gep { dst, base, index, scale, offset } => {
+        RegOp::Cast { kind, to, dst, src } => (dst, eval_cast(kind, w.reg(src), to)?),
+        RegOp::Gep { dst, base, index, scale, offset } => {
             (dst, eval_gep(w.reg(base), index.map(|i| w.reg(i)), scale, offset)?)
         }
-        MicroOp::StoreLiveout { slot, value } => {
-            let stamp = (cycle, wi as u32);
-            if stamp >= hw.liveout_stamps[slot as usize] {
-                hw.liveout_stamps[slot as usize] = stamp;
-                hw.liveouts[slot as usize] = Some(w.reg(value));
-            }
-            return Ok(());
-        }
-        MicroOp::Load { .. }
-        | MicroOp::Store { .. }
-        | MicroOp::Produce { .. }
-        | MicroOp::Broadcast { .. }
-        | MicroOp::Consume { .. }
-        | MicroOp::Unsupported { .. } => return Ok(()),
     };
-    w.set(r.0, r.1);
+    w.set(dst, v);
     Ok(())
 }
 
@@ -757,18 +729,19 @@ fn exec_reg(
 /// as of the cycle the per-cycle stepper would, and log its entry in
 /// [`Worker::ahead`]. Stops before a state with a port op or a `Ret`
 /// exit, before a state that would not end before `horizon` (the next
-/// timed fault boundary), after [`MAX_AHEAD`] states, and at an op error,
-/// which [`Worker::wake`] raises at the cycle it belongs to.
+/// timed fault boundary), after [`MAX_AHEAD`] states, and before a state
+/// whose op or branch fails: the stepper runs that state again when the
+/// clock reaches its entry and raises the error there. Running it again is
+/// exact, because each of its ops writes its own result register from
+/// values computed before it.
 ///
 /// Returns `Active` when not even the next state qualifies, and otherwise
-/// `Ahead` with the cycle the worker enters its next state (or raises the
-/// error). Every cycle before that is busy.
+/// `Ahead` with the cycle the worker enters its next state. Every cycle
+/// before that is busy.
 fn run_ahead(
     prog: &Program,
     w: &mut Worker,
-    hw: &mut Shared<'_>,
     cycle: u64,
-    wi: usize,
     horizon: u64,
     mut back: bool,
 ) -> StepOutcome {
@@ -781,19 +754,17 @@ fn run_ahead(
         if !st.register_only || last >= horizon || w.ahead.len() == MAX_AHEAD {
             break;
         }
-        w.ahead.push(Entered { at: entry - 1, state: w.state as u32, back });
-        let ops = &prog.ops[st.start as usize..st.end as usize];
-        if let Err(e) = ops.iter().try_for_each(|&op| exec_reg(op, w, hw, entry, wi)) {
-            w.pending = Some(e);
-            return StepOutcome::Ahead { until: entry };
+        let state = w.state as u32;
+        let ran = prog.ops[st.start as usize..st.end as usize].iter().all(|&op| match op {
+            MicroOp::Reg(op) => exec_reg(op, w).is_ok(),
+            _ => false,
+        });
+        if !ran {
+            break;
         }
-        match advance(prog, &st.exit, w) {
-            Ok(b) => back = b,
-            Err(e) => {
-                w.pending = Some(e);
-                return StepOutcome::Ahead { until: last };
-            }
-        }
+        let Ok(next_back) = advance(prog, &st.exit, w) else { break };
+        w.ahead.push(Entered { at: entry - 1, state, back });
+        back = next_back;
         entry = last + 1;
     }
     if w.ahead.is_empty() {
