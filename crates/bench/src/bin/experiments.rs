@@ -369,14 +369,20 @@ fn bench(set: KernelSet, json: bool, label: &str) {
                     engine,
                     ..HwConfig::default()
                 };
-                timed_min(|| {
+                let (ms, (stats, mem, ret)) = timed_min(|| {
                     let mut mem = k.mem.clone();
                     let mut sys = HwSystem::for_single(&k.func, &k.args, hw);
-                    sys.run(&mut mem).unwrap_or_else(|e| {
+                    let stats = sys.run(&mut mem).unwrap_or_else(|e| {
                         eprintln!("{}: himem run failed: {e}", k.name);
                         std::process::exit(1);
-                    })
-                })
+                    });
+                    (stats, mem, sys.ret_value())
+                });
+                k.check(&mem, ret).unwrap_or_else(|e| {
+                    eprintln!("{}: himem run is wrong: {e}", k.name);
+                    std::process::exit(1);
+                });
+                (ms, stats)
             };
             let (himem_ms_event, himem_ev) = timed_himem(SimEngine::EventDriven);
             let (himem_ms_reference, himem_ref) = timed_himem(SimEngine::PerCycle);
