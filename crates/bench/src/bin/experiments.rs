@@ -226,9 +226,10 @@ struct BenchEntry {
     legup_cycles: u64,
     cgpa_cycles: u64,
     skipped_cycles: u64,
-    /// LegUp wall-clock at [`HIMEM_MISS_LATENCY`], event engine.
+    /// LegUp run wall-clock (simulation, verification and scoring) at
+    /// [`HIMEM_MISS_LATENCY`], event engine.
     himem_ms_event: f64,
-    /// LegUp wall-clock at [`HIMEM_MISS_LATENCY`], per-cycle reference.
+    /// The same at [`HIMEM_MISS_LATENCY`], per-cycle reference.
     himem_ms_reference: f64,
     /// Simulated cycles of the high-miss-latency run (identical under both
     /// engines, asserted).
@@ -284,8 +285,7 @@ impl BenchEntry {
 fn bench(set: KernelSet, json: bool, label: &str) {
     use cgpa::dse::{CompileCache, DseLattice, DEFAULT_AREA_BUDGET_ALUT};
     use cgpa::flows::{run, run_cgpa_dse, run_compiled, HwTuning, RunSpec, Target};
-    use cgpa_sim::cache::CacheConfig;
-    use cgpa_sim::{HwConfig, HwSystem, SimEngine, SystemStats};
+    use cgpa_sim::{SimEngine, SystemStats};
 
     /// The two engines must agree on every engine-independent statistic
     /// (all but `skipped_cycles`); this is the invariant the differential
@@ -358,45 +358,29 @@ fn bench(set: KernelSet, json: bool, label: &str) {
             // Memory-latency-dominated regime: single worker, one bank, a
             // cache too small for the working set, slow misses. Here nearly
             // every cycle is a stall the scheduler can jump over.
-            let timed_himem = |engine: SimEngine| {
-                let hw = HwConfig {
-                    cache: CacheConfig {
-                        banks: 1,
-                        lines: HIMEM_CACHE_LINES,
-                        miss_latency: HIMEM_MISS_LATENCY,
-                        ..CacheConfig::default()
-                    },
-                    engine,
-                    ..HwConfig::default()
-                };
-                let (ms, (stats, mem, ret)) = timed_min(|| {
-                    let mut mem = k.mem.clone();
-                    let mut sys = HwSystem::for_single(&k.func, &k.args, hw);
-                    let stats = sys.run(&mut mem).unwrap_or_else(|e| {
-                        eprintln!("{}: himem run failed: {e}", k.name);
-                        std::process::exit(1);
-                    });
-                    (stats, mem, sys.ret_value())
-                });
-                k.check(&mem, ret).unwrap_or_else(|e| {
-                    eprintln!("{}: himem run is wrong: {e}", k.name);
-                    std::process::exit(1);
-                });
-                (ms, stats)
-            };
-            let (himem_ms_event, himem_ev) = timed_himem(SimEngine::EventDriven);
-            let (himem_ms_reference, himem_ref) = timed_himem(SimEngine::PerCycle);
-            assert_engines_agree(&format!("{} himem", k.name), Some(&himem_ev), Some(&himem_ref));
-
-            // Design-space search in the same memory-starved regime. The
-            // quick lattice contains the default point, so the recommended
-            // point can only match or beat it; profile the recommended point
-            // (a compile-cache hit) to name what still limits it.
             let himem_tuning = HwTuning {
                 miss_latency: HIMEM_MISS_LATENCY,
                 cache_lines: HIMEM_CACHE_LINES,
                 ..HwTuning::default()
             };
+            let timed_himem = |engine: SimEngine| {
+                let tuning = HwTuning { engine, ..himem_tuning };
+                timed_min(|| {
+                    run(k, &RunSpec { tuning, ..RunSpec::new(Target::Legup) }).unwrap_or_else(|e| {
+                        eprintln!("{}: himem run failed: {e}", k.name);
+                        std::process::exit(1);
+                    })
+                })
+            };
+            let (himem_ms_event, himem_ev) = timed_himem(SimEngine::EventDriven);
+            let (himem_ms_reference, himem_ref) = timed_himem(SimEngine::PerCycle);
+            let what = format!("{} himem", k.name);
+            assert_engines_agree(&what, himem_ev.stats.as_ref(), himem_ref.stats.as_ref());
+
+            // Design-space search in the same memory-starved regime. The
+            // quick lattice contains the default point, so the recommended
+            // point can only match or beat it; profile the recommended point
+            // (a compile-cache hit) to name what still limits it.
             let report = run_cgpa_dse(
                 k,
                 &DseLattice::quick(),
@@ -605,15 +589,10 @@ fn profile_doc(label: &str, set: KernelSet, profiles: &[cgpa::profile::Profile])
 /// One DSE outcome as a JSON object (shared by `recommended` and the
 /// frontier list); power and energy are rounded to 3 decimals, EDP to 6.
 fn dse_point_doc(o: &cgpa::dse::DseOutcome) -> Json {
-    use cgpa_pipeline::ReplicablePlacement;
     let p = &o.point;
-    let placement = match p.placement {
-        ReplicablePlacement::Pipelined => "P1",
-        ReplicablePlacement::Replicated => "P2",
-    };
     Json::obj([
         ("label", p.label().into()),
-        ("placement", placement.into()),
+        ("placement", p.placement.to_string().into()),
         ("workers", p.workers.into()),
         ("fifo_depth_beats", p.fifo_depth_beats.into()),
         ("cache_lines", p.cache_lines.into()),

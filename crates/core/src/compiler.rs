@@ -33,10 +33,9 @@ pub enum DegradationRung {
 
 impl fmt::Display for DegradationRung {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DegradationRung::Replicated => f.write_str("P2"),
-            DegradationRung::Pipelined => f.write_str("P1"),
-            DegradationRung::Sequential => f.write_str("sequential"),
+        match self.placement() {
+            Some(placement) => write!(f, "{placement}"),
+            None => f.write_str("sequential"),
         }
     }
 }

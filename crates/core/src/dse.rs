@@ -173,17 +173,13 @@ impl DsePoint {
     /// Compact human-readable label, e.g. `P1 w4 fifo16 lines512`.
     #[must_use]
     pub fn label(&self) -> String {
-        let p = match self.placement {
-            ReplicablePlacement::Pipelined => "P1",
-            ReplicablePlacement::Replicated => "P2",
-        };
         let banks = match self.cache_banks {
             Some(b) => format!(" banks{b}"),
             None => String::new(),
         };
         format!(
-            "{p} w{} fifo{} lines{}{banks}",
-            self.workers, self.fifo_depth_beats, self.cache_lines
+            "{} w{} fifo{} lines{}{banks}",
+            self.placement, self.workers, self.fifo_depth_beats, self.cache_lines
         )
     }
 

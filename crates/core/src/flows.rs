@@ -285,7 +285,7 @@ pub fn run(k: &BuiltKernel, spec: &RunSpec<'_>) -> Result<RunResult, FlowError> 
         let rung = degraded.rung();
         let design = match &degraded {
             DegradedCompile::Pipeline { compiled, .. } => {
-                Design::Pipeline(compiled, cgpa_label(rung.placement().unwrap_or(config.placement)))
+                Design::Pipeline(compiled, rung.placement().unwrap_or(config.placement))
             }
             DegradedCompile::Sequential { .. } => Design::Sequential("CGPA(seq-fallback)"),
         };
@@ -301,7 +301,7 @@ pub fn run(k: &BuiltKernel, spec: &RunSpec<'_>) -> Result<RunResult, FlowError> 
         // Emit (and discard) the Verilog to record the backend's spans.
         let _ = compiler.emit_verilog_inner(&compiled, track.as_ref());
     }
-    simulate(k, Design::Pipeline(&compiled, cgpa_label(config.placement)), spec)
+    simulate(k, Design::Pipeline(&compiled, config.placement), spec)
 }
 
 /// [`run`] on an already-compiled pipeline, so sweeps can reuse one
@@ -318,26 +318,20 @@ pub fn run_compiled(
 ) -> Result<RunResult, FlowError> {
     let design = match spec.target {
         Target::Legup => Design::Sequential("LegUp"),
-        Target::Cgpa(config) => Design::Pipeline(compiled, cgpa_label(config.placement)),
+        Target::Cgpa(config) => Design::Pipeline(compiled, config.placement),
     };
     simulate(k, design, spec)
 }
 
-/// The hardware the shared simulate→verify→score body builds, with the
-/// run's label.
+/// The hardware the shared simulate→verify→score body builds: a
+/// sequential design with the run's label, or a pipeline with the
+/// placement it was compiled with (labelled `CGPA(P1)`/`CGPA(P2)`).
 #[derive(Clone, Copy)]
 enum Design<'c> {
     /// LegUp: the kernel itself as one FSM worker.
     Sequential(&'static str),
     /// CGPA: a compiled pipeline, forked from its parent.
-    Pipeline(&'c Compiled, &'static str),
-}
-
-fn cgpa_label(placement: ReplicablePlacement) -> &'static str {
-    match placement {
-        ReplicablePlacement::Pipelined => "CGPA(P1)",
-        ReplicablePlacement::Replicated => "CGPA(P2)",
-    }
+    Pipeline(&'c Compiled, ReplicablePlacement),
 }
 
 /// Arm `spec`'s fault plan on `sys` and run it, tracing the run into
@@ -431,9 +425,9 @@ fn simulate(
     let (label, shape, worker_areas, channels) = match design {
         Design::Sequential(label) => {
             let areas = single.iter().map(|sys| estimate_area(&amodel, &k.func, &sys.fsms()[0]));
-            (label, None, areas.collect(), 0)
+            (label.to_string(), None, areas.collect(), 0)
         }
-        Design::Pipeline(compiled, label) => {
+        Design::Pipeline(compiled, placement) => {
             let pm = &compiled.pipeline;
             let mut areas: Vec<AreaReport> = Vec::new();
             for task in &pm.tasks {
@@ -442,7 +436,7 @@ fn simulate(
                 areas.extend(std::iter::repeat_n(a, pm.instances(task) as usize));
             }
             let channels = pm.queues.iter().map(|q| pm.module.queue(q.queue).channels).sum();
-            (label, Some(compiled.shape.clone()), areas, channels)
+            (format!("CGPA({placement})"), Some(compiled.shape.clone()), areas, channels)
         }
     };
     let fifo = fifo_area(&amodel, channels);
@@ -457,7 +451,7 @@ fn simulate(
     };
     let power = evaluate(&PowerModel::default(), &trace);
     Ok(RunResult {
-        config: label.to_string(),
+        config: label,
         cycles: stats.cycles,
         alut,
         power_mw: power.power_mw,

@@ -37,6 +37,16 @@ pub enum ReplicablePlacement {
     Replicated,
 }
 
+/// The paper's names for the placements: `P1` and `P2`.
+impl fmt::Display for ReplicablePlacement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ReplicablePlacement::Pipelined => "P1",
+            ReplicablePlacement::Replicated => "P2",
+        })
+    }
+}
+
 /// Partitioner options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PartitionConfig {

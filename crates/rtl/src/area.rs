@@ -1,18 +1,22 @@
 //! ALUT area estimation (paper Table 3 reports post-fit ALUTs).
 //!
 //! The model mimics LegUp-style binding on a Stratix-IV-class device: each
-//! worker instantiates **one functional unit per operation kind** (resource
-//! sharing across states is free because our scheduler never double-books a
-//! unit), plus per-operation steering logic (input muxes), FSM one-hot
-//! decode, pipeline registers, and memory/FIFO port adapters.
+//! worker instantiates **one functional unit per [`Unit`] kind** its ops
+//! bind to ([`op_timing`] decides which), with separate 32- and 64-bit
+//! `fadd`, `fmul` and `fdiv` units (the width rules are listed in
+//! [`crate::timing`]); resource sharing across states is free because the
+//! scheduler never double-books a unit. On top come per-operation steering
+//! logic (input muxes), FSM one-hot decode, pipeline registers, and
+//! memory/FIFO port adapters.
 //!
 //! Absolute numbers are model-based — the reproduction has no Quartus — but
 //! the *ratios* the paper reports (CGPA ≈ 4.1× LegUp, driven by four
 //! parallel workers plus FIFO and multi-port overhead) emerge structurally.
 
 use crate::fsm::Fsm;
-use cgpa_ir::{BinOp, Function, Op, Ty};
-use std::collections::BTreeMap;
+use crate::timing::{op_timing, Unit};
+use cgpa_ir::{Function, Op, Ty};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// ALUT envelope of the paper's evaluation platform — the Stratix IV
 /// EP4SGX230 on the Altera DE4 board (§4.1) offers 182,400 ALUTs. The
@@ -23,8 +27,11 @@ pub const DE4_ALUT_BUDGET: u32 = 182_400;
 /// ALUT cost table.
 #[derive(Debug, Clone)]
 pub struct AreaModel {
-    /// Cost of one functional unit per kind.
-    pub unit_cost: BTreeMap<&'static str, u32>,
+    /// Cost of one functional unit, by kind and width in bits: `fadd`,
+    /// `fmul` and `fdiv` have a 32- and a 64-bit unit, every other kind is
+    /// one 32-bit unit whatever its operands' width. Every unit an op can
+    /// bind to must be priced; [`estimate_area`] panics on a missing one.
+    pub unit_cost: BTreeMap<(Unit, u32), u32>,
     /// Steering/mux cost per scheduled operation.
     pub per_op: u32,
     /// FSM decode cost per state.
@@ -39,23 +46,24 @@ pub struct AreaModel {
 
 impl Default for AreaModel {
     fn default() -> Self {
-        let mut unit_cost = BTreeMap::new();
-        // 32-bit integer units.
-        unit_cost.insert("add", 32);
-        unit_cost.insert("logic", 32);
-        unit_cost.insert("shift", 64);
-        unit_cost.insert("icmp", 20);
-        unit_cost.insert("select", 32);
-        unit_cost.insert("imul", 130);
-        unit_cost.insert("idiv", 650);
-        // Floating point (DSP-assisted, so modest ALUT counts).
-        unit_cost.insert("fadd32", 220);
-        unit_cost.insert("fadd64", 420);
-        unit_cost.insert("fmul32", 120);
-        unit_cost.insert("fmul64", 260);
-        unit_cost.insert("fdiv32", 700);
-        unit_cost.insert("fdiv64", 1400);
-        unit_cost.insert("fcmp", 80);
+        let unit_cost = BTreeMap::from([
+            // 32-bit integer units.
+            ((Unit::Add, 32), 32),
+            ((Unit::Logic, 32), 32),
+            ((Unit::Shift, 32), 64),
+            ((Unit::ICmp, 32), 20),
+            ((Unit::Select, 32), 32),
+            ((Unit::IMul, 32), 130),
+            ((Unit::IDiv, 32), 650),
+            // Floating point (DSP-assisted, so modest ALUT counts).
+            ((Unit::FAdd, 32), 220),
+            ((Unit::FAdd, 64), 420),
+            ((Unit::FMul, 32), 120),
+            ((Unit::FMul, 64), 260),
+            ((Unit::FDiv, 32), 700),
+            ((Unit::FDiv, 64), 1400),
+            ((Unit::FCmp, 32), 80),
+        ]);
         AreaModel {
             unit_cost,
             per_op: 6,
@@ -105,50 +113,13 @@ impl AreaReport {
     }
 }
 
-/// The functional-unit kind an op binds to, with float width.
-fn unit_of(func: &Function, inst: &cgpa_ir::Inst) -> Option<&'static str> {
-    let wide = inst.result.map(|r| func.value_ty(r)) == Some(Ty::F64);
-    match &inst.op {
-        Op::Binary { op, .. } => Some(match op {
-            BinOp::Add | BinOp::Sub => "add",
-            BinOp::And | BinOp::Or | BinOp::Xor => "logic",
-            BinOp::Shl | BinOp::LShr | BinOp::AShr => "shift",
-            BinOp::Mul => "imul",
-            BinOp::SDiv | BinOp::SRem => "idiv",
-            BinOp::FAdd | BinOp::FSub => {
-                if wide {
-                    "fadd64"
-                } else {
-                    "fadd32"
-                }
-            }
-            BinOp::FMul => {
-                if wide {
-                    "fmul64"
-                } else {
-                    "fmul32"
-                }
-            }
-            BinOp::FDiv => {
-                if wide {
-                    "fdiv64"
-                } else {
-                    "fdiv32"
-                }
-            }
-        }),
-        Op::ICmp { .. } => Some("icmp"),
-        Op::FCmp { .. } => Some("fcmp"),
-        Op::Select { .. } => Some("select"),
-        Op::Gep { .. } => Some("add"),
-        _ => None,
-    }
-}
-
 /// Estimate the area of one scheduled worker.
+///
+/// # Panics
+/// If `model` prices no unit for a kind and width one of the ops binds to.
 #[must_use]
 pub fn estimate_area(model: &AreaModel, func: &Function, fsm: &Fsm) -> AreaReport {
-    let mut kinds: BTreeMap<&'static str, u32> = BTreeMap::new();
+    let mut units: BTreeSet<(Unit, u32)> = BTreeSet::new();
     let mut op_count = 0u32;
     let mut uses_memory = false;
     for inst in &func.insts {
@@ -160,12 +131,17 @@ pub fn estimate_area(model: &AreaModel, func: &Function, fsm: &Fsm) -> AreaRepor
         if inst.op.is_memory() {
             uses_memory = true;
         }
-        if let Some(k) = unit_of(func, inst) {
-            *kinds.entry(k).or_insert(0) += 1;
+        let ty = inst.result.map(|r| func.value_ty(r));
+        if let Some(unit) = op_timing(&inst.op, ty).unit {
+            let bits = match unit {
+                Unit::FAdd | Unit::FMul | Unit::FDiv if ty == Some(Ty::F64) => 64,
+                _ => 32,
+            };
+            units.insert((unit, bits));
         }
     }
-    // One unit per kind (the scheduler guarantees no same-kind overlap).
-    let units: u32 = kinds.keys().map(|k| model.unit_cost.get(k).copied().unwrap_or(32)).sum();
+    // One unit per kind and width (the scheduler never double-books one).
+    let units: u32 = units.iter().map(|key| model.unit_cost[key]).sum();
     let registers = fsm.register_count(func) as u32;
     AreaReport {
         units,
@@ -190,6 +166,7 @@ mod tests {
     use super::*;
     use crate::schedule::schedule_function;
     use cgpa_ir::builder::FunctionBuilder;
+    use cgpa_ir::BinOp;
 
     fn worker() -> Function {
         let mut b = FunctionBuilder::new("w", &[("p", Ty::Ptr)], None);
@@ -209,8 +186,9 @@ mod tests {
         let model = AreaModel::default();
         let rep = estimate_area(&model, &f, &fsm);
         // Only one fmul64 unit despite two fmuls.
-        assert!(rep.units >= model.unit_cost["fmul64"]);
-        assert!(rep.units < 2 * model.unit_cost["fmul64"]);
+        let fmul64 = model.unit_cost[&(Unit::FMul, 64)];
+        assert!(rep.units >= fmul64);
+        assert!(rep.units < 2 * fmul64);
         assert!(rep.mem_port > 0);
         assert!(rep.total() > rep.units);
     }

@@ -93,25 +93,22 @@ impl Fsm {
     /// state than their definition (plus phis). Feeds the area model.
     #[must_use]
     pub fn register_count(&self, func: &Function) -> usize {
-        let mut regs = 0usize;
-        for (idx, inst) in func.insts.iter().enumerate() {
-            let id = InstId(idx as u32);
-            if matches!(inst.op, cgpa_ir::Op::Phi { .. }) {
-                regs += 1;
-                continue;
-            }
-            let Some(def_state) = self.state_of[id.index()] else { continue };
-            let Some(result) = inst.result else { continue };
-            // Used later than its own state (or in another block)?
-            let crosses = func.insts.iter().enumerate().any(|(uidx, u)| {
-                u.op.operands().contains(&result)
-                    && self.state_of[uidx].is_some_and(|us| us != def_state)
-            });
-            if crosses {
-                regs += 1;
+        // Mark each scheduled definition that a user in another state reads.
+        let mut crosses = vec![false; func.insts.len()];
+        for (uidx, user) in func.insts.iter().enumerate() {
+            let Some(use_state) = self.state_of[uidx] else { continue };
+            for v in user.op.operands() {
+                let Some(def) = func.def_of(v) else { continue };
+                if self.state_of[def.index()].is_some_and(|s| s != use_state) {
+                    crosses[def.index()] = true;
+                }
             }
         }
-        regs
+        func.insts
+            .iter()
+            .zip(&crosses)
+            .filter(|(inst, &cross)| cross || matches!(inst.op, cgpa_ir::Op::Phi { .. }))
+            .count()
     }
 }
 

@@ -7,8 +7,9 @@
 //! - multi-cycle units (multipliers, floating-point, dividers) take
 //!   registered inputs, so they start a new state whenever an operand was
 //!   computed in the current one; one unit of each kind exists per worker
-//!   (resource sharing), so two same-kind multi-cycle ops never share a
-//!   state;
+//!   (resource sharing), so two ops on the same multi-cycle [`Unit`] never
+//!   share a state, whatever their float width (the rules are listed in
+//!   [`crate::timing`]);
 //! - memory and queue accesses ("port ops") each occupy a dedicated state —
 //!   this enforces the paper's constraint 3 (produce/consume never scheduled
 //!   with memory operations, eq. 3) and models the single cache port each
@@ -26,8 +27,8 @@
 //! [`CHAIN_LIMIT`]: crate::timing::CHAIN_LIMIT
 
 use crate::fsm::{Fsm, State, StateId};
-use crate::timing::{op_timing, CHAIN_LIMIT};
-use cgpa_ir::{BlockId, Function, InstId, Op, ValueId};
+use crate::timing::{inst_timing, Unit, CHAIN_LIMIT};
+use cgpa_ir::{BlockId, Function, Inst, InstId, Op, ValueId};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -47,7 +48,7 @@ pub enum ScheduleError {
     ForkConflict(StateId),
     /// A value is used before its producing state completes.
     DataHazard { def: InstId, user: InstId },
-    /// Two multi-cycle operations of the same kind share a state (the
+    /// Two operations on the same multi-cycle unit share a state (the
     /// worker has one functional unit per kind).
     UnitConflict(StateId),
     /// The FSM is not a state sequence over this function (for example one
@@ -129,13 +130,10 @@ pub fn schedule_function(func: &Function) -> Fsm {
                 }
                 continue;
             }
-            let ty = inst.result.map(|r| func.value_ty(r));
-            let t = op_timing(&inst.op, ty);
+            let t = inst_timing(func, inst);
 
             let cur = states.len() - 1;
-            // Earliest state/depth from operands defined in this block.
-            let mut min_state = first_state;
-            let mut from_current_reg = false; // operand registered in cur
+            // Deepest chain among the operands computed in state `s`.
             let depth_at = |s: usize| -> u32 {
                 let mut d = 0;
                 for v in inst.op.operands() {
@@ -147,89 +145,52 @@ pub fn schedule_function(func: &Function) -> Fsm {
                 }
                 d
             };
+            // Operands produced in the current state: combinationally, or
+            // registered at its end (usable from the next state on).
+            let (mut comb_in_cur, mut reg_in_cur) = (false, false);
             for v in inst.op.operands() {
                 match avail.get(&v) {
-                    Some(Avail::InState { state, .. }) => min_state = min_state.max(*state),
-                    Some(Avail::AfterState { state }) => {
-                        min_state = min_state.max(state + 1);
-                        if *state == cur {
-                            from_current_reg = true;
-                        }
-                    }
-                    None => {}
+                    Some(Avail::InState { state, .. }) if *state == cur => comb_in_cur = true,
+                    Some(Avail::AfterState { state }) if *state == cur => reg_in_cur = true,
+                    _ => {}
                 }
             }
+            let held = |f: &dyn Fn(&Inst) -> bool| states[cur].ops.iter().any(|&i| f(func.inst(i)));
+            let is_fork_join =
+                |op: &Op| matches!(op, Op::ParallelFork { .. } | Op::ParallelJoin { .. });
 
-            let is_fork_join = matches!(inst.op, Op::ParallelFork { .. } | Op::ParallelJoin { .. });
-            let is_queue = inst.op.is_queue_op();
-            let cur_has_mem = states[cur].ops.iter().any(|&i| func.inst(i).op.is_memory());
-            let cur_has_queue = states[cur].ops.iter().any(|&i| func.inst(i).op.is_queue_op());
-            let cur_same_queue = is_queue
-                && states[cur].ops.iter().any(|&i| {
-                    queue_id_of(&func.inst(i).op) == queue_id_of(&inst.op)
-                        && queue_id_of(&inst.op).is_some()
-                });
-            let cur_has_port = cur_has_mem || cur_has_queue;
-            let cur_has_fork = states[cur].ops.iter().any(|&i| {
-                matches!(func.inst(i).op, Op::ParallelFork { .. } | Op::ParallelJoin { .. })
-            });
-            let cur_kind_conflict = !t.chainable
-                && !t.port_op
-                && states[cur].ops.iter().any(|&i| {
-                    unit_kind(&func.inst(i).op) == unit_kind(&inst.op)
-                        && unit_kind(&inst.op).is_some()
-                });
-
-            let place_state = if is_queue {
+            let need_new = if inst.op.is_queue_op() {
                 // Queue ops on *different* queues are independent FIFO
                 // handshakes and may share a state (eq. 3 only separates
                 // them from memory ops). Operands must be available — a
                 // consume's dout in the same state counts (combinational).
-                let need_new = from_current_reg
-                    || min_state > cur
-                    || cur_has_mem
-                    || cur_same_queue
-                    || cur_has_fork;
-                if need_new {
-                    states.push(State { block: b, ops: Vec::new(), min_cycles: 1 });
-                }
-                states.len() - 1
-            } else if t.port_op || is_fork_join {
+                let queue = queue_id_of(&inst.op);
+                reg_in_cur
+                    || held(&|i| {
+                        i.op.is_memory() || queue_id_of(&i.op) == queue || is_fork_join(&i.op)
+                    })
+            } else if t.port_op || is_fork_join(&inst.op) {
                 // Dedicated state for memory accesses and fork/join.
-                let need_new = !states[cur].ops.is_empty()
-                    || from_current_reg
-                    || min_state > cur
-                    || cur_has_port
-                    || cur_has_fork;
-                if need_new || states[cur].block != b {
-                    states.push(State { block: b, ops: Vec::new(), min_cycles: 1 });
-                }
-                states.len() - 1
+                !states[cur].ops.is_empty()
             } else if t.chainable {
-                let d = depth_at(cur);
-                if min_state > cur || from_current_reg {
-                    // Operands not ready within current state.
-                    states.push(State { block: b, ops: Vec::new(), min_cycles: 1 });
-                    states.len() - 1
-                } else if d + 1 > CHAIN_LIMIT {
-                    states.push(State { block: b, ops: Vec::new(), min_cycles: 1 });
-                    states.len() - 1
-                } else {
-                    cur
-                }
+                reg_in_cur || depth_at(cur) + 1 > CHAIN_LIMIT
             } else {
                 // Multi-cycle: registered inputs; new state if an operand is
-                // produced in the current state or a same-kind unit is busy.
-                let operand_in_cur = inst.op.operands().iter().any(
-                    |v| matches!(avail.get(v), Some(Avail::InState { state, .. }) if *state == cur),
-                ) || from_current_reg;
-                if operand_in_cur || min_state > cur || cur_kind_conflict || cur_has_port {
-                    states.push(State { block: b, ops: Vec::new(), min_cycles: 1 });
-                    states.len() - 1
-                } else {
-                    cur
-                }
+                // produced in the current state, the state holds a port op,
+                // or the op's unit is busy there.
+                let unit = t.shared_unit();
+                comb_in_cur
+                    || reg_in_cur
+                    || held(&|i| {
+                        i.op.is_memory()
+                            || i.op.is_queue_op()
+                            || (unit.is_some() && inst_timing(func, i).shared_unit() == unit)
+                    })
             };
+            if need_new {
+                states.push(State { block: b, ops: Vec::new(), min_cycles: 1 });
+            }
+            let place_state = states.len() - 1;
 
             let sid = StateId(place_state as u32);
             states[place_state].ops.push(iid);
@@ -253,7 +214,7 @@ pub fn schedule_function(func: &Function) -> Fsm {
 
             // Memory states close (the cache port is busy); queue states
             // stay open for more handshakes and combinational users.
-            if (t.port_op && !is_queue) || is_fork_join {
+            if (t.port_op && !inst.op.is_queue_op()) || is_fork_join(&inst.op) {
                 states.push(State { block: b, ops: Vec::new(), min_cycles: 1 });
             }
         }
@@ -291,22 +252,6 @@ fn queue_id_of(op: &Op) -> Option<cgpa_ir::QueueId> {
         Op::Produce { queue, .. }
         | Op::ProduceBroadcast { queue, .. }
         | Op::Consume { queue, .. } => Some(*queue),
-        _ => None,
-    }
-}
-
-/// The shared-functional-unit kind of an op, if it uses one.
-fn unit_kind(op: &Op) -> Option<&'static str> {
-    match op {
-        Op::Binary { op: b, .. } => match b {
-            cgpa_ir::BinOp::Mul => Some("imul"),
-            cgpa_ir::BinOp::SDiv | cgpa_ir::BinOp::SRem => Some("idiv"),
-            cgpa_ir::BinOp::FAdd | cgpa_ir::BinOp::FSub => Some("fadd"),
-            cgpa_ir::BinOp::FMul => Some("fmul"),
-            cgpa_ir::BinOp::FDiv => Some("fdiv"),
-            _ => None,
-        },
-        Op::FCmp { .. } => Some("fcmp"),
         _ => None,
     }
 }
@@ -415,40 +360,34 @@ pub fn verify_schedule(func: &Function, fsm: &Fsm) -> Result<(), ScheduleError> 
     for (sidx, state) in fsm.states.iter().enumerate() {
         let sid = StateId(sidx as u32);
         let mut mem = 0;
-        let mut queue = 0;
         let mut forks = 0;
-        let mut kinds: Vec<&'static str> = Vec::new();
+        let mut queues: Vec<cgpa_ir::QueueId> = Vec::new();
+        let mut queue_twice = false;
+        let mut busy: Vec<Unit> = Vec::new();
         for &i in &state.ops {
-            let op = &func.inst(i).op;
+            let inst = func.inst(i);
+            let op = &inst.op;
             if op.is_memory() {
                 mem += 1;
             }
-            if op.is_queue_op() {
-                queue += 1;
+            if let Some(q) = queue_id_of(op) {
+                queue_twice |= queues.contains(&q);
+                queues.push(q);
             }
             if matches!(op, Op::ParallelFork { .. }) {
                 forks += 1;
             }
-            if let Some(k) = unit_kind(op) {
-                if kinds.contains(&k) {
+            if let Some(u) = inst_timing(func, inst).shared_unit() {
+                if busy.contains(&u) {
                     return Err(ScheduleError::UnitConflict(sid));
                 }
-                kinds.push(k);
+                busy.push(u);
             }
         }
         // Eq. 3: queue and memory ops never share a state; one memory op
         // per state (single cache port); one op per queue per state.
-        if mem > 1 || (mem >= 1 && queue >= 1) {
+        if mem > 1 || (mem >= 1 && !queues.is_empty()) || queue_twice {
             return Err(ScheduleError::PortConflict(sid));
-        }
-        let mut qids: Vec<cgpa_ir::QueueId> = Vec::new();
-        for &i in &state.ops {
-            if let Some(q) = queue_id_of(&func.inst(i).op) {
-                if qids.contains(&q) {
-                    return Err(ScheduleError::PortConflict(sid));
-                }
-                qids.push(q);
-            }
         }
         // Eq. 2.
         if forks > 1 {
@@ -480,7 +419,7 @@ pub fn verify_schedule(func: &Function, fsm: &Fsm) -> Result<(), ScheduleError> 
                 continue;
             }
             let Some(ds) = fsm.state_of[def.index()] else { continue };
-            let dt = op_timing(&dinst.op, dinst.result.map(|r| func.value_ty(r)));
+            let dt = inst_timing(func, dinst);
             // Consume data is combinational FIFO output: same-state uses
             // are legal.
             let consume = matches!(dinst.op, Op::Consume { .. });

@@ -6,12 +6,19 @@
 //! Soft-core floating point is an unpipelined coprocessor, so FP latencies
 //! serialize — the main reason specialization wins even before
 //! parallelization.
+//!
+//! An instruction's issue cost is the cost of the functional unit
+//! [`op_timing`] binds it to, so the core and the accelerators classify
+//! ops the same way: `fadd` and `fmul` are charged by result width, `fdiv`
+//! flat, and every op without a multi-cycle unit as one ALU op (the width
+//! rules of each consumer are listed in [`cgpa_rtl::timing`]).
 
 use crate::cache::{CacheConfig, CacheSystem};
 use crate::interp::{run_function, ExecHooks, InterpError};
 use crate::mem::SimMemory;
 use crate::value::Value;
-use cgpa_ir::{BinOp, Function, InstId, Op, Ty};
+use cgpa_ir::{Function, InstId, Op, Ty};
+use cgpa_rtl::timing::{op_timing, Unit};
 
 /// Per-class instruction costs (issue cycles).
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +37,7 @@ pub struct MipsConfig {
     pub fmul32: u64,
     /// FP multiply (f64).
     pub fmul64: u64,
-    /// FP divide.
+    /// FP divide (either width).
     pub fdiv: u64,
     /// FP compare.
     pub fcmp: u64,
@@ -93,43 +100,30 @@ struct MipsTimer<'c> {
     raw_insts: u64,
 }
 
-/// Issue cycles of one instruction, before fetch and data-cache stalls.
+/// Issue cycles of one instruction, before fetch and data-cache stalls:
+/// the cost of the functional unit [`op_timing`] binds it to.
 fn issue_cost(cfg: &MipsConfig, func: &Function, inst: InstId) -> u64 {
-    let op = &func.inst(inst).op;
-    let cost = match op {
-        Op::Binary { op, lhs, .. } => {
-            let wide = func.value_ty(*lhs) == Ty::F64;
-            match op {
-                BinOp::Mul => cfg.mul,
-                BinOp::SDiv | BinOp::SRem => cfg.div,
-                BinOp::FAdd | BinOp::FSub => {
-                    if wide {
-                        cfg.fadd64
-                    } else {
-                        cfg.fadd32
-                    }
-                }
-                BinOp::FMul => {
-                    if wide {
-                        cfg.fmul64
-                    } else {
-                        cfg.fmul32
-                    }
-                }
-                BinOp::FDiv => cfg.fdiv,
-                _ => cfg.int_op,
-            }
-        }
-        Op::FCmp { .. } => cfg.fcmp,
-        // Loads/stores issue in 1 cycle; the D-cache adds its latency in
-        // `on_mem`.
-        Op::Load { .. } | Op::Store { .. } => cfg.int_op,
-        Op::Phi { .. } => 0, // register move folded into the producer
+    let inst = func.inst(inst);
+    if matches!(inst.op, Op::Phi { .. }) {
+        return 0; // register move folded into the producer
+    }
+    let ty = inst.result.map(|r| func.value_ty(r));
+    let cost = match (op_timing(&inst.op, ty).unit, ty == Some(Ty::F64)) {
+        (Some(Unit::IMul), _) => cfg.mul,
+        (Some(Unit::IDiv), _) => cfg.div,
+        (Some(Unit::FAdd), false) => cfg.fadd32,
+        (Some(Unit::FAdd), true) => cfg.fadd64,
+        (Some(Unit::FMul), false) => cfg.fmul32,
+        (Some(Unit::FMul), true) => cfg.fmul64,
+        (Some(Unit::FDiv), _) => cfg.fdiv,
+        (Some(Unit::FCmp), _) => cfg.fcmp,
+        // Integer ALU ops, casts, branches, and loads/stores, which issue in
+        // 1 cycle; the D-cache adds its latency in `on_mem`.
         _ => cfg.int_op,
     };
     // Apply the IR→MIPS expansion to the base issue cost only.
     let cost = if cost == cfg.int_op { cost * cfg.fetch_expansion_pct / 100 } else { cost };
-    cost.max(if matches!(op, Op::Phi { .. }) { 0 } else { 1 })
+    cost.max(1)
 }
 
 impl ExecHooks for MipsTimer<'_> {
@@ -214,7 +208,7 @@ pub fn run_mips(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, Ty};
+    use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Ty};
 
     fn stride_loop(stride: u32) -> Function {
         // for (i = 0; i < n; i++) s += a[i*stride];

@@ -143,37 +143,6 @@ impl Trace {
         self.events.push(e);
     }
 
-    /// Cycles a given worker spent in each visited state (useful for
-    /// hot-state analysis without a waveform viewer).
-    #[must_use]
-    pub fn state_histogram(&self, worker: u32, total_cycles: u64) -> Vec<(u32, u64)> {
-        let mut cur: Option<(u32, u64)> = None;
-        let mut out: Vec<(u32, u64)> = Vec::new();
-        let mut bump = |state: u32, dwell: u64| {
-            if let Some(slot) = out.iter_mut().find(|(s, _)| *s == state) {
-                slot.1 += dwell;
-            } else {
-                out.push((state, dwell));
-            }
-        };
-        for e in &self.events {
-            if let TraceEvent::State { cycle, worker: w, state } = *e {
-                if w != worker {
-                    continue;
-                }
-                if let Some((s, since)) = cur {
-                    bump(s, cycle - since);
-                }
-                cur = Some((state, cycle));
-            }
-        }
-        if let Some((s, since)) = cur {
-            bump(s, total_cycles.saturating_sub(since));
-        }
-        out.sort_by_key(|&(_, dwell)| std::cmp::Reverse(dwell));
-        out
-    }
-
     /// Render the trace as a VCD document.
     #[must_use]
     pub fn to_vcd(&self, design_name: &str) -> String {
@@ -351,17 +320,6 @@ mod tests {
         let vcd = sample().to_vcd("toy");
         assert_eq!(vcd.matches("#9").count(), 1);
         assert_eq!(vcd.matches("#3").count(), 1);
-    }
-
-    #[test]
-    fn state_histogram_accounts_all_cycles() {
-        let t = sample();
-        let h = t.state_histogram(0, 10);
-        let total: u64 = h.iter().map(|(_, d)| d).sum();
-        assert_eq!(total, 10);
-        // State 0: cycles 0..3 and 5..10 = 8; state 2: cycles 3..5 = 2.
-        assert_eq!(h[0], (0, 8));
-        assert_eq!(h[1], (2, 2));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa_kernels::em3d;
-use cgpa_sim::{run_with_accelerator, HwConfig, HwSystem, SimMemory, Value};
+use cgpa_sim::{run_with_accelerator, HwConfig, HwSystem, SimMemory, Trace, TraceEvent, Value};
 use std::fs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Hot-state summary per worker (stage 0 = traversal, 1..=4 = update
     // workers): where do the cycles go?
     for w in 0..trace.workers.len() as u32 {
-        let hist = trace.state_histogram(w, total_cycles);
+        let hist = state_dwell(&trace, w, total_cycles);
         let top: Vec<String> = hist
             .iter()
             .take(3)
@@ -55,4 +55,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("worker {w}: {}", top.join(", "));
     }
     Ok(())
+}
+
+/// Cycles `worker` spent in each state it entered, longest first.
+fn state_dwell(trace: &Trace, worker: u32, total_cycles: u64) -> Vec<(u32, u64)> {
+    let entered: Vec<(u32, u64)> = trace
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::State { cycle, worker: w, state } if w == worker => Some((state, cycle)),
+            _ => None,
+        })
+        .collect();
+    let mut dwell: Vec<(u32, u64)> = Vec::new();
+    for (i, &(state, since)) in entered.iter().enumerate() {
+        let until = entered.get(i + 1).map_or(total_cycles, |next| next.1);
+        match dwell.iter_mut().find(|(s, _)| *s == state) {
+            Some(slot) => slot.1 += until.saturating_sub(since),
+            None => dwell.push((state, until.saturating_sub(since))),
+        }
+    }
+    dwell.sort_by_key(|&(_, d)| std::cmp::Reverse(d));
+    dwell
 }
