@@ -7,16 +7,22 @@
 //! simulator's observable behaviour itself: every line holds a case's cycle
 //! count and an FNV-1a hash over the `Debug` rendering of its
 //! `SystemStats` (with the engine-dependent `skipped_cycles` zeroed), the
-//! liveout registers and the return value. The test only reads the file;
+//! liveout registers and the return value. The file also pins the two
+//! interpreted runs of each kernel: the MIPS model's cycles, instruction
+//! count, I-cache and D-cache statistics and return value, and the
+//! functional reference's executed-instruction count, an FNV-1a hash of its
+//! final memory image and its return value. The test only reads the file;
 //! a deliberate change to simulated behaviour has to update it by hand.
 
 use cgpa_repro::cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa_repro::cgpa::flows::HwTuning;
 use cgpa_repro::kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_repro::pipeline::ReplicablePlacement;
+use cgpa_repro::sim::cache::CacheStats;
+use cgpa_repro::sim::mips::{run_mips, MipsConfig};
 use cgpa_repro::sim::{
-    run_with_accelerator, CacheConfig, FaultClass, FaultPlan, HwConfig, HwSystem, SimEngine,
-    SimMemory, SystemStats, Value,
+    run_function, run_with_accelerator, CacheConfig, FaultClass, FaultPlan, HwConfig, HwSystem,
+    NoHooks, SimEngine, SimMemory, SystemStats, Value,
 };
 use std::fmt::Write as _;
 
@@ -140,18 +146,61 @@ fn fingerprints(engine: SimEngine) -> String {
     out
 }
 
-fn check(engine: SimEngine) {
-    let got = fingerprints(engine);
-    let want: String =
-        GOLDEN.lines().filter(|l| !l.starts_with('#')).map(|l| format!("{l}\n")).collect();
-    for (g, w) in got.lines().zip(want.lines()) {
-        assert_eq!(g, w, "{engine:?}: simulator fingerprint drifted; full output:\n{got}");
+/// `accesses/hits/misses/conflict_cycles`.
+fn cache_line(s: &CacheStats) -> String {
+    format!("{}/{}/{}/{}", s.accesses, s.hits, s.misses, s.conflict_cycles)
+}
+
+/// Each kernel's MIPS run and functional reference run, in file order.
+fn interpreted_runs() -> String {
+    let mut out = String::new();
+    for k in small_suite() {
+        let mut mem = k.mem.clone();
+        let run = run_mips(&k.func, &k.args, &mut mem, 1_000_000_000, &MipsConfig::default())
+            .unwrap_or_else(|e| panic!("{}: MIPS run: {e}", k.name));
+        let _ = writeln!(
+            out,
+            "{} mips cycles={} instructions={} icache={} dcache={} ret={:?}",
+            k.name,
+            run.cycles,
+            run.instructions,
+            cache_line(&run.icache),
+            cache_line(&run.dcache),
+            run.ret
+        );
+        let mut mem = k.mem.clone();
+        let (ret, executed) = run_function(&k.func, &k.args, &mut mem, 1_000_000_000, &mut NoHooks)
+            .unwrap_or_else(|e| panic!("{}: reference run: {e}", k.name));
+        let image = fnv1a(mem.read_bytes(0, mem.size()));
+        let _ =
+            writeln!(out, "{} reference executed={executed} mem={image:016x} ret={ret:?}", k.name);
+    }
+    out
+}
+
+/// Whether a golden line pins an interpreted run rather than a simulation.
+fn is_interpreted(line: &str) -> bool {
+    matches!(line.split(' ').nth(1), Some("mips" | "reference"))
+}
+
+/// Compare `got` with the golden lines `interpreted` selects.
+fn check_lines(what: &str, got: &str, interpreted: bool) {
+    let want: Vec<&str> = GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#') && is_interpreted(l) == interpreted)
+        .collect();
+    for (g, w) in got.lines().zip(&want) {
+        assert_eq!(g, *w, "{what}: fingerprint drifted; full output:\n{got}");
     }
     assert_eq!(
         got.lines().count(),
-        want.lines().count(),
-        "{engine:?}: case count differs from the golden file; full output:\n{got}"
+        want.len(),
+        "{what}: case count differs from the golden file; full output:\n{got}"
     );
+}
+
+fn check(engine: SimEngine) {
+    check_lines(&format!("{engine:?}"), &fingerprints(engine), false);
 }
 
 #[test]
@@ -162,4 +211,9 @@ fn event_driven_engine_matches_golden_fingerprints() {
 #[test]
 fn per_cycle_engine_matches_golden_fingerprints() {
     check(SimEngine::PerCycle);
+}
+
+#[test]
+fn mips_and_reference_runs_match_golden_fingerprints() {
+    check_lines("MIPS and reference", &interpreted_runs(), true);
 }
