@@ -40,8 +40,8 @@ const REFERENCE_FUEL: u64 = 2_000_000_000;
 /// arguments, and alias facts.
 ///
 /// The kernel's functional reference is interpreted once, by the first
-/// [`cache_reference`](Self::cache_reference) or [`check`](Self::check),
-/// and cached in `reference_cache`. The inputs (`func`, `mem`, `args`) are
+/// [`cache_reference`](Self::cache_reference), [`check`](Self::check) or
+/// [`reference`](Self::reference), and cached in `reference_cache`. The inputs (`func`, `mem`, `args`) are
 /// therefore fixed once the reference is cached: an edit made afterwards
 /// is not seen. Edit a kernel before its first check, or edit a clone,
 /// which starts with an empty cache.
@@ -137,11 +137,13 @@ impl BuiltKernel {
     /// memory image and return value. Hardware runs are compared against
     /// this.
     ///
-    /// It is rebuilt from the cached window when the cache is filled.
-    /// Otherwise the kernel is interpreted on a fresh copy and the cache
-    /// stays empty: a caller usually holds a run's image by now, and a
-    /// window cached at this point would fragment the heap (see
-    /// [`cache_reference`](Self::cache_reference)).
+    /// The kernel is interpreted at most once: the first call fills the
+    /// cache as [`cache_reference`](Self::cache_reference) does, and every
+    /// call rebuilds the image from the cached window. A caller that holds
+    /// a run's image when it first asks has the window allocated above
+    /// that image, where it can split the free space later images of the
+    /// same size reuse; the flows cache the reference before they allocate
+    /// a run's image, so this happens at most once per kernel.
     ///
     /// # Panics
     /// Panics if the kernel fails to interpret (a bug in the kernel
@@ -149,15 +151,10 @@ impl BuiltKernel {
     /// as [`CheckError::Reference`].
     #[must_use]
     pub fn reference(&self) -> (SimMemory, Option<Value>) {
-        let fail = |e: &InterpError| -> ! { panic!("kernel reference execution: {e}") };
-        if let Some(r) = self.reference_cache.0.get() {
-            let r = r.as_ref().unwrap_or_else(|e| fail(e));
-            return (self.image(r), r.ret);
+        match self.cached() {
+            Ok(r) => (self.image(r), r.ret),
+            Err(e) => panic!("kernel reference execution: {e}"),
         }
-        let mut mem = self.mem.clone();
-        let (ret, _) = run_function(&self.func, &self.args, &mut mem, REFERENCE_FUEL, &mut NoHooks)
-            .unwrap_or_else(|e| fail(&e));
-        (mem, ret)
     }
 
     /// Interpret the kernel and cache its reference, unless it is cached.
