@@ -115,6 +115,37 @@ pub struct CacheStats {
     pub conflict_cycles: u64,
 }
 
+/// `x / d` and `x % d` for a divisor `d > 0` fixed when the cache is built:
+/// a shift and a mask when `d` is a power of two, exact division otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u32,
+    /// `log2(d)`, or `None` when `d` is not a power of two.
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    fn new(d: u32) -> Self {
+        Divisor { d, shift: d.is_power_of_two().then(|| d.trailing_zeros()) }
+    }
+
+    #[inline]
+    fn div(self, x: u32) -> u32 {
+        match self.shift {
+            Some(s) => x >> s,
+            None => x / self.d,
+        }
+    }
+
+    #[inline]
+    fn rem(self, x: u32) -> u32 {
+        match self.shift {
+            Some(_) => x & (self.d - 1),
+            None => x % self.d,
+        }
+    }
+}
+
 /// The banked direct-mapped cache.
 ///
 /// ```
@@ -130,6 +161,10 @@ pub struct CacheStats {
 #[derive(Debug, Clone)]
 pub struct CacheSystem {
     cfg: CacheConfig,
+    /// `block_bytes`, `lines` and `banks` as divisors.
+    block_bytes: Divisor,
+    lines: Divisor,
+    banks: Divisor,
     /// Tag per line: `Some(block_number)`.
     tags: Vec<Option<u32>>,
     /// Earliest cycle each bank is free.
@@ -151,6 +186,9 @@ impl CacheSystem {
         let cfg = cfg.clamped();
         CacheSystem {
             cfg,
+            block_bytes: Divisor::new(cfg.block_bytes),
+            lines: Divisor::new(cfg.lines),
+            banks: Divisor::new(cfg.banks),
             tags: vec![None; cfg.lines as usize],
             bank_free_at: vec![0; cfg.banks as usize],
             stats: CacheStats::default(),
@@ -168,9 +206,7 @@ impl CacheSystem {
     /// write-back). Hot path: inlined into the simulator's step loop.
     #[inline]
     pub fn request(&mut self, cycle: u64, addr: u32) -> u64 {
-        let block = addr / self.cfg.block_bytes;
-        let line = (block % self.cfg.lines) as usize;
-        let bank = (block % self.cfg.banks) as usize;
+        let (block, line, bank) = self.index(addr);
         let hit = self.tags[line] == Some(block);
         self.stats.accesses += 1;
         let service = if hit {
@@ -196,9 +232,16 @@ impl CacheSystem {
     #[inline]
     #[must_use]
     pub fn probe(&self, addr: u32) -> bool {
-        let block = addr / self.cfg.block_bytes;
-        let line = (block % self.cfg.lines) as usize;
+        let (block, line, _) = self.index(addr);
         self.tags[line] == Some(block)
+    }
+
+    /// The block `addr` lies in, and the line and bank that block maps to:
+    /// `addr / block_bytes`, then that `% lines` and `% banks`.
+    #[inline]
+    fn index(&self, addr: u32) -> (u32, usize, usize) {
+        let block = self.block_bytes.div(addr);
+        (block, self.lines.rem(block) as usize, self.banks.rem(block) as usize)
     }
 }
 
@@ -269,6 +312,32 @@ mod tests {
         assert_eq!(t, u64::from(cfg.miss_latency));
         assert!(c.probe(0x1234));
         assert_eq!(c.stats.accesses, 1);
+    }
+
+    #[test]
+    fn indexing_matches_the_division_formulas() {
+        // A fixed xorshift stream supplies the random addresses.
+        let mut x = 0x9e37_79b9_u32;
+        let mut random = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        for banks in [1, 2, 3, 5, 6, 7, 8] {
+            for lines in [1, 3, 512] {
+                for block_bytes in [1, 4, 96, 128] {
+                    let cfg = CacheConfig { lines, block_bytes, banks, ..CacheConfig::default() };
+                    let c = CacheSystem::new(cfg);
+                    let addrs = [0, block_bytes - 1, block_bytes, u32::MAX, random(), random()];
+                    for addr in addrs {
+                        let block = addr / block_bytes;
+                        let want = (block, (block % lines) as usize, (block % banks) as usize);
+                        assert_eq!(c.index(addr), want, "{cfg:?} at {addr:#x}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
