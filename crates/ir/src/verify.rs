@@ -217,10 +217,15 @@ pub fn verify(func: &Function) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// Every id the function refers to is in range and parameter `i` is value
-/// `i`, so the remaining checks (and every consumer of a verified
-/// function) can index freely.
-fn check_references(func: &Function) -> Result<(), VerifyError> {
+/// The first check [`verify`] runs: the function has an entry block, every
+/// block, instruction and value id it refers to is in range, and parameter
+/// `i` is value `i`. The remaining checks (and every consumer of a
+/// verified function) can then index freely; a consumer that runs
+/// unverified functions can run this check alone.
+///
+/// # Errors
+/// Returns the first out-of-range reference found.
+pub fn check_references(func: &Function) -> Result<(), VerifyError> {
     let name = || func.name.clone();
     let (n_blocks, n_insts, n_values) = (func.blocks.len(), func.insts.len(), func.values.len());
     if n_blocks == 0 {

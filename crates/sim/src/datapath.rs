@@ -1,35 +1,41 @@
-//! Decoded datapath: each task FSM is lowered once, when an
-//! [`HwSystem`](crate::HwSystem) is built, into flat per-state micro-op
-//! tables, and both simulation engines step workers through those tables.
+//! The decoded program form of a function, and the datapath that runs it.
 //!
-//! Lowering resolves everything the IR would otherwise make the hot loop
-//! look up on every worker-cycle:
+//! [`Program`] is the one decoded form in this crate. A function is lowered
+//! into it against a [`Cut`], the states its instructions are grouped
+//! into: a task FSM's states, once, when an [`HwSystem`](crate::HwSystem)
+//! is built (both simulation engines step workers through the result), or
+//! one state per block for the reference interpreter
+//! ([`interp`](crate::interp)), once per call. Lowering resolves everything
+//! the IR would otherwise make the hot loop look up:
 //!
 //! - operands and results become dense register indices (one slot per IR
 //!   value; constants are preloaded at reset);
 //! - binary ops, compares, selects, casts and geps become the typed
-//!   register ops of [`exec`](crate::exec) (shared with the reference
-//!   interpreter), resolved against the function's declared types: a typed
-//!   op calls its typed kernel directly, and falls back to the tagged
-//!   `exec::eval_*` evaluators when a register holds another tag, so
-//!   undefined combinations still surface as [`HwError::Unsupported`] with
-//!   the evaluators' text;
+//!   register ops of [`exec`](crate::exec), resolved against the
+//!   function's declared types: a typed op calls its typed kernel directly,
+//!   and falls back to the tagged `exec::eval_*` evaluators when a register
+//!   holds another tag, so undefined combinations still surface as
+//!   [`HwError::Unsupported`] with the evaluators' text;
 //! - loads carry their width;
 //! - each state's exit is precomputed: fall through to the next state of
 //!   the block, or take a jump/branch edge that carries its target state,
 //!   whether it is a back edge, and its phi copy list (the copies read
 //!   every source before writing, so they are parallel);
+//! - an op the cut's target does not run (a worker's host primitives, the
+//!   interpreter's queue and liveout ports) becomes an unsupported op that
+//!   fails with the op's text when it executes;
 //! - a state is marked *register-only* when every op is a [`RegOp`] and it
 //!   does not return. Such a state reads and writes only its worker's
 //!   registers, so nobody else can observe it, and the event-driven engine
 //!   runs a worker through a chain of them in one step ("run-ahead", see
 //!   [`step_worker`]).
 //!
-//! Lowering first runs the IR verifier (every id in range, dominance) and
-//! then checks that the FSM covers the function and orders every in-block
-//! use after its definition. Every register read therefore sees a written
-//! value, and a malformed function is rejected up front with
-//! [`HwError::Malformed`] instead of tripping the datapath mid-run.
+//! A worker's lowering ([`lower`]) first runs the IR verifier (every id in
+//! range, dominance), then checks that the FSM covers the function and
+//! orders every in-block use after its definition, and that every queue
+//! and liveout register it names exists. Every register read therefore
+//! sees a written value, and a malformed function is rejected up front
+//! with [`HwError::Malformed`] instead of tripping the datapath mid-run.
 
 #![cfg_attr(
     not(test),
@@ -37,7 +43,7 @@
 )]
 
 use crate::cache::CacheSystem;
-use crate::exec::{reg, Reg, RegOp};
+use crate::exec::{as_bool, as_ptr, mistyped, reg, ExecError, Reg, RegOp};
 use crate::fault::FaultPlan;
 use crate::fifo::QueueState;
 use crate::hw::HwError;
@@ -51,84 +57,280 @@ use cgpa_rtl::Fsm;
 /// One lowered operation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MicroOp {
-    /// A register op: it reads and writes only its worker's registers.
+    /// A register op: it reads and writes only registers.
     Reg(RegOp),
-    /// Load a `ty` through the worker's cache port; blocks the worker.
+    /// Load a `ty` from the pointer in `addr`; on a worker, through its
+    /// cache port, blocking the worker.
     Load { dst: Reg, addr: Reg, ty: Ty },
-    /// Store through the store buffer (fire and forget).
+    /// Store `value` to the pointer in `addr`; on a worker, through the
+    /// store buffer (fire and forget).
     Store { addr: Reg, value: Reg },
-    /// Push to channel `sel % channels` of `queue`.
+    /// Push to channel `sel % channels` of `queue` (workers only).
     Produce { queue: u32, sel: Reg, value: Reg },
-    /// Push to every channel of `queue`.
+    /// Push to every channel of `queue` (workers only).
     Broadcast { queue: u32, value: Reg },
-    /// Pop an element of `beats` beats from channel `sel % channels`.
+    /// Pop an element of `beats` beats from channel `sel % channels`
+    /// (workers only).
     Consume { queue: u32, sel: Reg, dst: Reg, beats: u32 },
-    /// Latch `value` into liveout register `slot`.
+    /// Latch `value` into liveout register `slot` (workers only).
     StoreLiveout { slot: u32, value: Reg },
-    /// A host-only primitive: executing it is [`HwError::Unsupported`]
-    /// with message `Program::unsupported[what]`.
+    /// `parallel_fork` of loop `loop_id`; its live-ins are the
+    /// instruction's operands (interpreter only).
+    Fork { loop_id: u32 },
+    /// `parallel_join` (interpreter only).
+    Join,
+    /// `retrieve_liveout` of liveout register `slot` (interpreter only).
+    Retrieve { dst: Reg, slot: u32 },
+    /// Follows a store, fork or join that names a result: the interpreter
+    /// marks that register as holding no value; a worker does nothing.
+    Undefine(Reg),
+    /// An op the cut's target does not run: executing it fails with
+    /// message `Program::unsupported[what]`.
     Unsupported { what: u32 },
 }
 
 /// A control-flow edge out of a block's last state.
 #[derive(Debug, Clone, Copy)]
-struct Edge {
+pub(crate) struct Edge {
     /// First state of the target block.
-    next: u32,
+    pub(crate) next: u32,
     /// The target state does not lie after the source state (a loop back
     /// edge, counted as one iteration).
     back: bool,
     /// The phi copies of this edge: `Program::copies[copies.0..copies.1]`.
-    copies: (u32, u32),
+    pub(crate) copies: (u32, u32),
 }
+
+/// The edge the entry state is entered over: it carries no copies.
+pub(crate) const ENTRY: Edge = Edge { next: 0, back: false, copies: (0, 0) };
 
 /// What a state does once its ops have executed and its cycles elapsed.
 #[derive(Debug, Clone, Copy)]
-enum Exit {
+pub(crate) enum Exit {
     /// Fall through to the next state of the same block.
     Next,
     /// Unconditional branch.
     Jump(Edge),
     /// Conditional branch on an `i1` register.
     Branch { cond: Reg, on_true: Edge, on_false: Edge },
-    /// Finish the task, optionally returning a register.
+    /// Finish, optionally returning a register.
     Ret(Option<Reg>),
+    /// The block has no terminator (the verifier rejects that; the
+    /// interpreter does not): run it again over the edge that entered it.
+    Again,
 }
 
-/// One lowered FSM state.
+/// One lowered state.
 #[derive(Debug, Clone, Copy)]
-struct StateProg {
+pub(crate) struct StateProg {
+    /// The block the state belongs to.
+    pub(crate) block: BlockId,
     /// The state's ops: `Program::ops[start..end]`, in schedule order.
-    start: u32,
-    end: u32,
+    pub(crate) start: u32,
+    pub(crate) end: u32,
     /// Minimum cycles spent in the state.
     min_cycles: u32,
-    exit: Exit,
+    pub(crate) exit: Exit,
+    /// The terminator a `Jump`, `Branch` or `Ret` exit was lowered from.
+    pub(crate) term: InstId,
     /// Every op is a [`RegOp`] and the exit is not `Ret`: a worker may run
     /// through the state ahead of the clock.
     register_only: bool,
 }
 
-/// A task function lowered against its FSM.
+/// A function lowered against a [`Cut`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Program {
     /// All states' micro-ops, state after state.
-    ops: Vec<MicroOp>,
-    /// The IR instruction each micro-op was lowered from (diagnostics).
-    op_inst: Vec<InstId>,
-    /// Per FSM state, in FSM order (state ids are unchanged).
-    states: Vec<StateProg>,
-    /// Phi copies `(source, destination)` of every edge.
-    copies: Vec<(Reg, Reg)>,
-    /// The register file at reset: constants, and zeros elsewhere.
-    init: Vec<Value>,
+    pub(crate) ops: Vec<MicroOp>,
+    /// The IR instruction each micro-op was lowered from.
+    pub(crate) op_inst: Vec<InstId>,
+    /// Per state, in cut order (an FSM's state ids are unchanged).
+    pub(crate) states: Vec<StateProg>,
+    /// Phi copies `(source, destination)` of every edge. A phi with no
+    /// result, or no incoming value from the edge's source block, copies
+    /// [`Program::missing`] into the sink.
+    pub(crate) copies: Vec<(Reg, Reg)>,
+    /// The phi each copy was lowered from.
+    pub(crate) copy_phi: Vec<InstId>,
+    /// The register file at reset: constants, and zeros elsewhere. After
+    /// one register per IR value come the sink, which a valued op that
+    /// names no result writes and nothing reads, and
+    /// [`Program::missing`].
+    pub(crate) init: Vec<Value>,
     /// Parameter count; parameters occupy the first registers.
     params: usize,
-    /// Messages of the host-only primitives.
+    /// Messages of the unsupported ops.
     unsupported: Vec<String>,
 }
 
+/// The states a function is lowered into.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cut<'a> {
+    /// A worker's FSM states, with their minimum cycles. Queue and liveout
+    /// ports lower; host primitives do not.
+    Fsm(&'a Fsm),
+    /// One state per block, for the reference interpreter: the block's
+    /// instructions up to its first terminator. Host primitives lower;
+    /// queue and liveout ports do not.
+    Blocks,
+}
+
 impl Program {
+    /// Lower `func` against `cut`. Every id `func` and `cut` name must be
+    /// in range (see [`cgpa_ir::verify::check_references`], and
+    /// [`check_fsm`] for an FSM).
+    pub(crate) fn new(func: &Function, cut: Cut<'_>) -> Program {
+        let mut prog = Program {
+            init: func
+                .values
+                .iter()
+                .map(|vd| match vd {
+                    ValueDef::Const(c) => Value::from(*c),
+                    other => Value::zero(other.ty()),
+                })
+                .chain([Value::I1(false); 2])
+                .collect(),
+            params: func.params.len(),
+            ..Program::default()
+        };
+        // Each state's block, instructions and minimum cycles.
+        let states: Vec<(BlockId, &[InstId], u32)> = match cut {
+            Cut::Fsm(fsm) => {
+                fsm.states.iter().map(|s| (s.block, &s.ops[..], s.min_cycles)).collect()
+            }
+            Cut::Blocks => func
+                .block_ids()
+                .map(|b| {
+                    let insts = &func.block(b).insts;
+                    let end = insts.iter().position(|&i| func.inst(i).op.is_terminator());
+                    (b, &insts[..end.map_or(insts.len(), |t| t + 1)], 1)
+                })
+                .collect(),
+        };
+        for (sidx, &(block, insts, min_cycles)) in states.iter().enumerate() {
+            let start = prog.ops.len() as u32;
+            for &iid in insts {
+                prog.lower_op(func, iid, cut);
+            }
+            let last_of_block = states.get(sidx + 1).is_none_or(|s| s.0 != block);
+            let (exit, term) = if last_of_block {
+                prog.lower_exit(func, cut, sidx, block)
+            } else {
+                (Exit::Next, InstId(0))
+            };
+            let register_only = !matches!(exit, Exit::Ret(_))
+                && prog.ops[start as usize..].iter().all(|op| matches!(op, MicroOp::Reg(_)));
+            prog.states.push(StateProg {
+                block,
+                start,
+                end: prog.ops.len() as u32,
+                min_cycles,
+                exit,
+                term,
+                register_only,
+            });
+        }
+        prog
+    }
+
+    /// The register a phi copy reads when it has no source; nothing writes
+    /// it.
+    pub(crate) fn missing(&self) -> Reg {
+        self.init.len() as Reg - 1
+    }
+
+    /// Lower one instruction of a state. Phis run on the edges into their
+    /// block, and terminators become the state's exit.
+    fn lower_op(&mut self, func: &Function, iid: InstId, cut: Cut<'_>) {
+        let inst = func.inst(iid);
+        let dst = inst.result.map_or(self.missing() - 1, reg);
+        let worker = matches!(cut, Cut::Fsm(_));
+        let op = if let Some(op) = RegOp::decode(func, &inst.op, dst) {
+            MicroOp::Reg(op)
+        } else {
+            match &inst.op {
+                Op::Phi { .. } | Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. } => return,
+                &Op::Load { addr, ty } => MicroOp::Load { dst, addr: reg(addr), ty },
+                &Op::Store { addr, value } => MicroOp::Store { addr: reg(addr), value: reg(value) },
+                &Op::Produce { queue, worker_sel, value } if worker => {
+                    MicroOp::Produce { queue: queue.0, sel: reg(worker_sel), value: reg(value) }
+                }
+                &Op::ProduceBroadcast { queue, value } if worker => {
+                    MicroOp::Broadcast { queue: queue.0, value: reg(value) }
+                }
+                &Op::Consume { queue, channel_sel, ty } if worker => MicroOp::Consume {
+                    queue: queue.0,
+                    sel: reg(channel_sel),
+                    dst,
+                    beats: ty.fifo_beats(),
+                },
+                &Op::StoreLiveout { slot, value } if worker => {
+                    MicroOp::StoreLiveout { slot, value: reg(value) }
+                }
+                &Op::ParallelFork { loop_id, .. } if !worker => MicroOp::Fork { loop_id },
+                Op::ParallelJoin { .. } if !worker => MicroOp::Join,
+                &Op::RetrieveLiveout { slot, .. } if !worker => MicroOp::Retrieve { dst, slot },
+                other => {
+                    self.unsupported.push(format!("{other:?}"));
+                    MicroOp::Unsupported { what: self.unsupported.len() as u32 - 1 }
+                }
+            }
+        };
+        self.ops.push(op);
+        self.op_inst.push(iid);
+        if let (MicroOp::Store { .. } | MicroOp::Fork { .. } | MicroOp::Join, Some(r)) =
+            (op, inst.result)
+        {
+            self.ops.push(MicroOp::Undefine(reg(r)));
+            self.op_inst.push(iid);
+        }
+    }
+
+    /// The exit of state `sidx`, the last state of `block`: the block's
+    /// first terminator, and that instruction, or `Again` if it has none.
+    /// Each edge carries the phi copies of its target's leading phis. (In a
+    /// verified function, only an edge out of an unreachable block can lack
+    /// a phi's incoming value, and it is never taken.)
+    fn lower_exit(
+        &mut self,
+        func: &Function,
+        cut: Cut<'_>,
+        sidx: usize,
+        block: BlockId,
+    ) -> (Exit, InstId) {
+        let (sink, missing) = (self.missing() - 1, self.missing());
+        let mut edge = |to: BlockId| {
+            let start = self.copies.len() as u32;
+            for &i in &func.block(to).insts {
+                let phi = func.inst(i);
+                let Op::Phi { incomings, .. } = &phi.op else { break };
+                let src = incomings.iter().find(|(b, _)| *b == block).map(|&(_, v)| reg(v));
+                self.copies.push(src.zip(phi.result.map(reg)).unwrap_or((missing, sink)));
+                self.copy_phi.push(i);
+            }
+            let next = match cut {
+                Cut::Fsm(fsm) => fsm.block_entry[to.index()].0,
+                Cut::Blocks => to.0,
+            };
+            Edge { next, back: next as usize <= sidx, copies: (start, self.copies.len() as u32) }
+        };
+        for &term in &func.block(block).insts {
+            let exit = match func.inst(term).op {
+                Op::Br { target } => Exit::Jump(edge(target)),
+                Op::CondBr { cond, on_true, on_false } => Exit::Branch {
+                    cond: reg(cond),
+                    on_true: edge(on_true),
+                    on_false: edge(on_false),
+                },
+                Op::Ret { value } => Exit::Ret(value.map(reg)),
+                _ => continue,
+            };
+            return (exit, term);
+        }
+        (Exit::Again, InstId(0))
+    }
+
     /// The micro-op a worker in `state` would execute next at `cursor`,
     /// with the instruction it was lowered from, if the cursor lies inside
     /// the state.
@@ -144,8 +346,9 @@ impl Program {
 /// Why a function cannot be lowered (becomes [`HwError::Malformed`]).
 type LowerError = String;
 
-/// Lower `func`, scheduled as `fsm`, for a system whose queues have
-/// `queue_channels[q]` channels and which has `liveouts` liveout registers.
+/// Lower `func`, scheduled as `fsm`, onto the datapath of a system whose
+/// queues have `queue_channels[q]` channels and which has `liveouts`
+/// liveout registers, after checking that it runs there.
 pub(crate) fn lower(
     func: &Function,
     fsm: &Fsm,
@@ -155,47 +358,8 @@ pub(crate) fn lower(
     cgpa_ir::verify::verify(func).map_err(|e| e.to_string())?;
     check_fsm(func, fsm).map_err(|e| e.to_string())?;
     check_schedule_order(func, fsm)?;
-
-    let mut prog = Program {
-        init: func
-            .values
-            .iter()
-            .map(|vd| match vd {
-                ValueDef::Const(c) => Value::from(*c),
-                other => Value::zero(other.ty()),
-            })
-            .collect(),
-        params: func.params.len(),
-        ..Program::default()
-    };
-    for (sidx, state) in fsm.states.iter().enumerate() {
-        let start = prog.ops.len() as u32;
-        for &iid in &state.ops {
-            let inst = func.inst(iid);
-            if let Some(op) = lower_op(func, iid, queue_channels, liveouts, &mut prog)? {
-                prog.ops.push(op);
-                prog.op_inst.push(iid);
-            } else if !matches!(inst.op, Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. }) {
-                return Err(format!("{:?} cannot be scheduled in a state", inst.op));
-            }
-        }
-        let last_of_block = fsm.states.get(sidx + 1).is_none_or(|s| s.block != state.block);
-        let exit = if last_of_block {
-            lower_exit(func, fsm, sidx, state.block, &mut prog)?
-        } else {
-            Exit::Next
-        };
-        let register_only = !matches!(exit, Exit::Ret(_))
-            && prog.ops[start as usize..].iter().all(|op| matches!(op, MicroOp::Reg(_)));
-        prog.states.push(StateProg {
-            start,
-            end: prog.ops.len() as u32,
-            min_cycles: state.min_cycles,
-            exit,
-            register_only,
-        });
-    }
-    Ok(prog)
+    check_ports(func, fsm, queue_channels, liveouts)?;
+    Ok(Program::new(func, Cut::Fsm(fsm)))
 }
 
 /// Within each block, every operand defined by a non-phi instruction of
@@ -230,97 +394,30 @@ fn check_schedule_order(func: &Function, fsm: &Fsm) -> Result<(), LowerError> {
     Ok(())
 }
 
-/// Lower one scheduled instruction; `None` for terminators, which become
-/// the state's [`Exit`].
-fn lower_op(
-    func: &Function,
-    iid: InstId,
-    queue_channels: &[u32],
-    liveouts: usize,
-    prog: &mut Program,
-) -> Result<Option<MicroOp>, LowerError> {
-    let inst = func.inst(iid);
-    let result = || inst.result.map(reg).ok_or_else(|| format!("{:?}", inst.op));
-    let queue = |q: cgpa_ir::QueueId| match queue_channels.get(q.index()) {
-        Some(&c) if c > 0 => Ok(q.0),
-        _ => Err(format!("{:?} targets unknown queue {}", inst.op, q.0)),
-    };
-    if let Some(op) = inst.result.and_then(|r| RegOp::decode(func, &inst.op, reg(r))) {
-        return Ok(Some(MicroOp::Reg(op)));
-    }
-    Ok(Some(match &inst.op {
-        Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. } | Op::Phi { .. } => return Ok(None),
-        // A register op that names no result.
-        op @ (Op::Binary { .. }
-        | Op::ICmp { .. }
-        | Op::FCmp { .. }
-        | Op::Select { .. }
-        | Op::Cast { .. }
-        | Op::Gep { .. }) => return Err(format!("{op:?}")),
-        &Op::Load { addr, ty } => MicroOp::Load { dst: result()?, addr: reg(addr), ty },
-        &Op::Store { addr, value } => MicroOp::Store { addr: reg(addr), value: reg(value) },
-        &Op::Produce { queue: q, worker_sel, value } => {
-            MicroOp::Produce { queue: queue(q)?, sel: reg(worker_sel), value: reg(value) }
-        }
-        &Op::ProduceBroadcast { queue: q, value } => {
-            MicroOp::Broadcast { queue: queue(q)?, value: reg(value) }
-        }
-        &Op::Consume { queue: q, channel_sel, ty } => MicroOp::Consume {
-            queue: queue(q)?,
-            sel: reg(channel_sel),
-            dst: result()?,
-            beats: ty.fifo_beats(),
-        },
-        &Op::StoreLiveout { slot, value } => {
-            if slot as usize >= liveouts {
-                return Err(format!("{:?} targets unknown liveout register {slot}", inst.op));
-            }
-            MicroOp::StoreLiveout { slot, value: reg(value) }
-        }
-        other
-        @ (Op::ParallelFork { .. } | Op::ParallelJoin { .. } | Op::RetrieveLiveout { .. }) => {
-            prog.unsupported.push(format!("{other:?}"));
-            MicroOp::Unsupported { what: prog.unsupported.len() as u32 - 1 }
-        }
-    }))
-}
-
-/// The exit of state `sidx`, the last state of `block`: its terminator.
-fn lower_exit(
+/// Every queue and liveout register an op names exists.
+fn check_ports(
     func: &Function,
     fsm: &Fsm,
-    sidx: usize,
-    block: BlockId,
-    prog: &mut Program,
-) -> Result<Exit, LowerError> {
-    let Some(term) = func.terminator(block) else {
-        return Err(format!("block {block} does not end in a terminator"));
-    };
-    let mut edge = |to: BlockId| -> Result<Edge, LowerError> {
-        let next = fsm.block_entry[to.index()].0;
-        let start = prog.copies.len() as u32;
-        for &i in &func.block(to).insts {
-            let phi = func.inst(i);
-            let Op::Phi { incomings, .. } = &phi.op else { break };
-            let Some(r) = phi.result else { return Err(format!("{:?}", phi.op)) };
-            // The verifier matches a reachable block's phis to its
-            // predecessors; only an edge out of an unreachable block can
-            // lack an incoming value, and it is never taken.
-            if let Some(&(_, v)) = incomings.iter().find(|(b, _)| *b == block) {
-                prog.copies.push((reg(v), reg(r)));
+    queue_channels: &[u32],
+    liveouts: usize,
+) -> Result<(), LowerError> {
+    for &i in fsm.states.iter().flat_map(|s| &s.ops) {
+        let op = &func.inst(i).op;
+        match *op {
+            Op::Produce { queue, .. }
+            | Op::ProduceBroadcast { queue, .. }
+            | Op::Consume { queue, .. }
+                if queue_channels.get(queue.index()).is_none_or(|&c| c == 0) =>
+            {
+                return Err(format!("{op:?} targets unknown queue {}", queue.0));
             }
+            Op::StoreLiveout { slot, .. } if slot as usize >= liveouts => {
+                return Err(format!("{op:?} targets unknown liveout register {slot}"));
+            }
+            _ => {}
         }
-        let copies = (start, prog.copies.len() as u32);
-        Ok(Edge { next, back: next as usize <= sidx, copies })
-    };
-    Ok(match &func.inst(term).op {
-        &Op::Br { target } => Exit::Jump(edge(target)?),
-        &Op::CondBr { cond, on_true, on_false } => {
-            Exit::Branch { cond: reg(cond), on_true: edge(on_true)?, on_false: edge(on_false)? }
-        }
-        Op::Ret { value } => Exit::Ret(value.map(reg)),
-        other => return Err(format!("{other:?} ends block {block}")),
-    })
+    }
+    Ok(())
 }
 
 /// Longest run-ahead window, in states. Bounds the per-worker log of
@@ -488,25 +585,13 @@ pub(crate) struct Shared<'a> {
     pub(crate) fault: &'a mut Option<FaultPlan>,
 }
 
-fn unsupported(what: &str, v: Value) -> HwError {
-    HwError::Unsupported(format!("expected {what}, got {v:?}"))
-}
-
-#[inline]
-fn as_ptr(v: Value) -> Result<u32, HwError> {
-    match v {
-        Value::Ptr(p) => Ok(p),
-        other => Err(unsupported("ptr", other)),
-    }
-}
-
 /// A channel selector: `i32`, or a pointer used as one.
 #[inline]
-fn as_selector(v: Value) -> Result<i32, HwError> {
+fn as_selector(v: Value) -> Result<i32, ExecError> {
     match v {
         Value::I32(x) => Ok(x),
         Value::Ptr(p) => Ok(p as i32),
-        other => Err(unsupported("i32", other)),
+        other => Err(mistyped("i32", other)),
     }
 }
 
@@ -637,6 +722,11 @@ pub(crate) fn step_worker(
                 let msg = prog.unsupported.get(what as usize).cloned().unwrap_or_default();
                 return Err(HwError::Unsupported(msg));
             }
+            // Host primitives lower to `Unsupported` for a worker.
+            op @ (MicroOp::Fork { .. } | MicroOp::Join | MicroOp::Retrieve { .. }) => {
+                return Err(HwError::Unsupported(format!("{op:?}")));
+            }
+            MicroOp::Undefine(_) => {}
             MicroOp::Reg(op) => op.exec(&mut w.regs)?,
         }
         w.cursor += 1;
@@ -652,7 +742,7 @@ pub(crate) fn step_worker(
         w.min_left -= 1;
         return Ok(burn_outcome(w, cycle));
     }
-    let back = advance(prog, &st.exit, w).map_err(|v| unsupported("i1", v))?;
+    let back = advance(prog, &st.exit, w)?;
     if w.finished || horizon <= cycle + 1 {
         return Ok(StepOutcome::Active);
     }
@@ -726,10 +816,9 @@ fn burn_outcome(w: &Worker, cycle: u64) -> StepOutcome {
 }
 
 /// Transition after a completed state; true when it took a loop back
-/// edge. A branch on a register that does not hold an `i1` fails with the
-/// value it holds.
+/// edge. A branch on a register that does not hold an `i1` fails.
 #[inline(always)]
-fn advance(prog: &Program, exit: &Exit, w: &mut Worker) -> Result<bool, Value> {
+fn advance(prog: &Program, exit: &Exit, w: &mut Worker) -> Result<bool, ExecError> {
     let edge = match *exit {
         Exit::Next => {
             w.state += 1;
@@ -737,16 +826,20 @@ fn advance(prog: &Program, exit: &Exit, w: &mut Worker) -> Result<bool, Value> {
             return Ok(false);
         }
         Exit::Jump(edge) => edge,
-        Exit::Branch { cond, on_true, on_false } => match w.reg(cond) {
-            Value::I1(true) => on_true,
-            Value::I1(false) => on_false,
-            other => return Err(other),
-        },
+        Exit::Branch { cond, on_true, on_false } => {
+            if as_bool(w.reg(cond))? {
+                on_true
+            } else {
+                on_false
+            }
+        }
         Exit::Ret(value) => {
             w.ret = value.map(|r| w.reg(r));
             w.finished = true;
             return Ok(false);
         }
+        // The verifier rejects a block without a terminator.
+        Exit::Again => return Err(ExecError("a block without a terminator".to_string())),
     };
     // Phi copies are parallel: read every source before writing.
     let copies = &prog.copies[edge.copies.0 as usize..edge.copies.1 as usize];

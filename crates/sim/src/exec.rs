@@ -6,13 +6,13 @@
 //! them to tagged [`Value`]s.
 //!
 //! The datapath and the interpreter run register ops in a decoded form,
-//! `RegOp` (crate private): the datapath lowers each task FSM into it
-//! once, and the interpreter decodes its function into it once per call.
-//! Decoding reads the declared operand types (`Function::value_ty`) and
-//! picks a typed micro-op by operand type: a `Binary` on two `i32`, `i64`,
-//! `f32` or `f64`, an `ICmp` on two `i32`, `i64` or pointers and an `FCmp`
-//! on two `f32` or `f64` (each carrying its opcode), and a `Gep` with an
-//! `i32` or `i64` index or none. A typed micro-op checks that its operand
+//! `RegOp` (crate private), produced by the one lowering they share
+//! (`datapath::Program`): once per task FSM, and once per interpreter
+//! call. Decoding reads the declared operand types (`Function::value_ty`)
+//! and picks a typed micro-op by operand type: a `Binary` on two `i32`,
+//! `i64`, `f32` or `f64`, an `ICmp` on two `i32`, `i64` or pointers and an
+//! `FCmp` on two `f32` or `f64` (each carrying its opcode), and a `Gep`
+//! with an `i32` or `i64` index or none. A typed micro-op checks that its operand
 //! registers hold the tags it was decoded for and calls the typed kernel
 //! directly. When a register holds any other tag (a mistyped worker
 //! argument, an unverified function), or the kernel does not define the
@@ -534,10 +534,9 @@ impl RegOp {
             RegOp::FCmpF32 { pred, a, b, .. }
             | RegOp::FCmpF64 { pred, a, b, .. }
             | RegOp::FCmp { pred, a, b, .. } => eval_fcmp(pred, r(a), r(b))?,
-            RegOp::Select { cond, on_true, on_false, .. } => match r(cond) {
-                Value::I1(c) => r(if c { on_true } else { on_false }),
-                other => return Err(mistyped_condition(other)),
-            },
+            RegOp::Select { cond, on_true, on_false, .. } => {
+                r(if as_bool(r(cond))? { on_true } else { on_false })
+            }
             RegOp::Cast { kind, to, src, .. } => eval_cast(kind, r(src), to)?,
             RegOp::GepField { base, offset, .. } => eval_gep(r(base), None, 0, offset)?,
             RegOp::GepI32 { base, index, scale, offset, .. }
@@ -606,11 +605,29 @@ impl RegOp {
     }
 }
 
-/// A select or branch condition that does not hold an `i1`.
+/// The `i1` a condition register holds.
+#[inline]
+pub(crate) fn as_bool(v: Value) -> Result<bool, ExecError> {
+    match v {
+        Value::I1(b) => Ok(b),
+        other => Err(mistyped("i1", other)),
+    }
+}
+
+/// The pointer an address register holds.
+#[inline]
+pub(crate) fn as_ptr(v: Value) -> Result<u32, ExecError> {
+    match v {
+        Value::Ptr(p) => Ok(p),
+        other => Err(mistyped("ptr", other)),
+    }
+}
+
+/// A register that holds a `got` where an op needs a `want`.
 #[cold]
 #[inline(never)]
-pub(crate) fn mistyped_condition(got: Value) -> ExecError {
-    ExecError(format!("expected i1, got {got:?}"))
+pub(crate) fn mistyped(want: &str, got: Value) -> ExecError {
+    ExecError(format!("expected {want}, got {got:?}"))
 }
 
 #[cfg(test)]

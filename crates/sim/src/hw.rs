@@ -99,8 +99,9 @@ pub enum HwError {
     },
     /// A worker's task function cannot be lowered onto the datapath: it
     /// fails the IR verifier, its FSM does not schedule it in dependence
-    /// order, a value-producing op has no result register, or the worker's
-    /// arguments do not match its parameters. Raised before any cycle runs.
+    /// order, an op names a queue or liveout register the system lacks, or
+    /// the worker's arguments do not match its parameters. Raised before
+    /// any cycle runs.
     Malformed {
         /// Worker whose task function was rejected.
         worker: u32,

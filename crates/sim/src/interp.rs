@@ -6,31 +6,27 @@
 //! A hook trait lets the MIPS timing model ride along without duplicating
 //! the semantics.
 //!
-//! Each call decodes its function once, then runs the decoded form:
-//!
-//! - every block's non-phi instructions up to its first terminator become
-//!   dense steps over a register file (one slot per IR value): the typed
-//!   register ops of [`exec`](crate::exec), shared with the datapath, and
-//!   load, store, branch, return and fork/join/liveout steps, each keeping
-//!   the `InstId` it came from;
-//! - every edge carries the phi copies of its target's leading phis, so a
-//!   block entry does not scan the block for phis.
-//!
-//! The decoded run keeps the interpreter's observable contract: the
-//! `executed` count (phis and terminators included), fuel (one unit per
-//! non-phi instruction), `BadArity`, the hook order the MIPS model relies
-//! on (`on_inst` for each phi after its edge's `on_branch`, then for each
-//! instruction before it runs; `on_mem` before the access), and each
-//! error's text. The interpreter does not run the verifier, so a read can
-//! find a value no instruction has defined yet; that is an error, raised
-//! lazily when the read happens: the run tracks which registers hold a
-//! value and reports the first missing read in the order the operands are
-//! read.
+//! Each call lowers its function into the datapath's decoded form (the
+//! crate-private `datapath::Program`), cut into one state per block (the
+//! block's non-phi instructions up to its first terminator), and runs
+//! that. The run keeps
+//! the interpreter's observable contract: the `executed` count (phis and
+//! terminators included), fuel (one unit per non-phi instruction),
+//! `BadArity`, the hook order the MIPS model relies on (`on_inst` for each
+//! phi after its edge's `on_branch`, then for each instruction before it
+//! runs; `on_mem` before the access), and each error's text. The
+//! interpreter checks that every id the function names is in range, but
+//! does not run the verifier, so a read can find a value no instruction
+//! has defined yet; that is an error, raised lazily when the read happens:
+//! the run tracks which registers hold a value and reports the first
+//! missing read in the order the operands are read.
 
-use crate::exec::{reg, Reg, RegOp};
+use crate::datapath::{Cut, Exit, MicroOp, Program, ENTRY};
+use crate::exec::{as_bool, as_ptr, reg, Reg, RegOp};
 use crate::mem::{OutOfRange, SimMemory};
 use crate::value::Value;
-use cgpa_ir::{BlockId, Function, InstId, Op, Ty, ValueDef, ValueId};
+use cgpa_ir::verify::{check_references, VerifyError};
+use cgpa_ir::{BlockId, Function, InstId, ValueDef, ValueId};
 use std::error::Error;
 use std::fmt;
 
@@ -80,6 +76,11 @@ pub enum InterpError {
         /// Access width in bytes.
         width: u32,
     },
+    /// The function cannot run at all: it names a block, instruction or
+    /// value it does not have (checked before the run), or the run reached
+    /// a block with no terminator and no instruction that spends fuel,
+    /// which would run again forever.
+    Malformed(VerifyError),
 }
 
 impl From<OutOfRange> for InterpError {
@@ -107,6 +108,7 @@ impl fmt::Display for InterpError {
             InterpError::OutOfRange { addr, width } => {
                 write!(f, "{}", OutOfRange { addr: *addr, width: *width })
             }
+            InterpError::Malformed(e) => write!(f, "cannot interpret malformed {e}"),
         }
     }
 }
@@ -132,7 +134,7 @@ pub fn run_function(
         |_: u32, _: &[Value], _: &mut SimMemory| -> Result<Vec<Option<Value>>, String> {
             Err("no accelerator attached".to_string())
         };
-    run_impl(func, args, mem, fuel, hooks, &mut reject, false)
+    run(func, args, mem, fuel, hooks, &mut reject, false)
 }
 
 /// Run a transformed *parent* function: `parallel_fork` hands the live-in
@@ -150,225 +152,48 @@ pub fn run_with_accelerator(
     fuel: u64,
     accelerator: &mut Accelerator<'_>,
 ) -> Result<(Option<Value>, u64), InterpError> {
-    run_impl(func, args, mem, fuel, &mut NoHooks, accelerator, true)
+    run(func, args, mem, fuel, &mut NoHooks, accelerator, true)
 }
 
-fn run_impl(
-    func: &Function,
-    args: &[Value],
-    mem: &mut SimMemory,
-    fuel: u64,
-    hooks: &mut impl ExecHooks,
-    accelerator: &mut Accelerator<'_>,
-    allow_primitives: bool,
-) -> Result<(Option<Value>, u64), InterpError> {
-    if args.len() != func.params.len() {
-        return Err(InterpError::BadArity { expected: func.params.len(), got: args.len() });
-    }
-    run(func, &Decoded::new(func, allow_primitives), args, mem, fuel, hooks, accelerator)
-}
-
-/// One decoded instruction, or one of the two markers that are not
-/// instructions (`Again`, `Undefine`).
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// A register op.
-    Reg(RegOp),
-    /// Load a `ty` from the pointer in `addr`.
-    Load { dst: Reg, addr: Reg, ty: Ty },
-    /// Store `value` to the pointer in `addr`.
-    Store { addr: Reg, value: Reg },
-    /// Unconditional branch.
-    Br(Edge),
-    /// Conditional branch on an `i1` register.
-    CondBr { cond: Reg, on_true: Edge, on_false: Edge },
-    /// Return, optionally a register.
-    Ret(Option<Reg>),
-    /// `parallel_fork` of loop `loop_id` with live-ins
-    /// `Decoded::live_ins[live_ins.0..live_ins.1]`.
-    Fork { loop_id: u32, live_ins: (u32, u32) },
-    /// `parallel_join`: the accelerator already ran to completion.
-    Join,
-    /// `retrieve_liveout` of liveout register `slot`.
-    Retrieve { dst: Reg, slot: u32 },
-    /// An op this run cannot interpret: executing it is
-    /// [`InterpError::UnsupportedOp`] with the op's `Debug` text.
-    Unsupported,
-    /// The end of a block without a terminator, whose first op is `start`:
-    /// the block runs again, re-entered over the edge that entered it.
-    Again { start: u32 },
-    /// A valueless op that names a result leaves that value undefined.
-    Undefine(Reg),
-}
-
-/// A control-flow edge.
-#[derive(Debug, Clone, Copy)]
-struct Edge {
-    /// First op of the target block; `u32::MAX` for a block the function
-    /// does not have.
-    to: u32,
-    /// The target's phi copies: `Decoded::phis[phis.0..phis.1]`.
-    phis: (u32, u32),
-}
-
-/// One phi of an edge's target block, in block order.
-#[derive(Debug, Clone, Copy)]
-struct PhiCopy {
-    /// The phi.
-    inst: InstId,
-    /// `(source, destination)`; `None` when the phi has no result or no
-    /// incoming value from the edge's source block.
-    copy: Option<(Reg, Reg)>,
-    /// The edge's source block.
-    from: BlockId,
-}
-
-/// A function decoded for one run: per block, its non-phi instructions up
-/// to the first terminator, each with the instruction it came from, and
-/// per edge the phi copies of its target.
-#[derive(Debug)]
-struct Decoded {
-    /// Every block's steps, block after block (the entry block first),
-    /// each with the instruction it came from (a marker's is never
-    /// reported).
-    ops: Vec<(Step, InstId)>,
-    phis: Vec<PhiCopy>,
-    live_ins: Vec<Reg>,
-}
-
-impl Decoded {
-    fn new(func: &Function, allow_primitives: bool) -> Decoded {
-        // A valued op that names no result writes the sink, the register
-        // after every value's, which nothing reads.
-        let sink = func.values.len() as Reg;
-        let mut d = Decoded { ops: Vec::new(), phis: Vec::new(), live_ins: Vec::new() };
-        // Each block's first op, and the edges to patch with them.
-        let mut block_start = Vec::with_capacity(func.blocks.len());
-        for (bi, block) in func.blocks.iter().enumerate() {
-            let from = BlockId(bi as u32);
-            let start = d.ops.len() as u32;
-            block_start.push(start);
-            let mut terminated = false;
-            for &iid in &block.insts {
-                let inst = func.inst(iid);
-                let dst = inst.result.map_or(sink, reg);
-                let mut edge = |to: BlockId| decode_edge(func, from, to, &mut d.phis);
-                let step = if let Some(op) = RegOp::decode(func, &inst.op, dst) {
-                    Step::Reg(op)
-                } else {
-                    match &inst.op {
-                        // Leading phis run on the edges into the block;
-                        // others never run.
-                        Op::Phi { .. } => continue,
-                        &Op::Load { addr, ty } => Step::Load { dst, addr: reg(addr), ty },
-                        &Op::Store { addr, value } => {
-                            Step::Store { addr: reg(addr), value: reg(value) }
-                        }
-                        &Op::Br { target } => Step::Br(edge(target)),
-                        &Op::CondBr { cond, on_true, on_false } => Step::CondBr {
-                            cond: reg(cond),
-                            on_true: edge(on_true),
-                            on_false: edge(on_false),
-                        },
-                        Op::Ret { value } => Step::Ret(value.map(reg)),
-                        Op::ParallelFork { loop_id, live_ins } if allow_primitives => {
-                            let first = d.live_ins.len() as u32;
-                            d.live_ins.extend(live_ins.iter().map(|&v| reg(v)));
-                            Step::Fork {
-                                loop_id: *loop_id,
-                                live_ins: (first, d.live_ins.len() as u32),
-                            }
-                        }
-                        Op::ParallelJoin { .. } if allow_primitives => Step::Join,
-                        &Op::RetrieveLiveout { slot, .. } if allow_primitives => {
-                            Step::Retrieve { dst, slot }
-                        }
-                        _ => Step::Unsupported,
-                    }
-                };
-                d.ops.push((step, iid));
-                terminated = inst.op.is_terminator();
-                if terminated {
-                    break;
-                }
-                let valueless = matches!(step, Step::Store { .. } | Step::Fork { .. } | Step::Join);
-                if let (true, Some(r)) = (valueless, inst.result) {
-                    d.ops.push((Step::Undefine(reg(r)), iid));
-                }
-            }
-            if !terminated {
-                let last = block.insts.last().copied().unwrap_or(InstId(0));
-                d.ops.push((Step::Again { start }, last));
-            }
-        }
-        // Edges were decoded with target block indices.
-        let patch =
-            |e: &mut Edge| e.to = block_start.get(e.to as usize).copied().unwrap_or(u32::MAX);
-        for (step, _) in &mut d.ops {
-            match step {
-                Step::Br(e) => patch(e),
-                Step::CondBr { on_true, on_false, .. } => {
-                    patch(on_true);
-                    patch(on_false);
-                }
-                _ => {}
-            }
-        }
-        d
-    }
-}
-
-/// The edge `from → to` with the phi copies of `to`'s leading phis.
-fn decode_edge(func: &Function, from: BlockId, to: BlockId, phis: &mut Vec<PhiCopy>) -> Edge {
-    let first = phis.len() as u32;
-    for &i in func.blocks.get(to.index()).map_or(&[][..], |b| &b.insts) {
-        let inst = func.inst(i);
-        let Op::Phi { incomings, .. } = &inst.op else { break };
-        let src = incomings.iter().find(|(b, _)| *b == from).map(|&(_, v)| reg(v));
-        phis.push(PhiCopy { inst: i, copy: src.zip(inst.result.map(reg)), from });
-    }
-    Edge { to: to.0, phis: (first, phis.len() as u32) }
-}
-
-/// Run `code`, decoded from `func`, from the entry block. The run tracks
-/// which registers hold a value and fails a read of one that does not.
+/// Run `func` from the entry block, lowered one state per block. The run
+/// tracks which registers hold a value and fails a read of one that does
+/// not.
 ///
 /// Every instruction counts as executed and reaches `on_inst` before it
 /// runs (a phi when its edge is taken, after the branch's `on_branch`); an
 /// access reaches `on_mem` before it touches memory. Each non-phi
-/// instruction spends one unit of fuel.
+/// instruction spends one unit of fuel. Host primitives run only when
+/// `primitives` is set.
 #[allow(clippy::too_many_lines)]
 fn run(
     func: &Function,
-    code: &Decoded,
     args: &[Value],
     mem: &mut SimMemory,
     fuel: u64,
     hooks: &mut impl ExecHooks,
     accelerator: &mut Accelerator<'_>,
+    primitives: bool,
 ) -> Result<(Option<Value>, u64), InterpError> {
-    // One register per IR value, and the sink. Parameters and constants
-    // hold values from the start.
-    let mut regs = vec![Value::I1(false); func.values.len() + 1];
-    let mut defined = vec![false; regs.len()];
-    for (i, v) in args.iter().enumerate() {
-        regs[i] = *v;
-        defined[i] = true;
+    if args.len() != func.params.len() {
+        return Err(InterpError::BadArity { expected: func.params.len(), got: args.len() });
     }
-    for (i, vd) in func.values.iter().enumerate() {
-        if let ValueDef::Const(c) = vd {
-            regs[i] = Value::from(*c);
-            defined[i] = true;
-        }
-    }
+    check_references(func).map_err(InterpError::Malformed)?;
+    let prog = Program::new(func, Cut::Blocks);
+    let missing = prog.missing();
+    // Parameters and constants hold values from the start.
+    let mut regs = prog.init.clone();
+    regs[..args.len()].copy_from_slice(args);
+    let mut defined: Vec<bool> = (0..regs.len())
+        .map(|i| i < args.len() || matches!(func.values.get(i), Some(ValueDef::Const(_))))
+        .collect();
     let mut executed = 0u64;
     let mut liveout_regs: Vec<Option<Value>> = Vec::new();
     // Phi staging buffer: the copies of an edge are parallel.
     let mut staged: Vec<Value> = Vec::new();
-    // The edge that entered the current block (none, with no copies, on
-    // the entry block's first entry).
-    let mut entered = Edge { to: 0, phis: (0, 0) };
-    let mut pc = 0;
+    // The current state, and the edge that entered it with the block that
+    // edge leaves.
+    let mut state = 0;
+    let mut entered = (ENTRY, BlockId(0));
     macro_rules! get {
         ($r:expr) => {{
             let r = $r as usize;
@@ -395,125 +220,128 @@ fn run(
             hooks.on_inst(func, $inst);
         }};
     }
-    // Run the phi copies of an edge. They are parallel: every source is
-    // read before any destination is written.
-    macro_rules! copy_phis {
-        ($edge:expr) => {{
-            let edge: Edge = $edge;
-            let copies = &code.phis[edge.phis.0 as usize..edge.phis.1 as usize];
-            staged.clear();
-            for c in copies {
-                let Some((src, _)) = c.copy else { return Err(malformed_phi(c.inst, c.from)) };
-                staged.push(get!(src));
-                hooks.on_inst(func, c.inst);
-                executed += 1;
-            }
-            for (c, &v) in copies.iter().zip(&staged) {
-                if let Some((_, dst)) = c.copy {
+    loop {
+        let st = &prog.states[state];
+        let ops = st.start as usize..st.end as usize;
+        for (&op, &iid) in prog.ops[ops.clone()].iter().zip(&prog.op_inst[ops]) {
+            match op {
+                MicroOp::Reg(op) => {
+                    start!(iid);
+                    if let Some(r) = first_undefined(op, &regs, &defined) {
+                        return Err(undefined(r as usize));
+                    }
+                    op.exec(&mut regs)?;
+                    defined[op.dst() as usize] = true;
+                }
+                MicroOp::Load { dst, addr, ty } => {
+                    start!(iid);
+                    let a = as_ptr(get!(addr))?;
+                    hooks.on_mem(a, ty.size_bytes(), false);
+                    let v = mem.read_value(a, ty)?;
                     set!(dst, v);
                 }
-            }
-        }};
-    }
-    macro_rules! take {
-        ($edge:expr) => {{
-            let edge: Edge = $edge;
-            copy_phis!(edge);
-            entered = edge;
-            pc = edge.to as usize;
-            continue;
-        }};
-    }
-    loop {
-        let (step, iid) = code.ops[pc];
-        match step {
-            Step::Reg(op) => {
-                start!(iid);
-                if let Some(r) = first_undefined(op, &regs, &defined) {
-                    return Err(undefined(r as usize));
+                MicroOp::Store { addr, value } => {
+                    start!(iid);
+                    let a = as_ptr(get!(addr))?;
+                    let v = get!(value);
+                    hooks.on_mem(a, v.ty().size_bytes(), true);
+                    mem.write_value(a, v)?;
                 }
-                op.exec(&mut regs)?;
-                defined[op.dst() as usize] = true;
+                MicroOp::Fork { loop_id } if primitives => {
+                    start!(iid);
+                    let mut vals_in = Vec::new();
+                    for v in func.inst(iid).op.operands() {
+                        vals_in.push(get!(reg(v)));
+                    }
+                    let out =
+                        accelerator(loop_id, &vals_in, mem).map_err(InterpError::UnsupportedOp)?;
+                    // Liveout registers are shared hardware: later loops'
+                    // slots extend/overwrite earlier ones.
+                    if out.len() > liveout_regs.len() {
+                        liveout_regs.resize(out.len(), None);
+                    }
+                    for (i, r) in out.into_iter().enumerate() {
+                        if r.is_some() {
+                            liveout_regs[i] = r;
+                        }
+                    }
+                }
+                MicroOp::Join if primitives => start!(iid),
+                MicroOp::Retrieve { dst, slot } if primitives => {
+                    start!(iid);
+                    let v =
+                        liveout_regs.get(slot as usize).copied().flatten().ok_or_else(|| {
+                            InterpError::UnsupportedOp(format!("liveout {slot} never stored"))
+                        })?;
+                    set!(dst, v);
+                }
+                MicroOp::Undefine(r) => defined[r as usize] = false,
+                // Unsupported ops (queue and liveout ports), and host
+                // primitives outside `run_with_accelerator`.
+                _ => {
+                    start!(iid);
+                    let op = &func.inst(iid).op;
+                    return Err(InterpError::UnsupportedOp(format!("{op:?}")));
+                }
             }
-            Step::Load { dst, addr, ty } => {
-                start!(iid);
-                let a = as_ptr(get!(addr))?;
-                hooks.on_mem(a, ty.size_bytes(), false);
-                let v = mem.read_value(a, ty)?;
-                set!(dst, v);
+        }
+        let (edge, from) = match st.exit {
+            Exit::Next => {
+                state += 1;
+                continue;
             }
-            Step::Store { addr, value } => {
-                start!(iid);
-                let a = as_ptr(get!(addr))?;
-                let v = get!(value);
-                hooks.on_mem(a, v.ty().size_bytes(), true);
-                mem.write_value(a, v)?;
-            }
-            Step::Br(edge) => {
-                start!(iid);
+            Exit::Jump(edge) => {
+                start!(st.term);
                 hooks.on_branch(false);
-                take!(edge);
+                (edge, st.block)
             }
-            Step::CondBr { cond, on_true, on_false } => {
-                start!(iid);
+            Exit::Branch { cond, on_true, on_false } => {
+                start!(st.term);
                 let taken = as_bool(get!(cond))?;
                 hooks.on_branch(taken);
-                take!(if taken { on_true } else { on_false });
+                (if taken { on_true } else { on_false }, st.block)
             }
-            Step::Ret(value) => {
-                start!(iid);
+            Exit::Ret(value) => {
+                start!(st.term);
                 let ret = match value {
                     Some(r) => Some(get!(r)),
                     None => None,
                 };
                 return Ok((ret, executed));
             }
-            Step::Fork { loop_id, live_ins } => {
-                start!(iid);
-                let regs = &code.live_ins[live_ins.0 as usize..live_ins.1 as usize];
-                let mut vals_in = Vec::with_capacity(regs.len());
-                for &r in regs {
-                    vals_in.push(get!(r));
-                }
-                let out =
-                    accelerator(loop_id, &vals_in, mem).map_err(InterpError::UnsupportedOp)?;
-                // Liveout registers are shared hardware: later loops'
-                // slots extend/overwrite earlier ones.
-                if out.len() > liveout_regs.len() {
-                    liveout_regs.resize(out.len(), None);
-                }
-                for (i, r) in out.into_iter().enumerate() {
-                    if r.is_some() {
-                        liveout_regs[i] = r;
-                    }
-                }
+            // With no instruction to spend fuel, the block would run again
+            // forever.
+            Exit::Again if st.start == st.end => {
+                let (func, block) = (func.name.clone(), st.block);
+                return Err(InterpError::Malformed(VerifyError::MissingTerminator { func, block }));
             }
-            Step::Join => start!(iid),
-            Step::Retrieve { dst, slot } => {
-                start!(iid);
-                let v = liveout_regs.get(slot as usize).copied().flatten().ok_or_else(|| {
-                    InterpError::UnsupportedOp(format!("liveout {slot} never stored"))
-                })?;
-                set!(dst, v);
+            Exit::Again => entered,
+        };
+        // The copies are parallel: every source is read before any
+        // destination is written.
+        let copies = edge.copies.0 as usize..edge.copies.1 as usize;
+        staged.clear();
+        for (&(src, _), &phi) in
+            prog.copies[copies.clone()].iter().zip(&prog.copy_phi[copies.clone()])
+        {
+            if src == missing {
+                return Err(malformed_phi(phi, from));
             }
-            Step::Unsupported => {
-                start!(iid);
-                let op = &func.inst(iid).op;
-                return Err(InterpError::UnsupportedOp(format!("{op:?}")));
-            }
-            Step::Again { start } => {
-                copy_phis!(entered);
-                pc = start as usize;
-                continue;
-            }
-            Step::Undefine(r) => defined[r as usize] = false,
+            staged.push(get!(src));
+            hooks.on_inst(func, phi);
+            executed += 1;
         }
-        pc += 1;
+        for (&(_, dst), &v) in prog.copies[copies].iter().zip(&staged) {
+            set!(dst, v);
+        }
+        entered = (edge, from);
+        state = edge.next as usize;
     }
 }
 
-/// The first register `op` reads that holds no value: a select reads its condition, and then only the arm it picks
-/// (a condition that is not an `i1` fails in [`RegOp::exec`] first).
+/// The first register `op` reads that holds no value: a select reads its
+/// condition, and then only the arm it picks (a condition that is not an
+/// `i1` fails in [`RegOp::exec`] first).
 fn first_undefined(op: RegOp, regs: &[Value], defined: &[bool]) -> Option<Reg> {
     let missing = |r: Reg| !defined[r as usize];
     if let RegOp::Select { cond, on_true, on_false, .. } = op {
@@ -536,32 +364,10 @@ fn undefined(r: usize) -> InterpError {
     InterpError::UnsupportedOp(format!("read of undefined value {:?}", ValueId(r as u32)))
 }
 
-#[inline]
-fn as_bool(v: Value) -> Result<bool, InterpError> {
-    match v {
-        Value::I1(b) => Ok(b),
-        other => Err(mistyped("i1", other)),
-    }
-}
-
-#[inline]
-fn as_ptr(v: Value) -> Result<u32, InterpError> {
-    match v {
-        Value::Ptr(p) => Ok(p),
-        other => Err(mistyped("ptr", other)),
-    }
-}
-
 #[cold]
 #[inline(never)]
 fn malformed_phi(iid: InstId, pred: BlockId) -> InterpError {
     InterpError::UnsupportedOp(format!("phi {iid:?} has no result or no incoming from {pred:?}"))
-}
-
-#[cold]
-#[inline(never)]
-fn mistyped(want: &str, got: Value) -> InterpError {
-    InterpError::UnsupportedOp(format!("expected {want}, got {got:?}"))
 }
 
 #[cfg(test)]
@@ -824,5 +630,66 @@ mod tests {
         let err = run_function(&f, &[Value::Ptr(64), Value::I32(1)], &mut mem, 100, &mut NoHooks)
             .unwrap_err();
         assert_eq!(err, InterpError::UnsupportedOp(format!("read of undefined value {x:?}")));
+    }
+
+    /// Run `f` with no arguments: the error's text.
+    fn run_err(f: &Function) -> String {
+        let mut mem = SimMemory::new(1 << 12);
+        run_function(f, &[], &mut mem, 100, &mut NoHooks).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn a_branch_to_a_missing_block_is_a_typed_error() {
+        let mut b = FunctionBuilder::new("f", &[], None);
+        b.br(BlockId(7));
+        let err = run_err(&b.finish_unverified());
+        assert!(err.contains("refers to an unknown block"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_instruction_is_a_typed_error() {
+        let mut b = FunctionBuilder::new("f", &[], None);
+        b.ret(None);
+        let mut f = b.finish_unverified();
+        f.blocks[0].insts.insert(0, InstId(9));
+        let err = run_err(&f);
+        assert!(err.contains("reference to unknown instruction"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_value_is_a_typed_error() {
+        let mut b = FunctionBuilder::new("f", &[], Some(Ty::I32));
+        b.ret(Some(ValueId(9)));
+        let err = run_err(&b.finish_unverified());
+        assert!(err.contains("refers to an unknown value"), "{err}");
+    }
+
+    #[test]
+    fn a_block_with_no_terminator_and_no_instruction_fails_instead_of_hanging() {
+        // `entry: br body; body:` with nothing in `body`, or only a phi:
+        // running `body` again spends no fuel.
+        for phi in [false, true] {
+            let mut b = FunctionBuilder::new("f", &[], Some(Ty::I32));
+            let body = b.append_block("body");
+            let seven = b.const_i32(7);
+            b.br(body);
+            b.switch_to(body);
+            if phi {
+                let p = b.phi(Ty::I32, "p");
+                b.add_phi_incoming(p, b.entry_block(), seven);
+            }
+            let f = b.finish_unverified();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let mut mem = SimMemory::new(1 << 12);
+                let _ = tx.send(run_function(&f, &[], &mut mem, 1000, &mut NoHooks));
+            });
+            // A run that never stops fails here, instead of hanging the test.
+            let wait = std::time::Duration::from_secs(10);
+            let err = rx.recv_timeout(wait).expect("the run did not stop").unwrap_err();
+            run.join().expect("the run thread finished");
+            let want = format!("block {body} does not end in a terminator");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
     }
 }

@@ -236,3 +236,95 @@ fn every_engine_agrees_with_exec_on_every_form_and_tag() {
     // Both sides of the fallback are exercised in bulk.
     assert!(values > 5000 && errors > 5000, "{values} values, {errors} errors");
 }
+
+/// `exec::eval_*` against literal results, not against another run of the
+/// same kernels: one row per binary op at each type it yields a value on,
+/// and per compare predicate at each type, at fixed operands.
+#[test]
+fn exec_matches_a_table_of_literal_results() {
+    use BinOp::*;
+    use FloatPredicate as F;
+    use IntPredicate as I;
+    use Value::{F32, F64, I1, I32, I64};
+    let p = Value::Ptr;
+    let bin = [
+        (Add, I32(6), I32(3), I32(9)),
+        (Sub, I32(6), I32(3), I32(3)),
+        (Mul, I32(6), I32(-3), I32(-18)),
+        (SDiv, I32(-7), I32(2), I32(-3)),
+        (SRem, I32(-7), I32(2), I32(-1)),
+        (And, I32(6), I32(3), I32(2)),
+        (Or, I32(6), I32(3), I32(7)),
+        (Xor, I32(6), I32(3), I32(5)),
+        (Shl, I32(6), I32(3), I32(48)),
+        (LShr, I32(-8), I32(1), I32(0x7fff_fffc)),
+        (AShr, I32(-8), I32(1), I32(-4)),
+        (Add, I64(6), I64(3), I64(9)),
+        (Sub, I64(6), I64(3), I64(3)),
+        (Mul, I64(6), I64(-3), I64(-18)),
+        (SDiv, I64(-7), I64(2), I64(-3)),
+        (SRem, I64(-7), I64(2), I64(-1)),
+        (And, I64(6), I64(3), I64(2)),
+        (Or, I64(6), I64(3), I64(7)),
+        (Xor, I64(6), I64(3), I64(5)),
+        (Shl, I64(6), I64(35), I64(6 << 35)),
+        (LShr, I64(-8), I64(1), I64(0x7fff_ffff_ffff_fffc)),
+        (AShr, I64(-8), I64(1), I64(-4)),
+        (And, I1(true), I1(false), I1(false)),
+        (Or, I1(true), I1(false), I1(true)),
+        (Xor, I1(true), I1(true), I1(false)),
+        (FAdd, F32(1.0), F32(2.0), F32(3.0)),
+        (FSub, F32(1.0), F32(2.0), F32(-1.0)),
+        (FMul, F32(1.5), F32(2.0), F32(3.0)),
+        (FDiv, F32(1.0), F32(4.0), F32(0.25)),
+        (FAdd, F64(1.0), F64(2.0), F64(3.0)),
+        (FSub, F64(1.0), F64(2.0), F64(-1.0)),
+        (FMul, F64(1.5), F64(2.0), F64(3.0)),
+        (FDiv, F64(1.0), F64(4.0), F64(0.25)),
+    ];
+    for (op, a, b, want) in bin {
+        assert_eq!(eval_binary(op, a, b).map(bits), Ok(bits(want)), "{op:?} {a:?}, {b:?}");
+    }
+    // Each predicate on a pair where the signed and unsigned orders differ.
+    let icmp = [
+        (I::Eq, false),
+        (I::Ne, true),
+        (I::Slt, true),
+        (I::Sle, true),
+        (I::Sgt, false),
+        (I::Sge, false),
+        (I::Ult, false),
+        (I::Uge, true),
+    ];
+    for (pred, want) in icmp {
+        for (a, b) in [(I32(-1), I32(2)), (I64(-1), I64(2))] {
+            assert_eq!(eval_icmp(pred, a, b), Ok(I1(want)), "{pred:?} {a:?}, {b:?}");
+        }
+        // Pointers compare unsigned, signed predicates included.
+        let unsigned = matches!(pred, I::Ne | I::Sgt | I::Sge | I::Uge);
+        let (a, b) = (p(0xffff_fff0), p(2));
+        assert_eq!(eval_icmp(pred, a, b), Ok(I1(unsigned)), "{pred:?} {a:?}, {b:?}");
+    }
+    for (pred, want) in [(I::Eq, false), (I::Ne, true)] {
+        assert_eq!(eval_icmp(pred, I1(true), I1(false)), Ok(I1(want)), "{pred:?} on i1");
+    }
+    let fcmp = [
+        (F::Oeq, false, false),
+        (F::One, true, false),
+        (F::Olt, true, false),
+        (F::Ole, true, false),
+        (F::Ogt, false, false),
+        (F::Oge, false, false),
+    ];
+    for (pred, want, with_nan) in fcmp {
+        let cases = [
+            (F32(1.0), F32(2.0), want),
+            (F64(1.0), F64(2.0), want),
+            (F32(f32::NAN), F32(2.0), with_nan),
+            (F64(1.0), F64(f64::NAN), with_nan),
+        ];
+        for (a, b, want) in cases {
+            assert_eq!(eval_fcmp(pred, a, b), Ok(I1(want)), "{pred:?} {a:?}, {b:?}");
+        }
+    }
+}
