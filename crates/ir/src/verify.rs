@@ -37,6 +37,10 @@ pub enum VerifyError {
     /// An instruction's block, branch target or phi incoming block is out
     /// of range.
     BadBlockRef { func: String, inst: InstId },
+    /// An instruction names a result although its op yields no value,
+    /// names none although it does, or names a value that records another
+    /// definition.
+    BadResult { func: String, inst: InstId },
 }
 
 impl fmt::Display for VerifyError {
@@ -76,6 +80,9 @@ impl fmt::Display for VerifyError {
             VerifyError::BadBlockRef { func, inst } => {
                 write!(f, "function `{func}`: {inst} refers to an unknown block")
             }
+            VerifyError::BadResult { func, inst } => {
+                write!(f, "function `{func}`: {inst} does not name exactly the value its op yields")
+            }
         }
     }
 }
@@ -87,12 +94,14 @@ impl Error for VerifyError {}
 /// # Errors
 /// Returns the first violation found. Checks: every block, instruction and
 /// value id the function refers to exists, and parameters are its first
-/// values; every reachable block ends in exactly one terminator at its
-/// end; phis sit at block starts and cover exactly the block's
-/// predecessors; opcode operand types line up; every non-phi use is
-/// dominated by its definition.
+/// values; an instruction names a result exactly when its op yields a
+/// value, and that value records it as its definition; every block ends
+/// in exactly one terminator at its end; phis sit at block starts and
+/// cover exactly the block's predecessors; opcode operand types line up;
+/// every non-phi use is dominated by its definition.
 pub fn verify(func: &Function) -> Result<(), VerifyError> {
     check_references(func)?;
+    check_results(func)?;
 
     // Block-local structure.
     for b in func.block_ids() {
@@ -220,12 +229,8 @@ pub fn verify(func: &Function) -> Result<(), VerifyError> {
 /// The first check [`verify`] runs: the function has an entry block, every
 /// block, instruction and value id it refers to is in range, and parameter
 /// `i` is value `i`. The remaining checks (and every consumer of a
-/// verified function) can then index freely; a consumer that runs
-/// unverified functions can run this check alone.
-///
-/// # Errors
-/// Returns the first out-of-range reference found.
-pub fn check_references(func: &Function) -> Result<(), VerifyError> {
+/// verified function) can then index freely.
+fn check_references(func: &Function) -> Result<(), VerifyError> {
     let name = || func.name.clone();
     let (n_blocks, n_insts, n_values) = (func.blocks.len(), func.insts.len(), func.values.len());
     if n_blocks == 0 {
@@ -260,6 +265,30 @@ pub fn check_references(func: &Function) -> Result<(), VerifyError> {
             };
         if bad {
             return Err(VerifyError::BadBlockRef { func: name(), inst: i });
+        }
+    }
+    Ok(())
+}
+
+/// Instructions and their results name each other: an instruction names a
+/// result exactly when its op yields a value, the value records that
+/// instruction as its definition, and every instruction a value records
+/// names it. So every value a verified function reads has one instruction
+/// that writes it (or is a parameter or constant).
+fn check_results(func: &Function) -> Result<(), VerifyError> {
+    let bad = |inst: InstId| Err(VerifyError::BadResult { func: func.name.clone(), inst });
+    for (idx, inst) in func.insts.iter().enumerate() {
+        let i = InstId(idx as u32);
+        let yields = inst.op.result_ty(|v| func.value_ty(v)).is_some();
+        if inst.result.is_some() != yields || inst.result.is_some_and(|r| func.def_of(r) != Some(i))
+        {
+            return bad(i);
+        }
+    }
+    for (idx, vd) in func.values.iter().enumerate() {
+        match vd.def_inst() {
+            Some(i) if func.inst(i).result != Some(ValueId(idx as u32)) => return bad(i),
+            _ => {}
         }
     }
     Ok(())
@@ -543,6 +572,42 @@ mod tests {
         let e = verify(&f).unwrap_err();
         assert!(matches!(e, VerifyError::BadBlockRef { inst: InstId(1), .. }), "{e:?}");
         assert!(e.to_string().contains("unknown block"), "{e}");
+    }
+
+    /// `fn f(a: ptr, n: i32) -> i32 { x = n + n; store n, a; ret x }`, its
+    /// add and its store.
+    fn add_and_store() -> (Function, InstId, InstId) {
+        let mut b = FunctionBuilder::new("f", &[("a", Ty::Ptr), ("n", Ty::I32)], Some(Ty::I32));
+        let (a, n) = (b.param(0), b.param(1));
+        let x = b.binary(BinOp::Add, n, n);
+        let st = b.store(a, n);
+        b.ret(Some(x));
+        let f = b.finish().unwrap();
+        (f, InstId(0), st)
+    }
+
+    #[test]
+    fn a_valueless_op_that_names_a_result_is_an_error() {
+        let (mut f, add, st) = add_and_store();
+        f.insts[st.index()].result = f.insts[add.index()].result;
+        assert_eq!(verify(&f), Err(VerifyError::BadResult { func: "f".into(), inst: st }));
+    }
+
+    #[test]
+    fn a_valued_op_that_names_no_result_is_an_error() {
+        let (mut f, add, _) = add_and_store();
+        f.insts[add.index()].result = None;
+        let e = verify(&f).unwrap_err();
+        assert_eq!(e, VerifyError::BadResult { func: "f".into(), inst: add });
+        assert!(e.to_string().contains("does not name exactly the value its op yields"), "{e}");
+    }
+
+    #[test]
+    fn a_result_and_its_definition_name_each_other() {
+        // The add names a parameter as its result.
+        let (mut f, add, _) = add_and_store();
+        f.insts[add.index()].result = Some(ValueId(1));
+        assert_eq!(verify(&f), Err(VerifyError::BadResult { func: "f".into(), inst: add }));
     }
 
     #[test]

@@ -121,7 +121,9 @@ pub fn schedule_function(func: &Function) -> Fsm {
         states.push(State { block: b, ops: Vec::new(), min_cycles: 1 });
 
         for &iid in &func.block(b).insts {
-            let inst = func.inst(iid);
+            // An unknown instruction is left out: the IR verifier rejects
+            // the function before anything runs its FSM.
+            let Some(inst) = func.insts.get(iid.index()) else { continue };
             if matches!(inst.op, Op::Phi { .. }) {
                 // Phis are register updates on block entry: available from
                 // the block's first state at depth 0.

@@ -30,12 +30,16 @@
 //!   runs a worker through a chain of them in one step ("run-ahead", see
 //!   [`step_worker`]).
 //!
-//! A worker's lowering ([`lower`]) first runs the IR verifier (every id in
-//! range, dominance), then checks that the FSM covers the function and
-//! orders every in-block use after its definition, and that every queue
-//! and liveout register it names exists. Every register read therefore
-//! sees a written value, and a malformed function is rejected up front
-//! with [`HwError::Malformed`] instead of tripping the datapath mid-run.
+//! Lowering takes only a [`Verified`] function, so both cuts share one
+//! precondition: the IR verifier (every id in range, one terminator per
+//! block, a result named exactly by each op that yields a value, every use
+//! dominated by its definition). A worker's lowering ([`lower`]) also
+//! checks that the FSM covers the function and orders every in-block use
+//! after its definition, and that every queue and liveout register it
+//! names exists. Every register read therefore sees a written value, and a
+//! malformed function is rejected up front ([`HwError::Malformed`],
+//! [`InterpError::Malformed`](crate::interp::InterpError::Malformed))
+//! instead of tripping an executor mid-run.
 
 #![cfg_attr(
     not(test),
@@ -50,6 +54,7 @@ use crate::hw::HwError;
 use crate::mem::{OutOfRange, SimMemory};
 use crate::stats::WorkerStats;
 use crate::value::Value;
+use cgpa_ir::verify::{verify, VerifyError};
 use cgpa_ir::{BlockId, Function, InstId, Op, Ty, ValueDef};
 use cgpa_rtl::schedule::check_fsm;
 use cgpa_rtl::Fsm;
@@ -81,9 +86,6 @@ pub(crate) enum MicroOp {
     Join,
     /// `retrieve_liveout` of liveout register `slot` (interpreter only).
     Retrieve { dst: Reg, slot: u32 },
-    /// Follows a store, fork or join that names a result: the interpreter
-    /// marks that register as holding no value; a worker does nothing.
-    Undefine(Reg),
     /// An op the cut's target does not run: executing it fails with
     /// message `Program::unsupported[what]`.
     Unsupported { what: u32 },
@@ -101,9 +103,6 @@ pub(crate) struct Edge {
     pub(crate) copies: (u32, u32),
 }
 
-/// The edge the entry state is entered over: it carries no copies.
-pub(crate) const ENTRY: Edge = Edge { next: 0, back: false, copies: (0, 0) };
-
 /// What a state does once its ops have executed and its cycles elapsed.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Exit {
@@ -115,16 +114,11 @@ pub(crate) enum Exit {
     Branch { cond: Reg, on_true: Edge, on_false: Edge },
     /// Finish, optionally returning a register.
     Ret(Option<Reg>),
-    /// The block has no terminator (the verifier rejects that; the
-    /// interpreter does not): run it again over the edge that entered it.
-    Again,
 }
 
 /// One lowered state.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StateProg {
-    /// The block the state belongs to.
-    pub(crate) block: BlockId,
     /// The state's ops: `Program::ops[start..end]`, in schedule order.
     pub(crate) start: u32,
     pub(crate) end: u32,
@@ -147,16 +141,12 @@ pub(crate) struct Program {
     pub(crate) op_inst: Vec<InstId>,
     /// Per state, in cut order (an FSM's state ids are unchanged).
     pub(crate) states: Vec<StateProg>,
-    /// Phi copies `(source, destination)` of every edge. A phi with no
-    /// result, or no incoming value from the edge's source block, copies
-    /// [`Program::missing`] into the sink.
-    pub(crate) copies: Vec<(Reg, Reg)>,
+    /// Phi copies `(source, destination)` of every edge.
+    copies: Vec<(Reg, Reg)>,
     /// The phi each copy was lowered from.
     pub(crate) copy_phi: Vec<InstId>,
-    /// The register file at reset: constants, and zeros elsewhere. After
-    /// one register per IR value come the sink, which a valued op that
-    /// names no result writes and nothing reads, and
-    /// [`Program::missing`].
+    /// The register file at reset, one register per IR value: constants,
+    /// and zeros elsewhere.
     pub(crate) init: Vec<Value>,
     /// Parameter count; parameters occupy the first registers.
     params: usize,
@@ -170,17 +160,27 @@ pub(crate) enum Cut<'a> {
     /// A worker's FSM states, with their minimum cycles. Queue and liveout
     /// ports lower; host primitives do not.
     Fsm(&'a Fsm),
-    /// One state per block, for the reference interpreter: the block's
-    /// instructions up to its first terminator. Host primitives lower;
-    /// queue and liveout ports do not.
+    /// One state per block, for the reference interpreter. Host primitives
+    /// lower; queue and liveout ports do not.
     Blocks,
 }
 
+/// A function that passed [`cgpa_ir::verify::verify`], the one
+/// precondition of [`Program::new`] for either cut.
+pub(crate) struct Verified<'a>(&'a Function);
+
+impl<'a> Verified<'a> {
+    /// `func`, once the IR verifier accepts it.
+    pub(crate) fn new(func: &'a Function) -> Result<Self, VerifyError> {
+        verify(func)?;
+        Ok(Verified(func))
+    }
+}
+
 impl Program {
-    /// Lower `func` against `cut`. Every id `func` and `cut` name must be
-    /// in range (see [`cgpa_ir::verify::check_references`], and
-    /// [`check_fsm`] for an FSM).
-    pub(crate) fn new(func: &Function, cut: Cut<'_>) -> Program {
+    /// Lower `func` against `cut`. An FSM cut must pass [`check_fsm`].
+    pub(crate) fn new(func: Verified<'_>, cut: Cut<'_>) -> Program {
+        let Verified(func) = func;
         let mut prog = Program {
             init: func
                 .values
@@ -189,7 +189,6 @@ impl Program {
                     ValueDef::Const(c) => Value::from(*c),
                     other => Value::zero(other.ty()),
                 })
-                .chain([Value::I1(false); 2])
                 .collect(),
             params: func.params.len(),
             ..Program::default()
@@ -199,14 +198,7 @@ impl Program {
             Cut::Fsm(fsm) => {
                 fsm.states.iter().map(|s| (s.block, &s.ops[..], s.min_cycles)).collect()
             }
-            Cut::Blocks => func
-                .block_ids()
-                .map(|b| {
-                    let insts = &func.block(b).insts;
-                    let end = insts.iter().position(|&i| func.inst(i).op.is_terminator());
-                    (b, &insts[..end.map_or(insts.len(), |t| t + 1)], 1)
-                })
-                .collect(),
+            Cut::Blocks => func.block_ids().map(|b| (b, &func.block(b).insts[..], 1)).collect(),
         };
         for (sidx, &(block, insts, min_cycles)) in states.iter().enumerate() {
             let start = prog.ops.len() as u32;
@@ -222,7 +214,6 @@ impl Program {
             let register_only = !matches!(exit, Exit::Ret(_))
                 && prog.ops[start as usize..].iter().all(|op| matches!(op, MicroOp::Reg(_)));
             prog.states.push(StateProg {
-                block,
                 start,
                 end: prog.ops.len() as u32,
                 min_cycles,
@@ -234,17 +225,13 @@ impl Program {
         prog
     }
 
-    /// The register a phi copy reads when it has no source; nothing writes
-    /// it.
-    pub(crate) fn missing(&self) -> Reg {
-        self.init.len() as Reg - 1
-    }
-
     /// Lower one instruction of a state. Phis run on the edges into their
     /// block, and terminators become the state's exit.
     fn lower_op(&mut self, func: &Function, iid: InstId, cut: Cut<'_>) {
         let inst = func.inst(iid);
-        let dst = inst.result.map_or(self.missing() - 1, reg);
+        // Only the ops that yield a value read `dst`, and the verifier
+        // makes each of them name its result.
+        let dst = inst.result.map_or(Reg::MAX, reg);
         let worker = matches!(cut, Cut::Fsm(_));
         let op = if let Some(op) = RegOp::decode(func, &inst.op, dst) {
             MicroOp::Reg(op)
@@ -279,19 +266,13 @@ impl Program {
         };
         self.ops.push(op);
         self.op_inst.push(iid);
-        if let (MicroOp::Store { .. } | MicroOp::Fork { .. } | MicroOp::Join, Some(r)) =
-            (op, inst.result)
-        {
-            self.ops.push(MicroOp::Undefine(reg(r)));
-            self.op_inst.push(iid);
-        }
     }
 
-    /// The exit of state `sidx`, the last state of `block`: the block's
-    /// first terminator, and that instruction, or `Again` if it has none.
-    /// Each edge carries the phi copies of its target's leading phis. (In a
-    /// verified function, only an edge out of an unreachable block can lack
-    /// a phi's incoming value, and it is never taken.)
+    /// The exit of state `sidx`, the last state of `block`, and the
+    /// terminator it was lowered from: the block's last instruction. Each
+    /// edge carries the phi copies of its target's leading phis. Only an
+    /// edge out of an unreachable block can lack a phi's incoming value; it
+    /// is never taken, and copies the phi onto itself.
     fn lower_exit(
         &mut self,
         func: &Function,
@@ -299,14 +280,13 @@ impl Program {
         sidx: usize,
         block: BlockId,
     ) -> (Exit, InstId) {
-        let (sink, missing) = (self.missing() - 1, self.missing());
         let mut edge = |to: BlockId| {
             let start = self.copies.len() as u32;
             for &i in &func.block(to).insts {
                 let phi = func.inst(i);
-                let Op::Phi { incomings, .. } = &phi.op else { break };
-                let src = incomings.iter().find(|(b, _)| *b == block).map(|&(_, v)| reg(v));
-                self.copies.push(src.zip(phi.result.map(reg)).unwrap_or((missing, sink)));
+                let (Op::Phi { incomings, .. }, Some(dst)) = (&phi.op, phi.result) else { break };
+                let src = incomings.iter().find(|(b, _)| *b == block).map_or(dst, |&(_, v)| v);
+                self.copies.push((reg(src), reg(dst)));
                 self.copy_phi.push(i);
             }
             let next = match cut {
@@ -315,20 +295,30 @@ impl Program {
             };
             Edge { next, back: next as usize <= sidx, copies: (start, self.copies.len() as u32) }
         };
-        for &term in &func.block(block).insts {
-            let exit = match func.inst(term).op {
-                Op::Br { target } => Exit::Jump(edge(target)),
-                Op::CondBr { cond, on_true, on_false } => Exit::Branch {
-                    cond: reg(cond),
-                    on_true: edge(on_true),
-                    on_false: edge(on_false),
-                },
-                Op::Ret { value } => Exit::Ret(value.map(reg)),
-                _ => continue,
-            };
-            return (exit, term);
+        let insts = &func.block(block).insts;
+        let term = insts[insts.len() - 1];
+        let exit = match func.inst(term).op {
+            Op::Br { target } => Exit::Jump(edge(target)),
+            Op::CondBr { cond, on_true, on_false } => {
+                Exit::Branch { cond: reg(cond), on_true: edge(on_true), on_false: edge(on_false) }
+            }
+            Op::Ret { value } => Exit::Ret(value.map(reg)),
+            // Not a terminator: the verifier rejects that.
+            _ => Exit::Ret(None),
+        };
+        (exit, term)
+    }
+
+    /// Take `edge`'s phi copies on `regs`. The copies are parallel: every
+    /// source is read into `staged` before any destination is written.
+    #[inline(always)]
+    pub(crate) fn copy_phis(&self, edge: Edge, regs: &mut [Value], staged: &mut Vec<Value>) {
+        let copies = &self.copies[edge.copies.0 as usize..edge.copies.1 as usize];
+        staged.clear();
+        staged.extend(copies.iter().map(|&(src, _)| regs[src as usize]));
+        for (&(_, dst), &v) in copies.iter().zip(staged.iter()) {
+            regs[dst as usize] = v;
         }
-        (Exit::Again, InstId(0))
     }
 
     /// The micro-op a worker in `state` would execute next at `cursor`,
@@ -355,11 +345,11 @@ pub(crate) fn lower(
     queue_channels: &[u32],
     liveouts: usize,
 ) -> Result<Program, LowerError> {
-    cgpa_ir::verify::verify(func).map_err(|e| e.to_string())?;
+    let verified = Verified::new(func).map_err(|e| e.to_string())?;
     check_fsm(func, fsm).map_err(|e| e.to_string())?;
     check_schedule_order(func, fsm)?;
     check_ports(func, fsm, queue_channels, liveouts)?;
-    Ok(Program::new(func, Cut::Fsm(fsm)))
+    Ok(Program::new(verified, Cut::Fsm(fsm)))
 }
 
 /// Within each block, every operand defined by a non-phi instruction of
@@ -726,7 +716,6 @@ pub(crate) fn step_worker(
             op @ (MicroOp::Fork { .. } | MicroOp::Join | MicroOp::Retrieve { .. }) => {
                 return Err(HwError::Unsupported(format!("{op:?}")));
             }
-            MicroOp::Undefine(_) => {}
             MicroOp::Reg(op) => op.exec(&mut w.regs)?,
         }
         w.cursor += 1;
@@ -838,16 +827,8 @@ fn advance(prog: &Program, exit: &Exit, w: &mut Worker) -> Result<bool, ExecErro
             w.finished = true;
             return Ok(false);
         }
-        // The verifier rejects a block without a terminator.
-        Exit::Again => return Err(ExecError("a block without a terminator".to_string())),
     };
-    // Phi copies are parallel: read every source before writing.
-    let copies = &prog.copies[edge.copies.0 as usize..edge.copies.1 as usize];
-    w.staged.clear();
-    w.staged.extend(copies.iter().map(|&(src, _)| w.regs[src as usize]));
-    for (&(_, dst), &v) in copies.iter().zip(&w.staged) {
-        w.regs[dst as usize] = v;
-    }
+    prog.copy_phis(edge, &mut w.regs, &mut w.staged);
     if edge.back {
         w.stats.iterations += 1;
     }

@@ -12,11 +12,13 @@
 //! and picks a typed micro-op by operand type: a `Binary` on two `i32`,
 //! `i64`, `f32` or `f64`, an `ICmp` on two `i32`, `i64` or pointers and an
 //! `FCmp` on two `f32` or `f64` (each carrying its opcode), and a `Gep`
-//! with an `i32` or `i64` index or none. A typed micro-op checks that its operand
-//! registers hold the tags it was decoded for and calls the typed kernel
-//! directly. When a register holds any other tag (a mistyped worker
-//! argument, an unverified function), or the kernel does not define the
-//! opcode on that type, the op falls back to the `eval_*` function with its
+//! with an `i32` or `i64` index or none. A typed micro-op checks that its
+//! operand registers hold the tags it was decoded for and calls the typed
+//! kernel directly. Both executors run only verified functions, so a
+//! register holds another tag only when an argument brought it in: neither
+//! the interpreter nor a worker type-checks its arguments. When a register
+//! holds another tag, or the kernel does not define the opcode on that
+//! type, the op falls back to the `eval_*` function with its
 //! opcode, so its result or error text is the tagged semantics' by
 //! construction. Forms with no typed micro-op (`i1` logic, pointer
 //! arithmetic, casts, operands whose declared types differ) always take the
@@ -32,10 +34,10 @@ use std::ops::{Add, Div, Mul, Sub};
 ///
 /// The IR verifier rejects most of these statically, but some legal-looking
 /// combinations slip through (e.g. an integer `mul` on two pointers, an
-/// ordered `icmp` on `i1`), and unverified functions reach the interpreter
-/// through the degradation ladder — so the evaluators return this instead
-/// of panicking, and the engines surface it as
-/// `InterpError::UnsupportedOp` / `HwError::Unsupported`.
+/// ordered `icmp` on `i1`), and an argument may hold another tag than its
+/// parameter declares — so the evaluators return this instead of
+/// panicking, and the engines surface it as `InterpError::UnsupportedOp` /
+/// `HwError::Unsupported`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecError(pub String);
 
@@ -434,7 +436,7 @@ impl RegOp {
     /// Run the op on `regs`: its result, or the error the tagged semantics
     /// give for the values its registers hold.
     #[inline]
-    pub(crate) fn exec(self, regs: &mut [Value]) -> Result<(), ExecError> {
+    pub(crate) fn exec(&self, regs: &mut [Value]) -> Result<(), ExecError> {
         if self.exec_typed(regs) {
             Ok(())
         } else {
@@ -446,10 +448,10 @@ impl RegOp {
     /// decoded for and its kernel defines it, and return `false`, writing
     /// nothing, otherwise and for the forms with no typed path.
     #[inline(always)]
-    fn exec_typed(self, regs: &mut [Value]) -> bool {
+    fn exec_typed(&self, regs: &mut [Value]) -> bool {
         use Value as V;
         let r = |x: Reg| regs[x as usize];
-        let (dst, v) = match self {
+        let (dst, v) = match *self {
             RegOp::BinI32 { op, dst, a, b } => match (r(a), r(b)) {
                 (V::I32(x), V::I32(y)) => (dst, int32(op, x, y).map(V::I32)),
                 _ => return false,
@@ -519,9 +521,9 @@ impl RegOp {
     /// whatever its registers hold.
     #[cold]
     #[inline(never)]
-    fn exec_tagged(self, regs: &mut [Value]) -> Result<(), ExecError> {
+    fn exec_tagged(&self, regs: &mut [Value]) -> Result<(), ExecError> {
         let r = |x: Reg| regs[x as usize];
-        let v = match self {
+        let v = match *self {
             RegOp::BinI32 { op, a, b, .. }
             | RegOp::BinI64 { op, a, b, .. }
             | RegOp::BinF32 { op, a, b, .. }
@@ -552,8 +554,8 @@ impl RegOp {
     }
 
     /// The register the op writes.
-    pub(crate) fn dst(self) -> Reg {
-        match self {
+    fn dst(&self) -> Reg {
+        match *self {
             RegOp::BinI32 { dst, .. }
             | RegOp::BinI64 { dst, .. }
             | RegOp::BinF32 { dst, .. }
@@ -572,35 +574,6 @@ impl RegOp {
             | RegOp::GepI32 { dst, .. }
             | RegOp::GepI64 { dst, .. }
             | RegOp::Gep { dst, .. } => dst,
-        }
-    }
-
-    /// The registers the op may read, in the order the reference
-    /// interpreter reads them (a gep's index before its base). A select
-    /// reads its condition and then only the arm it picks.
-    pub(crate) fn reads(self) -> [Option<Reg>; 3] {
-        match self {
-            RegOp::BinI32 { a, b, .. }
-            | RegOp::BinI64 { a, b, .. }
-            | RegOp::BinF32 { a, b, .. }
-            | RegOp::BinF64 { a, b, .. }
-            | RegOp::ICmpI32 { a, b, .. }
-            | RegOp::ICmpI64 { a, b, .. }
-            | RegOp::ICmpPtr { a, b, .. }
-            | RegOp::FCmpF32 { a, b, .. }
-            | RegOp::FCmpF64 { a, b, .. }
-            | RegOp::Binary { a, b, .. }
-            | RegOp::ICmp { a, b, .. }
-            | RegOp::FCmp { a, b, .. } => [Some(a), Some(b), None],
-            RegOp::Select { cond, on_true, on_false, .. } => {
-                [Some(cond), Some(on_true), Some(on_false)]
-            }
-            RegOp::Cast { src, .. } => [Some(src), None, None],
-            RegOp::GepField { base, .. } => [Some(base), None, None],
-            RegOp::GepI32 { base, index, .. } | RegOp::GepI64 { base, index, .. } => {
-                [Some(index), Some(base), None]
-            }
-            RegOp::Gep { base, index, .. } => [index, Some(base), None],
         }
     }
 }

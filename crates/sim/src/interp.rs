@@ -6,27 +6,24 @@
 //! A hook trait lets the MIPS timing model ride along without duplicating
 //! the semantics.
 //!
-//! Each call lowers its function into the datapath's decoded form (the
-//! crate-private `datapath::Program`), cut into one state per block (the
-//! block's non-phi instructions up to its first terminator), and runs
-//! that. The run keeps
-//! the interpreter's observable contract: the `executed` count (phis and
+//! Each call checks the arity, then lowers its function into the
+//! datapath's decoded form (the crate-private `datapath::Program`), cut
+//! into one state per block, and runs that. Lowering takes only a function
+//! that passes the IR verifier, exactly as a worker's does; a function the
+//! verifier rejects is [`InterpError::Malformed`]. So every register a run
+//! reads holds a value an earlier instruction wrote. The run keeps the
+//! interpreter's observable contract: the `executed` count (phis and
 //! terminators included), fuel (one unit per non-phi instruction),
 //! `BadArity`, the hook order the MIPS model relies on (`on_inst` for each
 //! phi after its edge's `on_branch`, then for each instruction before it
-//! runs; `on_mem` before the access), and each error's text. The
-//! interpreter checks that every id the function names is in range, but
-//! does not run the verifier, so a read can find a value no instruction
-//! has defined yet; that is an error, raised lazily when the read happens:
-//! the run tracks which registers hold a value and reports the first
-//! missing read in the order the operands are read.
+//! runs; `on_mem` before the access), and each error's text.
 
-use crate::datapath::{Cut, Exit, MicroOp, Program, ENTRY};
-use crate::exec::{as_bool, as_ptr, reg, Reg, RegOp};
+use crate::datapath::{Cut, Exit, MicroOp, Program, Verified};
+use crate::exec::{as_bool, as_ptr, reg};
 use crate::mem::{OutOfRange, SimMemory};
 use crate::value::Value;
-use cgpa_ir::verify::{check_references, VerifyError};
-use cgpa_ir::{BlockId, Function, InstId, ValueDef, ValueId};
+use cgpa_ir::verify::VerifyError;
+use cgpa_ir::{Function, InstId};
 use std::error::Error;
 use std::fmt;
 
@@ -76,10 +73,7 @@ pub enum InterpError {
         /// Access width in bytes.
         width: u32,
     },
-    /// The function cannot run at all: it names a block, instruction or
-    /// value it does not have (checked before the run), or the run reached
-    /// a block with no terminator and no instruction that spends fuel,
-    /// which would run again forever.
+    /// The function fails the IR verifier (checked before the run).
     Malformed(VerifyError),
 }
 
@@ -155,16 +149,13 @@ pub fn run_with_accelerator(
     run(func, args, mem, fuel, &mut NoHooks, accelerator, true)
 }
 
-/// Run `func` from the entry block, lowered one state per block. The run
-/// tracks which registers hold a value and fails a read of one that does
-/// not.
+/// Run `func` from the entry block, lowered one state per block.
 ///
 /// Every instruction counts as executed and reaches `on_inst` before it
 /// runs (a phi when its edge is taken, after the branch's `on_branch`); an
 /// access reaches `on_mem` before it touches memory. Each non-phi
 /// instruction spends one unit of fuel. Host primitives run only when
 /// `primitives` is set.
-#[allow(clippy::too_many_lines)]
 fn run(
     func: &Function,
     args: &[Value],
@@ -177,39 +168,15 @@ fn run(
     if args.len() != func.params.len() {
         return Err(InterpError::BadArity { expected: func.params.len(), got: args.len() });
     }
-    check_references(func).map_err(InterpError::Malformed)?;
-    let prog = Program::new(func, Cut::Blocks);
-    let missing = prog.missing();
+    let prog = Program::new(Verified::new(func).map_err(InterpError::Malformed)?, Cut::Blocks);
     // Parameters and constants hold values from the start.
     let mut regs = prog.init.clone();
     regs[..args.len()].copy_from_slice(args);
-    let mut defined: Vec<bool> = (0..regs.len())
-        .map(|i| i < args.len() || matches!(func.values.get(i), Some(ValueDef::Const(_))))
-        .collect();
     let mut executed = 0u64;
     let mut liveout_regs: Vec<Option<Value>> = Vec::new();
     // Phi staging buffer: the copies of an edge are parallel.
     let mut staged: Vec<Value> = Vec::new();
-    // The current state, and the edge that entered it with the block that
-    // edge leaves.
     let mut state = 0;
-    let mut entered = (ENTRY, BlockId(0));
-    macro_rules! get {
-        ($r:expr) => {{
-            let r = $r as usize;
-            if !defined[r] {
-                return Err(undefined(r));
-            }
-            regs[r]
-        }};
-    }
-    macro_rules! set {
-        ($r:expr, $v:expr) => {{
-            let r = $r as usize;
-            regs[r] = $v;
-            defined[r] = true;
-        }};
-    }
     // An instruction starts: count it, spend fuel, report it.
     macro_rules! start {
         ($inst:expr) => {{
@@ -223,36 +190,27 @@ fn run(
     loop {
         let st = &prog.states[state];
         let ops = st.start as usize..st.end as usize;
-        for (&op, &iid) in prog.ops[ops.clone()].iter().zip(&prog.op_inst[ops]) {
-            match op {
-                MicroOp::Reg(op) => {
-                    start!(iid);
-                    if let Some(r) = first_undefined(op, &regs, &defined) {
-                        return Err(undefined(r as usize));
-                    }
-                    op.exec(&mut regs)?;
-                    defined[op.dst() as usize] = true;
-                }
+        // Ops run in place: copying each one out of the table first
+        // compiled to a markedly slower loop.
+        for (op, &iid) in prog.ops[ops.clone()].iter().zip(&prog.op_inst[ops]) {
+            start!(iid);
+            match *op {
+                MicroOp::Reg(ref op) => op.exec(&mut regs)?,
                 MicroOp::Load { dst, addr, ty } => {
-                    start!(iid);
-                    let a = as_ptr(get!(addr))?;
+                    let a = as_ptr(regs[addr as usize])?;
                     hooks.on_mem(a, ty.size_bytes(), false);
-                    let v = mem.read_value(a, ty)?;
-                    set!(dst, v);
+                    regs[dst as usize] = mem.read_value(a, ty)?;
                 }
                 MicroOp::Store { addr, value } => {
-                    start!(iid);
-                    let a = as_ptr(get!(addr))?;
-                    let v = get!(value);
+                    let a = as_ptr(regs[addr as usize])?;
+                    let v = regs[value as usize];
                     hooks.on_mem(a, v.ty().size_bytes(), true);
                     mem.write_value(a, v)?;
                 }
                 MicroOp::Fork { loop_id } if primitives => {
-                    start!(iid);
-                    let mut vals_in = Vec::new();
-                    for v in func.inst(iid).op.operands() {
-                        vals_in.push(get!(reg(v)));
-                    }
+                    let live_ins = func.inst(iid).op.operands();
+                    let vals_in: Vec<Value> =
+                        live_ins.iter().map(|&v| regs[reg(v) as usize]).collect();
                     let out =
                         accelerator(loop_id, &vals_in, mem).map_err(InterpError::UnsupportedOp)?;
                     // Liveout registers are shared hardware: later loops'
@@ -266,26 +224,22 @@ fn run(
                         }
                     }
                 }
-                MicroOp::Join if primitives => start!(iid),
+                MicroOp::Join if primitives => {}
                 MicroOp::Retrieve { dst, slot } if primitives => {
-                    start!(iid);
-                    let v =
+                    regs[dst as usize] =
                         liveout_regs.get(slot as usize).copied().flatten().ok_or_else(|| {
                             InterpError::UnsupportedOp(format!("liveout {slot} never stored"))
                         })?;
-                    set!(dst, v);
                 }
-                MicroOp::Undefine(r) => defined[r as usize] = false,
                 // Unsupported ops (queue and liveout ports), and host
                 // primitives outside `run_with_accelerator`.
                 _ => {
-                    start!(iid);
                     let op = &func.inst(iid).op;
                     return Err(InterpError::UnsupportedOp(format!("{op:?}")));
                 }
             }
         }
-        let (edge, from) = match st.exit {
+        let edge = match st.exit {
             Exit::Next => {
                 state += 1;
                 continue;
@@ -293,87 +247,36 @@ fn run(
             Exit::Jump(edge) => {
                 start!(st.term);
                 hooks.on_branch(false);
-                (edge, st.block)
+                edge
             }
             Exit::Branch { cond, on_true, on_false } => {
                 start!(st.term);
-                let taken = as_bool(get!(cond))?;
+                let taken = as_bool(regs[cond as usize])?;
                 hooks.on_branch(taken);
-                (if taken { on_true } else { on_false }, st.block)
+                if taken {
+                    on_true
+                } else {
+                    on_false
+                }
             }
             Exit::Ret(value) => {
                 start!(st.term);
-                let ret = match value {
-                    Some(r) => Some(get!(r)),
-                    None => None,
-                };
-                return Ok((ret, executed));
+                return Ok((value.map(|r| regs[r as usize]), executed));
             }
-            // With no instruction to spend fuel, the block would run again
-            // forever.
-            Exit::Again if st.start == st.end => {
-                let (func, block) = (func.name.clone(), st.block);
-                return Err(InterpError::Malformed(VerifyError::MissingTerminator { func, block }));
-            }
-            Exit::Again => entered,
         };
-        // The copies are parallel: every source is read before any
-        // destination is written.
-        let copies = edge.copies.0 as usize..edge.copies.1 as usize;
-        staged.clear();
-        for (&(src, _), &phi) in
-            prog.copies[copies.clone()].iter().zip(&prog.copy_phi[copies.clone()])
-        {
-            if src == missing {
-                return Err(malformed_phi(phi, from));
-            }
-            staged.push(get!(src));
+        for &phi in &prog.copy_phi[edge.copies.0 as usize..edge.copies.1 as usize] {
             hooks.on_inst(func, phi);
             executed += 1;
         }
-        for (&(_, dst), &v) in prog.copies[copies].iter().zip(&staged) {
-            set!(dst, v);
-        }
-        entered = (edge, from);
+        prog.copy_phis(edge, &mut regs, &mut staged);
         state = edge.next as usize;
     }
-}
-
-/// The first register `op` reads that holds no value: a select reads its
-/// condition, and then only the arm it picks (a condition that is not an
-/// `i1` fails in [`RegOp::exec`] first).
-fn first_undefined(op: RegOp, regs: &[Value], defined: &[bool]) -> Option<Reg> {
-    let missing = |r: Reg| !defined[r as usize];
-    if let RegOp::Select { cond, on_true, on_false, .. } = op {
-        if missing(cond) {
-            return Some(cond);
-        }
-        let arm = match regs[cond as usize] {
-            Value::I1(true) => on_true,
-            Value::I1(false) => on_false,
-            _ => return None,
-        };
-        return missing(arm).then_some(arm);
-    }
-    op.reads().into_iter().flatten().find(|&r| missing(r))
-}
-
-#[cold]
-#[inline(never)]
-fn undefined(r: usize) -> InterpError {
-    InterpError::UnsupportedOp(format!("read of undefined value {:?}", ValueId(r as u32)))
-}
-
-#[cold]
-#[inline(never)]
-fn malformed_phi(iid: InstId, pred: BlockId) -> InterpError {
-    InterpError::UnsupportedOp(format!("phi {iid:?} has no result or no incoming from {pred:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Ty};
+    use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, BlockId, Ty, ValueId};
 
     /// `fn sum(a: ptr, n: i32) -> f64` — sums `n` doubles.
     fn sum_fn() -> Function {
@@ -449,38 +352,6 @@ mod tests {
         let mut mem = SimMemory::new(1 << 12);
         let err = run_function(&f, &[Value::I32(3)], &mut mem, 100, &mut NoHooks).unwrap_err();
         assert_eq!(err, InterpError::BadArity { expected: 2, got: 1 });
-    }
-
-    #[test]
-    fn malformed_functions_are_typed_errors() {
-        // `v` is defined only on the branch not taken, so `ret v` reads an
-        // undefined value (the verifier would reject the missing dominance).
-        let mut b = FunctionBuilder::new("f", &[("n", Ty::I32)], Some(Ty::I32));
-        let n = b.param(0);
-        let def = b.append_block("def");
-        let exit = b.append_block("exit");
-        let no = b.const_bool(false);
-        b.cond_br(no, def, exit);
-        b.switch_to(def);
-        let v = b.binary(BinOp::Add, n, n);
-        b.br(exit);
-        b.switch_to(exit);
-        b.ret(Some(v));
-        let f = b.finish_unverified();
-        let mut mem = SimMemory::new(1 << 12);
-        let err = run_function(&f, &[Value::I32(1)], &mut mem, 100, &mut NoHooks).unwrap_err();
-        assert!(matches!(&err, InterpError::UnsupportedOp(m) if m.contains("undefined")), "{err}");
-
-        // A phi with no incoming value for the edge actually taken.
-        let mut b = FunctionBuilder::new("g", &[], Some(Ty::I32));
-        let exit = b.append_block("exit");
-        b.br(exit);
-        b.switch_to(exit);
-        let p = b.phi(Ty::I32, "p");
-        b.ret(Some(p));
-        let f = b.finish_unverified();
-        let err = run_function(&f, &[], &mut mem, 100, &mut NoHooks).unwrap_err();
-        assert!(matches!(&err, InterpError::UnsupportedOp(m) if m.contains("phi")), "{err}");
     }
 
     #[test]
@@ -561,75 +432,6 @@ mod tests {
         assert_eq!(log.0, want);
         // Phis and terminators count as executed instructions.
         assert_eq!(executed, 15);
-    }
-
-    #[test]
-    fn undefined_reads_fail_lazily_in_read_order() {
-        // `p` and `i` are defined only on the branch not taken. A select
-        // reads only the arm it picks; a gep reads its index before its
-        // base.
-        let build = |pick_defined: bool| {
-            let mut b = FunctionBuilder::new("f", &[("a", Ty::Ptr), ("n", Ty::I32)], Some(Ty::Ptr));
-            let (a, n) = (b.param(0), b.param(1));
-            let def = b.append_block("def");
-            let exit = b.append_block("exit");
-            let no = b.const_bool(false);
-            let pick = b.const_bool(pick_defined);
-            b.cond_br(no, def, exit);
-            b.switch_to(def);
-            let p = b.gep(a, n, 4, 0);
-            let i = b.binary(BinOp::Add, n, n);
-            b.br(exit);
-            b.switch_to(exit);
-            let s = b.select(pick, a, p);
-            let g = b.gep(s, i, 4, 0);
-            b.ret(Some(g));
-            (b.finish_unverified(), p, i)
-        };
-        let mut mem = SimMemory::new(1 << 12);
-        let args = [Value::Ptr(64), Value::I32(1)];
-        let undefined = |v: cgpa_ir::ValueId| {
-            InterpError::UnsupportedOp(format!("read of undefined value {v:?}"))
-        };
-        let (f, p, _) = build(false);
-        assert_eq!(run_function(&f, &args, &mut mem, 100, &mut NoHooks), Err(undefined(p)));
-        let (f, _, i) = build(true);
-        assert_eq!(run_function(&f, &args, &mut mem, 100, &mut NoHooks), Err(undefined(i)));
-    }
-
-    #[test]
-    fn a_block_without_a_terminator_runs_again_over_the_edge_that_entered_it() {
-        let mut b = FunctionBuilder::new("f", &[], Some(Ty::I32));
-        let body = b.append_block("body");
-        let seven = b.const_i32(7);
-        b.br(body);
-        b.switch_to(body);
-        let p = b.phi(Ty::I32, "p");
-        let one = b.const_i32(1);
-        b.binary(BinOp::Add, p, one);
-        b.add_phi_incoming(p, b.entry_block(), seven);
-        let f = b.finish_unverified();
-        let mut mem = SimMemory::new(1 << 12);
-        let mut log = Log::default();
-        let err = run_function(&f, &[], &mut mem, 5, &mut log).unwrap_err();
-        assert_eq!(err, InterpError::OutOfFuel);
-        // Fuel runs out at the third `add`, before it is reported.
-        assert_eq!(log.0, ["Br", "branch false", "Phi", "Binary", "Phi", "Binary", "Phi"]);
-    }
-
-    #[test]
-    fn a_valueless_op_that_names_a_result_leaves_it_undefined() {
-        let mut b = FunctionBuilder::new("f", &[("a", Ty::Ptr), ("n", Ty::I32)], Some(Ty::I32));
-        let (a, n) = (b.param(0), b.param(1));
-        let x = b.binary(BinOp::Add, n, n);
-        let st = b.store(a, n);
-        b.ret(Some(x));
-        let mut f = b.finish_unverified();
-        f.insts[st.0 as usize].result = Some(x);
-        let mut mem = SimMemory::new(1 << 12);
-        let err = run_function(&f, &[Value::Ptr(64), Value::I32(1)], &mut mem, 100, &mut NoHooks)
-            .unwrap_err();
-        assert_eq!(err, InterpError::UnsupportedOp(format!("read of undefined value {x:?}")));
     }
 
     /// Run `f` with no arguments: the error's text.
