@@ -11,7 +11,10 @@
 //! [`op_timing`] binds it to, so the core and the accelerators classify
 //! ops the same way: `fadd` and `fmul` are charged by result width, `fdiv`
 //! flat, and every op without a multi-cycle unit as one ALU op (the width
-//! rules of each consumer are listed in [`cgpa_rtl::timing`]).
+//! rules of each consumer are listed in [`cgpa_rtl::timing`]). Each IR op
+//! is one instruction: an integer op takes one issue slot (`int_op`), and
+//! the expansion of an IR op into several MIPS instructions (immediates,
+//! address formation, spills) is not modelled.
 
 use crate::cache::{CacheConfig, CacheSystem};
 use crate::interp::{run_function, ExecHooks, InterpError};
@@ -43,10 +46,6 @@ pub struct MipsConfig {
     pub fcmp: u64,
     /// Taken-branch penalty.
     pub branch_taken: u64,
-    /// Extra cycles per IR instruction to account for the ~1.4× MIPS
-    /// instruction expansion of IR operations (immediates, address
-    /// formation, spills), in hundredths (170 = 1.7 fetch slots per op).
-    pub fetch_expansion_pct: u64,
     /// D-cache geometry (1 port for the core).
     pub dcache: CacheConfig,
     /// I-cache geometry.
@@ -66,7 +65,6 @@ impl Default for MipsConfig {
             fdiv: 24,
             fcmp: 3,
             branch_taken: 3,
-            fetch_expansion_pct: 170,
             dcache: CacheConfig { banks: 1, ..CacheConfig::default() },
             icache: CacheConfig { banks: 1, ..CacheConfig::default() },
         }
@@ -121,8 +119,6 @@ fn issue_cost(cfg: &MipsConfig, func: &Function, inst: InstId) -> u64 {
         // 1 cycle; the D-cache adds its latency in `on_mem`.
         _ => cfg.int_op,
     };
-    // Apply the IR→MIPS expansion to the base issue cost only.
-    let cost = if cost == cfg.int_op { cost * cfg.fetch_expansion_pct / 100 } else { cost };
     cost.max(1)
 }
 
