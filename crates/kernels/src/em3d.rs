@@ -19,10 +19,10 @@
 //! Node layout: `value: f64 @0`, `from_count: i32 @8`, `from_nodes: ptr
 //! @12`, `coeffs: ptr @16`, `next: ptr @20` — 24 bytes.
 
-use crate::{BuiltKernel, ReferenceCache};
+use crate::{arguments, elem, field, ptr_arg, BuiltKernel, Native, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
-use cgpa_sim::{SimMemory, Value};
+use cgpa_sim::{InterpError, SimMemory, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -214,43 +214,45 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
         mem,
         args: vec![Value::Ptr(e_addrs.first().copied().unwrap_or(0))],
         iterations: u64::from(p.e_nodes),
-        reference_cache: ReferenceCache::default(),
+        reference_cache: ReferenceCache::native(reference_native),
     }
 }
 
 /// Native Rust implementation over the same memory layout — an independent
-/// check of the IR's meaning.
-pub fn reference_native(mem: &mut SimMemory, mut nodelist: u32) {
+/// check of the IR's meaning, with the signature of [`kernel_ir`].
+///
+/// # Errors
+/// See [`NativeReference`](crate::NativeReference).
+pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
+    let [head] = arguments(args)?;
+    let mut nodelist = ptr_arg(head)?;
+    let mut m = Native::new(mem);
     while nodelist != 0 {
-        let from_count = mem.read_i32(nodelist + OFF_COUNT as u32);
-        let from_arr = mem.read_ptr(nodelist + OFF_FROM as u32);
-        let coeff_arr = mem.read_ptr(nodelist + OFF_COEFF as u32);
+        m.step()?;
+        let from_count = m.i32(field(nodelist, OFF_COUNT))?;
+        let from_arr = m.ptr(field(nodelist, OFF_FROM))?;
+        let coeff_arr = m.ptr(field(nodelist, OFF_COEFF))?;
         for i in 0..from_count {
-            let from = mem.read_ptr(from_arr + 4 * i as u32);
-            let coeff = mem.read_f64(coeff_arr + 8 * i as u32);
-            let value = mem.read_f64(from + OFF_VALUE as u32);
-            let cur = mem.read_f64(nodelist + OFF_VALUE as u32);
-            mem.write_f64(nodelist + OFF_VALUE as u32, cur - coeff * value);
+            m.step()?;
+            let from = m.ptr(elem(from_arr, i, 4))?;
+            let coeff = m.f64(elem(coeff_arr, i, 8))?;
+            let value = m.f64(field(from, OFF_VALUE))?;
+            let cur = m.f64(field(nodelist, OFF_VALUE))?;
+            m.store(field(nodelist, OFF_VALUE), Value::F64(cur - coeff * value))?;
         }
-        nodelist = mem.read_ptr(nodelist + OFF_NEXT as u32);
+        nodelist = m.ptr(field(nodelist, OFF_NEXT))?;
     }
+    Ok(None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_ir_matches_native;
 
     #[test]
     fn ir_matches_native_reference() {
-        let k = build(&Params::fixed(40, 30, 5, 24), 7);
-        let (ir_mem, ret) = k.reference();
-        assert_eq!(ret, None);
-        let mut native_mem = k.mem.clone();
-        reference_native(&mut native_mem, k.args[0].as_ptr());
-        assert_eq!(
-            ir_mem.read_bytes(0, ir_mem.size()),
-            native_mem.read_bytes(0, native_mem.size())
-        );
+        assert_ir_matches_native(&build(&Params::fixed(40, 30, 5, 24), 7), reference_native);
     }
 
     #[test]
@@ -265,7 +267,7 @@ mod tests {
     fn empty_list_is_a_noop() {
         let k = build(&Params::fixed(1, 1, 1, 0), 3);
         let mut mem = k.mem.clone();
-        reference_native(&mut mem, 0);
+        assert_eq!(reference_native(&mut mem, &[Value::Ptr(0)]), Ok(None));
         assert_eq!(mem.read_bytes(0, mem.size()), k.mem.read_bytes(0, k.mem.size()));
     }
 
@@ -274,10 +276,7 @@ mod tests {
         // Non-constant from_count per node (the paper's irregular case).
         let p = Params { e_nodes: 30, h_nodes: 20, degree: 9, degree_min: 1, scatter: 16 };
         let k = build(&p, 17);
-        let (ir_mem, _) = k.reference();
-        let mut native = k.mem.clone();
-        reference_native(&mut native, k.args[0].as_ptr());
-        assert_eq!(ir_mem.read_bytes(0, ir_mem.size()), native.read_bytes(0, native.size()));
+        assert_ir_matches_native(&k, reference_native);
         // Degrees actually vary.
         let mut seen = std::collections::BTreeSet::new();
         let mut p_addr = k.args[0].as_ptr();

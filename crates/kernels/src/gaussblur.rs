@@ -19,10 +19,10 @@
 //! fetch) as a heavyweight section placed in a sequential stage that
 //! broadcasts the new pixel to all four shift chains.
 
-use crate::{BuiltKernel, ReferenceCache};
+use crate::{arguments, elem, field, i32_arg, ptr_arg, BuiltKernel, Native, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
-use cgpa_sim::{SimMemory, Value};
+use cgpa_sim::{InterpError, SimMemory, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -149,39 +149,42 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
         mem,
         args: vec![Value::Ptr(img), Value::Ptr(out), Value::I32(p.width as i32)],
         iterations: u64::from(p.width - 4),
-        reference_cache: ReferenceCache::default(),
+        reference_cache: ReferenceCache::native(reference_native),
     }
 }
 
-/// Native Rust reference.
-pub fn reference_native(mem: &mut SimMemory, img: u32, out: u32, width: i32) {
+/// Native Rust reference, with the signature of [`kernel_ir`].
+///
+/// # Errors
+/// See [`NativeReference`](crate::NativeReference).
+pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
+    let [img, out, width] = arguments(args)?;
+    let (img, out, width) = (ptr_arg(img)?, ptr_arg(out)?, i32_arg(width)?);
+    let mut m = Native::new(mem);
+    let [c0, c1, c2, c3, c4] = COEFFS;
     let mut w = [0f32; 5];
-    for (k, slot) in w.iter_mut().enumerate() {
-        *slot = mem.read_f32(img + 4 * k as u32);
+    for (k, slot) in (0..).zip(w.iter_mut()) {
+        *slot = m.f32(elem(img, k, 4))?;
     }
-    for j in 0..(width - 4) {
-        let sum: f32 = COEFFS.iter().zip(w.iter()).map(|(c, v)| c * v).sum();
-        mem.write_f32(out + 4 * j as u32, sum);
-        w.rotate_left(1);
-        w[4] = mem.read_f32(img + 4 * (j + 5) as u32);
+    for j in 0..width.wrapping_sub(4) {
+        m.step()?;
+        let [w0, w1, w2, w3, w4] = w;
+        m.store(elem(out, j, 4), Value::F32(c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3 + c4 * w4))?;
+        // R2 shifts the window; R3 fetches img[j + 5].
+        w = [w1, w2, w3, w4, m.f32(field(elem(img, j, 4), 20))?];
     }
+    Ok(None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_ir_matches_native;
 
     #[test]
     fn ir_matches_native_reference() {
         let p = Params { width: 64 };
-        let k = build(&p, 31);
-        let (ir_mem, _) = k.reference();
-        let mut native_mem = k.mem.clone();
-        reference_native(&mut native_mem, k.args[0].as_ptr(), k.args[1].as_ptr(), 64);
-        assert_eq!(
-            ir_mem.read_bytes(0, ir_mem.size()),
-            native_mem.read_bytes(0, native_mem.size())
-        );
+        assert_ir_matches_native(&build(&p, 31), reference_native);
     }
 
     #[test]

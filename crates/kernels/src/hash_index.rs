@@ -18,10 +18,10 @@
 //! Item layout: `key: i32 @0`, `hash_next: ptr @4`, `next: ptr @8` —
 //! 12 bytes.
 
-use crate::{BuiltKernel, ReferenceCache};
+use crate::{arguments, elem, field, i32_arg, ptr_arg, BuiltKernel, Native, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
-use cgpa_sim::{SimMemory, Value};
+use cgpa_sim::{InterpError, SimMemory, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -178,43 +178,40 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
             Value::I32(p.buckets as i32 - 1),
         ],
         iterations: u64::from(p.items),
-        reference_cache: ReferenceCache::default(),
+        reference_cache: ReferenceCache::native(reference_native),
     }
 }
 
-/// Native Rust reference over the same layout.
-pub fn reference_native(mem: &mut SimMemory, mut item: u32, buckets: u32, mask: i32) {
+/// Native Rust reference over the same layout, with the signature of
+/// [`kernel_ir`].
+///
+/// # Errors
+/// See [`NativeReference`](crate::NativeReference).
+pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
+    let [head, buckets, mask] = arguments(args)?;
+    let (mut item, buckets, mask) = (ptr_arg(head)?, ptr_arg(buckets)?, i32_arg(mask)?);
+    let mut m = Native::new(mem);
     while item != 0 {
-        let key = mem.read_i32(item + OFF_KEY as u32);
-        let b = (mix(key) & mask) as u32;
-        let baddr = buckets + 4 * b;
-        let old = mem.read_ptr(baddr);
-        mem.write_ptr(item + OFF_HNEXT as u32, old);
-        mem.write_ptr(baddr, item);
-        item = mem.read_ptr(item + OFF_NEXT as u32);
+        m.step()?;
+        let key = m.i32(field(item, OFF_KEY))?;
+        let bucket = elem(buckets, mix(key) & mask, 4);
+        let old = m.ptr(bucket)?;
+        m.store(field(item, OFF_HNEXT), Value::Ptr(old))?;
+        m.store(bucket, Value::Ptr(item))?;
+        item = m.ptr(field(item, OFF_NEXT))?;
     }
+    Ok(None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_ir_matches_native;
 
     #[test]
     fn ir_matches_native_reference() {
         let p = Params { items: 100, buckets: 16, scatter: 20 };
-        let k = build(&p, 3);
-        let (ir_mem, _) = k.reference();
-        let mut native_mem = k.mem.clone();
-        reference_native(
-            &mut native_mem,
-            k.args[0].as_ptr(),
-            k.args[1].as_ptr(),
-            k.args[2].as_i32(),
-        );
-        assert_eq!(
-            ir_mem.read_bytes(0, ir_mem.size()),
-            native_mem.read_bytes(0, native_mem.size())
-        );
+        assert_ir_matches_native(&build(&p, 3), reference_native);
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! `findNearestPoint` is inlined (HLS tools flatten calls before
 //! synthesis): a doubly-nested distance loop over clusters × features.
 
-use crate::{BuiltKernel, ReferenceCache};
+use crate::{arguments, elem, i32_arg, ptr_arg, BuiltKernel, Native, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{
     builder::FunctionBuilder, inst::FloatPredicate, inst::IntPredicate, BinOp, Function, Ty,
 };
-use cgpa_sim::{SimMemory, Value};
+use cgpa_sim::{InterpError, SimMemory, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -286,69 +286,72 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
             Value::I32(p.features as i32),
         ],
         iterations: u64::from(p.points),
-        reference_cache: ReferenceCache::default(),
+        reference_cache: ReferenceCache::native(reference_native),
     }
 }
 
-/// Native Rust reference over the same layout.
-#[must_use]
-pub fn reference_native(mem: &mut SimMemory, args: &[Value], p: &Params) -> i32 {
-    let nodes = args[0].as_ptr();
-    let clusters = args[1].as_ptr();
-    let membership = args[2].as_ptr();
-    let new_centers = args[3].as_ptr();
-    let nc_len = args[4].as_ptr();
-    let (n, k, nf) = (p.points, p.clusters, p.features);
-    let mut delta = 0;
+/// Native Rust reference over the same layout, with the signature of
+/// [`kernel_ir`]: the point, cluster and feature counts come from
+/// `args[5..8]`.
+///
+/// # Errors
+/// See [`NativeReference`](crate::NativeReference).
+pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
+    let [nodes, clusters, membership, new_centers, nc_len, n, k, nf] = arguments(args)?;
+    let (nodes, clusters, membership) = (ptr_arg(nodes)?, ptr_arg(clusters)?, ptr_arg(membership)?);
+    let (new_centers, nc_len) = (ptr_arg(new_centers)?, ptr_arg(nc_len)?);
+    let (n, k, nf) = (i32_arg(n)?, i32_arg(k)?, i32_arg(nf)?);
+    let mut m = Native::new(mem);
+    let mut delta = 0i32;
     for i in 0..n {
+        m.step()?;
+        let row = i.wrapping_mul(nf);
         let mut best = f32::INFINITY;
         let mut best_idx = 0i32;
         for cc in 0..k {
+            m.step()?;
             let mut acc = 0.0f32;
             for f in 0..nf {
-                let nv = mem.read_f32(nodes + 4 * (i * nf + f));
-                let cv = mem.read_f32(clusters + 4 * (cc * nf + f));
+                m.step()?;
+                let nv = m.f32(elem(nodes, row.wrapping_add(f), 4))?;
+                let cv = m.f32(elem(clusters, cc.wrapping_mul(nf).wrapping_add(f), 4))?;
                 let d = nv - cv;
                 acc += d * d;
             }
             if acc < best {
                 best = acc;
-                best_idx = cc as i32;
+                best_idx = cc;
             }
         }
-        if mem.read_i32(membership + 4 * i) != best_idx {
-            delta += 1;
+        let slot = elem(membership, i, 4);
+        if m.i32(slot)? != best_idx {
+            delta = delta.wrapping_add(1);
         }
-        mem.write_i32(membership + 4 * i, best_idx);
-        let l = nc_len + 4 * best_idx as u32;
-        let old = mem.read_i32(l);
-        mem.write_i32(l, old + 1);
+        m.store(slot, Value::I32(best_idx))?;
+        let len = elem(nc_len, best_idx, 4);
+        let old = m.i32(len)?;
+        m.store(len, Value::I32(old.wrapping_add(1)))?;
+        let center = best_idx.wrapping_mul(nf);
         for j in 0..nf {
-            let nv = mem.read_f32(nodes + 4 * (i * nf + j));
-            let a = new_centers + 4 * (best_idx as u32 * nf + j);
-            let cur = mem.read_f32(a);
-            mem.write_f32(a, cur + nv);
+            m.step()?;
+            let nv = m.f32(elem(nodes, row.wrapping_add(j), 4))?;
+            let a = elem(new_centers, center.wrapping_add(j), 4);
+            let cur = m.f32(a)?;
+            m.store(a, Value::F32(cur + nv))?;
         }
     }
-    delta
+    Ok(Some(Value::I32(delta)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_ir_matches_native;
 
     #[test]
     fn ir_matches_native_reference() {
         let p = Params { points: 30, clusters: 4, features: 6 };
-        let k = build(&p, 11);
-        let (ir_mem, ret) = k.reference();
-        let mut native_mem = k.mem.clone();
-        let delta = reference_native(&mut native_mem, &k.args, &p);
-        assert_eq!(ret, Some(Value::I32(delta)));
-        assert_eq!(
-            ir_mem.read_bytes(0, ir_mem.size()),
-            native_mem.read_bytes(0, native_mem.size())
-        );
+        assert_ir_matches_native(&build(&p, 11), reference_native);
     }
 
     #[test]

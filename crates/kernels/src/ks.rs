@@ -20,12 +20,12 @@
 //! Cell layout: `ext: f32 @0`, `int: f32 @4`, `id: i32 @8`, `next: ptr
 //! @12` — 16 bytes.
 
-use crate::{BuiltKernel, ReferenceCache};
+use crate::{arguments, field, ptr_arg, BuiltKernel, Native, ReferenceCache};
 use cgpa_analysis::MemoryModel;
 use cgpa_ir::{
     builder::FunctionBuilder, inst::FloatPredicate, inst::IntPredicate, BinOp, Function, Ty,
 };
-use cgpa_sim::{SimMemory, Value};
+use cgpa_sim::{InterpError, SimMemory, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -215,68 +215,63 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
         mem,
         args: vec![Value::Ptr(head_a), Value::Ptr(head_b), Value::Ptr(out)],
         iterations: u64::from(p.a_cells),
-        reference_cache: ReferenceCache::default(),
+        reference_cache: ReferenceCache::native(reference_native),
     }
 }
 
-/// Native Rust reference.
-#[must_use]
-pub fn reference_native(mem: &mut SimMemory, head_a: u32, head_b: u32, out: u32) -> f32 {
+/// Native Rust reference, with the signature of [`kernel_ir`].
+///
+/// # Errors
+/// See [`NativeReference`](crate::NativeReference).
+pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
+    let [head_a, head_b, out] = arguments(args)?;
+    let (head_a, head_b, out) = (ptr_arg(head_a)?, ptr_arg(head_b)?, ptr_arg(out)?);
+    let mut m = Native::new(mem);
     let mut gmax = f32::NEG_INFINITY;
     let mut best_a = -1i32;
     let mut best_b = -1i32;
     let mut a = head_a;
     while a != 0 {
-        let aext = mem.read_f32(a + OFF_EXT as u32);
-        let aint = mem.read_f32(a + OFF_INT as u32);
-        let aid = mem.read_i32(a + OFF_ID as u32);
+        m.step()?;
+        let aext = m.f32(field(a, OFF_EXT))?;
+        let aint = m.f32(field(a, OFF_INT))?;
+        let aid = m.i32(field(a, OFF_ID))?;
         let mut bg = f32::NEG_INFINITY;
         let mut bid = -1i32;
         let mut b = head_b;
         while b != 0 {
-            let bext = mem.read_f32(b + OFF_EXT as u32);
-            let bint = mem.read_f32(b + OFF_INT as u32);
-            let id = mem.read_i32(b + OFF_ID as u32);
+            m.step()?;
+            let bext = m.f32(field(b, OFF_EXT))?;
+            let bint = m.f32(field(b, OFF_INT))?;
+            let id = m.i32(field(b, OFF_ID))?;
             let gain = (aext + bext) - aint * bint;
             if gain > bg {
                 bg = gain;
                 bid = id;
             }
-            b = mem.read_ptr(b + OFF_NEXT as u32);
+            b = m.ptr(field(b, OFF_NEXT))?;
         }
         if bg > gmax {
             gmax = bg;
             best_a = aid;
             best_b = bid;
         }
-        a = mem.read_ptr(a + OFF_NEXT as u32);
+        a = m.ptr(field(a, OFF_NEXT))?;
     }
-    mem.write_i32(out, best_a);
-    mem.write_i32(out + 4, best_b);
-    gmax
+    m.store(out, Value::I32(best_a))?;
+    m.store(field(out, 4), Value::I32(best_b))?;
+    Ok(Some(Value::F32(gmax)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_ir_matches_native;
 
     #[test]
     fn ir_matches_native_reference() {
         let p = Params { a_cells: 12, b_cells: 15, scatter: 16 };
-        let k = build(&p, 21);
-        let (ir_mem, ret) = k.reference();
-        let mut native_mem = k.mem.clone();
-        let gmax = reference_native(
-            &mut native_mem,
-            k.args[0].as_ptr(),
-            k.args[1].as_ptr(),
-            k.args[2].as_ptr(),
-        );
-        assert_eq!(ret, Some(Value::F32(gmax)));
-        assert_eq!(
-            ir_mem.read_bytes(0, ir_mem.size()),
-            native_mem.read_bytes(0, native_mem.size())
-        );
+        assert_ir_matches_native(&build(&p, 21), reference_native);
     }
 
     #[test]
@@ -297,10 +292,24 @@ mod tests {
         let k = build(&p, 13);
         let (_, ret) = k.reference();
         let Some(Value::F32(gmax)) = ret else { panic!("gmax missing") };
-        // Exhaustive check against a brute-force pass.
-        let mut mem = k.mem.clone();
-        let brute =
-            reference_native(&mut mem, k.args[0].as_ptr(), k.args[1].as_ptr(), k.args[2].as_ptr());
+        // Exhaustive check against a brute-force pass over every pair.
+        let costs = |head: Value| {
+            let mut cells = Vec::new();
+            let mut c = head.as_ptr();
+            while c != 0 {
+                cells
+                    .push((k.mem.read_f32(c + OFF_EXT as u32), k.mem.read_f32(c + OFF_INT as u32)));
+                c = k.mem.read_ptr(c + OFF_NEXT as u32);
+            }
+            cells
+        };
+        let (a, b) = (costs(k.args[0]), costs(k.args[1]));
+        let brute = a
+            .iter()
+            .flat_map(|&(aext, aint)| {
+                b.iter().map(move |&(bext, bint)| (aext + bext) - aint * bint)
+            })
+            .fold(f32::NEG_INFINITY, f32::max);
         assert_eq!(gmax, brute);
     }
 }

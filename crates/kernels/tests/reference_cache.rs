@@ -3,7 +3,9 @@
 //! or return value that differs from it.
 
 use cgpa_ir::{Function, InstId};
-use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel, CheckError};
+use cgpa_kernels::{
+    em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel, CheckError, ReferenceCache,
+};
 use cgpa_sim::interp::{run_function, ExecHooks, NoHooks};
 use cgpa_sim::{InterpError, SimMemory, Value};
 
@@ -146,6 +148,44 @@ fn a_reference_that_fails_to_interpret_is_a_typed_error() {
     k.args.pop();
     let err = k.check(&k.mem, None).unwrap_err();
     assert!(matches!(err, CheckError::Reference(InterpError::BadArity { .. })), "{err}");
+}
+
+/// Arguments a native reference cannot run on, and the error it gives.
+type BadArgs = (&'static str, fn(&mut BuiltKernel), fn(&InterpError) -> bool);
+
+#[test]
+fn a_native_reference_that_cannot_run_is_a_typed_error() {
+    let rows: [BadArgs; 2] = [
+        (
+            "a mistyped argument",
+            |k| k.args[0] = Value::I32(1),
+            |e| matches!(e, InterpError::UnsupportedOp(_)),
+        ),
+        (
+            "a pointer past the end of memory",
+            |k| k.args[0] = Value::Ptr(k.mem.size()),
+            |e| matches!(e, InterpError::OutOfRange { .. }),
+        ),
+    ];
+    for (what, edit, want) in rows {
+        for mut k in quick_suite(3) {
+            edit(&mut k);
+            let err = k.check(&k.mem, None).unwrap_err();
+            assert!(
+                matches!(&err, CheckError::Reference(e) if want(e)),
+                "{} {what}: {err}",
+                k.name
+            );
+            // The interpreted reference fails the same way.
+            let k = BuiltKernel { reference_cache: ReferenceCache::default(), ..k };
+            let err = k.check(&k.mem, None).unwrap_err();
+            assert!(
+                matches!(&err, CheckError::Reference(e) if want(e)),
+                "{} {what}: {err}",
+                k.name
+            );
+        }
+    }
 }
 
 #[test]
