@@ -207,24 +207,33 @@ impl CacheSystem {
     #[inline]
     pub fn request(&mut self, cycle: u64, addr: u32) -> u64 {
         let (block, line, bank) = self.index(addr);
-        let hit = self.tags[line] == Some(block);
+        if self.tags[line] == Some(block) {
+            return self.book_hit(cycle, bank);
+        }
         self.stats.accesses += 1;
-        let service = if hit {
-            self.stats.hits += 1;
-            u64::from(self.cfg.hit_latency)
-        } else {
-            self.stats.misses += 1;
-            self.tags[line] = Some(block);
-            u64::from(self.cfg.miss_latency)
-        };
+        self.stats.misses += 1;
+        self.tags[line] = Some(block);
         let start = self.bank_free_at[bank].max(cycle);
         self.stats.conflict_cycles += start - cycle;
-        let done = start + service;
         // The bank is busy for the occupancy window (shorter than the miss
         // latency: fills stream in the background).
-        let occupancy =
-            if hit { u64::from(self.cfg.hit_latency) } else { u64::from(self.cfg.miss_occupancy) };
-        self.bank_free_at[bank] = start + occupancy;
+        self.bank_free_at[bank] = start + u64::from(self.cfg.miss_occupancy);
+        start + u64::from(self.cfg.miss_latency)
+    }
+
+    /// Book an access at `cycle` that the caller knows hits on bank `bank`
+    /// (its line is filled and nothing can have evicted it), without
+    /// looking the line up: counted and timed exactly as
+    /// [`CacheSystem::request`] does a hit. Returns the cycle the data is
+    /// available.
+    #[inline]
+    pub(crate) fn book_hit(&mut self, cycle: u64, bank: usize) -> u64 {
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        let start = self.bank_free_at[bank].max(cycle);
+        self.stats.conflict_cycles += start - cycle;
+        let done = start + u64::from(self.cfg.hit_latency);
+        self.bank_free_at[bank] = done;
         done
     }
 

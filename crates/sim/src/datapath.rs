@@ -24,11 +24,13 @@
 //! - an op the cut's target does not run (a worker's host primitives, the
 //!   interpreter's queue and liveout ports) becomes an unsupported op that
 //!   fails with the op's text when it executes;
-//! - a state is marked *register-only* when every op is a [`RegOp`] and it
-//!   does not return. Such a state reads and writes only its worker's
-//!   registers, so nobody else can observe it, and the event-driven engine
-//!   runs a worker through a chain of them in one step ("run-ahead", see
-//!   [`step_worker`]).
+//! - each state records where its trailing run of [`RegOp`]s starts, unless
+//!   it returns. A state that is all register ops is *register-only*: it
+//!   reads and writes only its worker's registers, so nobody else can
+//!   observe it, and the event-driven engine runs a worker through a chain
+//!   of them in one step ("run-ahead", see [`step_worker`]). A load
+//!   followed only by register ops in its state lets that engine take the
+//!   load's response step when it issues the load ([`respond_ahead`]).
 //!
 //! Lowering takes only a [`Verified`] function, so both cuts share one
 //! precondition: the IR verifier (every id in range, one terminator per
@@ -127,9 +129,11 @@ pub(crate) struct StateProg {
     pub(crate) exit: Exit,
     /// The terminator a `Jump`, `Branch` or `Ret` exit was lowered from.
     pub(crate) term: InstId,
-    /// Every op is a [`RegOp`] and the exit is not `Ret`: a worker may run
-    /// through the state ahead of the clock.
-    register_only: bool,
+    /// Ops `reg_tail..end` are all [`RegOp`]s and the exit is not `Ret`
+    /// (`u32::MAX` when it is): from there on the state touches only its
+    /// worker's registers. When `reg_tail == start` the state is
+    /// register-only, and a worker may run through it ahead of the clock.
+    reg_tail: u32,
 }
 
 /// A function lowered against a [`Cut`].
@@ -211,16 +215,14 @@ impl Program {
             } else {
                 (Exit::Next, InstId(0))
             };
-            let register_only = !matches!(exit, Exit::Ret(_))
-                && prog.ops[start as usize..].iter().all(|op| matches!(op, MicroOp::Reg(_)));
-            prog.states.push(StateProg {
-                start,
-                end: prog.ops.len() as u32,
-                min_cycles,
-                exit,
-                term,
-                register_only,
-            });
+            let end = prog.ops.len() as u32;
+            let reg_tail = if matches!(exit, Exit::Ret(_)) {
+                u32::MAX
+            } else {
+                let ops = &prog.ops[start as usize..];
+                end - ops.iter().rev().take_while(|op| matches!(op, MicroOp::Reg(_))).count() as u32
+            };
+            prog.states.push(StateProg { start, end, min_cycles, exit, term, reg_tail });
         }
         prog
     }
@@ -410,12 +412,13 @@ fn check_ports(
     Ok(())
 }
 
-/// Longest run-ahead window, in states. Bounds the per-worker log of
-/// [`Worker::ahead`] (a register-only loop would otherwise run ahead to
-/// its exit in one step).
+/// Longest run-ahead window, in log entries after the first. Bounds the
+/// per-worker log of [`Worker::ahead`] (a register-only loop would
+/// otherwise run ahead to its exit in one step).
 const MAX_AHEAD: usize = 64;
 
-/// A state a worker entered during run-ahead.
+/// A state a worker entered during run-ahead, or the cycle a merged load's
+/// response arrived in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entered {
     /// The cycle in which the worker moved into the state: the last cycle
@@ -425,6 +428,9 @@ pub(crate) struct Entered {
     pub(crate) state: u32,
     /// The move took a loop back edge.
     pub(crate) back: bool,
+    /// The load response the worker waited on arrived in cycle `at`: its
+    /// stall ends there (see [`StepOutcome::MemAhead`]).
+    pub(crate) resumed: bool,
 }
 
 /// One hardware worker: an FSM instance over a lowered task function.
@@ -503,6 +509,13 @@ impl Worker {
         self.ahead.iter().take_while(|e| e.at <= cycle).last().map(|e| e.state)
     }
 
+    /// The cycle the response to a merged load arrives in, for a worker
+    /// inside its window that the per-cycle stepper would still show
+    /// waiting for it after stepping the worker in cycle `cycle`.
+    pub(crate) fn awaiting_at(&self, cycle: u64) -> Option<u64> {
+        self.ahead.iter().find(|e| e.resumed).map(|e| e.at).filter(|&resp| cycle < resp)
+    }
+
     #[inline]
     fn reg(&self, r: Reg) -> Value {
         self.regs[r as usize]
@@ -525,11 +538,13 @@ impl Worker {
     }
 }
 
-/// How a worker spent one evaluated cycle. The event-driven engine puts a
-/// worker whose outcome is not `Active` to sleep until it is due again,
-/// and credits the slept cycles by this classification when it wakes; the
-/// classification must mirror exactly what the per-cycle stepper would
-/// record for those cycles.
+/// How a worker spent one evaluated cycle, and the cycles it has already
+/// been run through after it. The event-driven engine puts a worker whose
+/// outcome is not `Active` to sleep until it is due again, and credits the
+/// slept cycles by this classification when it wakes; the classification
+/// must mirror exactly what the per-cycle stepper would record for those
+/// cycles. `Ahead` and `MemAhead` come only from the event-driven engine
+/// (the per-cycle stepper passes a horizon that turns both off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepOutcome {
     /// Clock-gated by an injected stall window; accrues `idle`.
@@ -559,6 +574,16 @@ pub(crate) enum StepOutcome {
     /// no shared state until it enters, at `until`, the state
     /// [`run_ahead`] stopped before.
     Ahead {
+        /// Cycle the worker enters the state it stopped before.
+        until: u64,
+    },
+    /// Issued a load and took its response step at issue time (see
+    /// [`respond_ahead`]): accrues `stall_mem_read` until the response
+    /// arrives at `resp`, then `busy`, and touches no shared state until
+    /// it enters, at `until`, the state it stopped before.
+    MemAhead {
+        /// Cycle the response arrives.
+        resp: u64,
         /// Cycle the worker enters the state it stopped before.
         until: u64,
     },
@@ -595,8 +620,12 @@ fn as_selector(v: Value) -> Result<i32, ExecError> {
 /// elapsed.
 ///
 /// A worker that leaves a state in this cycle then runs ahead (see
-/// [`run_ahead`]) through register-only states that end before `horizon`;
-/// a `horizon` of `cycle + 1` or less turns run-ahead off.
+/// [`run_ahead`]) through register-only states that end before `horizon`.
+/// A worker that issues a load whose state is register ops from there on
+/// takes the load's response step at once if its state ends before
+/// `horizon` (see [`respond_ahead`]), and so sleeps once through the
+/// memory wait and the run-ahead after it. A `horizon` of `cycle + 1` or
+/// less turns both off.
 pub(crate) fn step_worker(
     prog: &Program,
     w: &mut Worker,
@@ -631,7 +660,7 @@ pub(crate) fn step_worker(
     while w.cursor < st.end as usize {
         match prog.ops[w.cursor] {
             MicroOp::Load { dst, addr, ty } => {
-                let a = as_ptr(w.reg(addr))?;
+                let a = as_ptr(&w.regs[addr as usize])?;
                 let v = hw.mem.read_value(a, ty).map_err(out_of_range)?;
                 w.set(dst, v);
                 let mut done = hw.cache.request(cycle, a);
@@ -640,14 +669,19 @@ pub(crate) fn step_worker(
                 }
                 w.cursor += 1;
                 w.stats.busy += 1;
-                let until = done.max(cycle + 1);
-                w.mem_wait = Some(until);
-                return Ok(StepOutcome::MemWait { until });
+                let resp = done.max(cycle + 1);
+                if w.cursor >= st.reg_tail as usize {
+                    if let Some(until) = respond_ahead(prog, w, cycle, resp, horizon) {
+                        return Ok(StepOutcome::MemAhead { resp, until });
+                    }
+                }
+                w.mem_wait = Some(resp);
+                return Ok(StepOutcome::MemWait { until: resp });
             }
             MicroOp::Store { addr, value } => {
                 // Store buffer: fire and forget; the access still occupies
                 // its bank.
-                let a = as_ptr(w.reg(addr))?;
+                let a = as_ptr(&w.regs[addr as usize])?;
                 hw.mem.write_value(a, w.reg(value)).map_err(out_of_range)?;
                 let _ = hw.cache.request(cycle, a);
             }
@@ -735,57 +769,102 @@ pub(crate) fn step_worker(
     if w.finished || horizon <= cycle + 1 {
         return Ok(StepOutcome::Active);
     }
-    Ok(run_ahead(prog, w, cycle, horizon, back))
+    debug_assert!(w.ahead.is_empty(), "a worker steps only once its window closed");
+    w.ahead.push(Entered { at: cycle, state: w.state as u32, back, resumed: false });
+    let until = run_ahead(prog, w, cycle + 1, horizon);
+    if w.ahead.len() == 1 {
+        w.ahead.clear();
+        return Ok(StepOutcome::Active);
+    }
+    Ok(StepOutcome::Ahead { until })
 }
 
-/// Run a worker that left a state in `cycle` ahead through the
-/// register-only states that follow: execute each one's ops and exit now,
-/// as of the cycle the per-cycle stepper would, and log its entry in
-/// [`Worker::ahead`]. Stops before a state with a port op or a `Ret`
-/// exit, before a state that would not end before `horizon` (the next
-/// timed fault boundary), after [`MAX_AHEAD`] states, and before a state
-/// whose op or branch fails: the stepper runs that state again when the
-/// clock reaches its entry and raises the error there. Running it again is
-/// exact, because each of its ops writes its own result register from
-/// values computed before it.
+/// Take now, in the step that issues a load in `cycle`, the step the
+/// per-cycle stepper takes in `resp`, when the load's response arrives,
+/// and run the rest of the load's state with it: the register ops after
+/// the load, its remaining transfer beats and `min_cycles`, and its exit.
+/// Then run ahead from the next state (see [`run_ahead`]). The caller has
+/// checked that the rest of the state is register ops and that its exit
+/// is not `Ret`, so nobody else can observe any of it; the load's value
+/// was read at issue.
 ///
-/// Returns `Active` when not even the next state qualifies, and otherwise
-/// `Ahead` with the cycle the worker enters its next state. Every cycle
-/// before that is busy.
-fn run_ahead(
+/// Declines, leaving the worker to wait on memory, when the state would
+/// not end before `horizon` (the next timed fault boundary), or when one
+/// of its ops or its branch fails: the response step runs the ops again
+/// at `resp` and raises the error there, which is exact for the reason
+/// given at [`run_ahead`]. Otherwise returns the cycle the worker enters
+/// the state it stopped before, and logs the window in [`Worker::ahead`]:
+/// the issue step, the response (`resumed`), and each state entered.
+fn respond_ahead(
     prog: &Program,
     w: &mut Worker,
     cycle: u64,
+    resp: u64,
     horizon: u64,
-    mut back: bool,
-) -> StepOutcome {
+) -> Option<u64> {
     debug_assert!(w.ahead.is_empty(), "a worker steps only once its window closed");
-    // The cycle the worker enters `w.state`.
-    let mut entry = cycle + 1;
+    let st = &prog.states[w.state];
+    // The state's last cycle: the response cycle, then one per remaining
+    // transfer beat, then `min_cycles` down to its final cycle.
+    let last = resp + u64::from(w.extra_wait) + u64::from(w.min_left.max(1)) - 1;
+    if last >= horizon || !run_regs(prog, w, w.cursor, st.end as usize) {
+        return None;
+    }
+    let state = w.state as u32;
+    let back = advance(prog, &st.exit, w).ok()?;
+    w.extra_wait = 0;
+    w.ahead.push(Entered { at: cycle, state, back: false, resumed: false });
+    if last > resp {
+        w.ahead.push(Entered { at: resp, state, back: false, resumed: true });
+    }
+    let resumed = last == resp;
+    w.ahead.push(Entered { at: last, state: w.state as u32, back, resumed });
+    Some(run_ahead(prog, w, last + 1, horizon))
+}
+
+/// Execute the register ops `prog.ops[from..to]` on a worker's registers;
+/// false when one is not a register op or fails.
+#[inline(always)]
+fn run_regs(prog: &Program, w: &mut Worker, from: usize, to: usize) -> bool {
+    for op in &prog.ops[from..to] {
+        let MicroOp::Reg(op) = op else { return false };
+        if op.exec(&mut w.regs).is_err() {
+            return false;
+        }
+    }
+    true
+}
+
+/// Run a worker that enters `w.state` in cycle `entry`, its move into it
+/// already logged in [`Worker::ahead`], ahead through that state and the
+/// register-only states that follow: execute each one's ops and exit now,
+/// as of the cycle the per-cycle stepper would, and log the move out of it.
+/// Stops before a state with a port op or a `Ret` exit, before a state
+/// that would not end before `horizon` (the next timed fault boundary),
+/// once the log holds [`MAX_AHEAD`] entries after the first, and before a
+/// state whose op or branch fails: the stepper runs that state again when
+/// the clock reaches its entry and raises the error there. Running it
+/// again is exact, because each of its ops writes its own result register
+/// from values computed before it.
+///
+/// Returns the cycle the worker enters the state it stopped before. Every
+/// cycle from `entry` until then is busy.
+fn run_ahead(prog: &Program, w: &mut Worker, mut entry: u64, horizon: u64) -> u64 {
     loop {
         let st = &prog.states[w.state];
         let last = entry + u64::from(st.min_cycles.max(1)) - 1;
-        if !st.register_only || last >= horizon || w.ahead.len() == MAX_AHEAD {
+        if st.reg_tail != st.start
+            || last >= horizon
+            || w.ahead.len() > MAX_AHEAD
+            || !run_regs(prog, w, st.start as usize, st.end as usize)
+        {
             break;
         }
-        let state = w.state as u32;
-        let ran = prog.ops[st.start as usize..st.end as usize].iter().all(|&op| match op {
-            MicroOp::Reg(op) => op.exec(&mut w.regs).is_ok(),
-            _ => false,
-        });
-        if !ran {
-            break;
-        }
-        let Ok(next_back) = advance(prog, &st.exit, w) else { break };
-        w.ahead.push(Entered { at: entry - 1, state, back });
-        back = next_back;
+        let Ok(back) = advance(prog, &st.exit, w) else { break };
+        w.ahead.push(Entered { at: last, state: w.state as u32, back, resumed: false });
         entry = last + 1;
     }
-    if w.ahead.is_empty() {
-        return StepOutcome::Active;
-    }
-    w.ahead.push(Entered { at: entry - 1, state: w.state as u32, back });
-    StepOutcome::Ahead { until: entry }
+    entry
 }
 
 /// Record one cycle blocked on a queue handshake.
@@ -816,7 +895,7 @@ fn advance(prog: &Program, exit: &Exit, w: &mut Worker) -> Result<bool, ExecErro
         }
         Exit::Jump(edge) => edge,
         Exit::Branch { cond, on_true, on_false } => {
-            if as_bool(w.reg(cond))? {
+            if as_bool(&w.regs[cond as usize])? {
                 on_true
             } else {
                 on_false

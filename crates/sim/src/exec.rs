@@ -450,60 +450,65 @@ impl RegOp {
     #[inline(always)]
     fn exec_typed(&self, regs: &mut [Value]) -> bool {
         use Value as V;
-        let r = |x: Reg| regs[x as usize];
+        // Operands are matched in place, not copied out: a copy loads the
+        // whole register, which stalls on the narrower stores that wrote
+        // its tag and payload an op or two before.
+        let r = |x: Reg| &regs[x as usize];
         let (dst, v) = match *self {
             RegOp::BinI32 { op, dst, a, b } => match (r(a), r(b)) {
-                (V::I32(x), V::I32(y)) => (dst, int32(op, x, y).map(V::I32)),
+                (&V::I32(x), &V::I32(y)) => (dst, int32(op, x, y).map(V::I32)),
                 _ => return false,
             },
             RegOp::BinI64 { op, dst, a, b } => match (r(a), r(b)) {
-                (V::I64(x), V::I64(y)) => (dst, int64(op, x, y).map(V::I64)),
+                (&V::I64(x), &V::I64(y)) => (dst, int64(op, x, y).map(V::I64)),
                 _ => return false,
             },
             RegOp::BinF32 { op, dst, a, b } => match (r(a), r(b)) {
-                (V::F32(x), V::F32(y)) => (dst, float(op, x, y).map(V::F32)),
+                (&V::F32(x), &V::F32(y)) => (dst, float(op, x, y).map(V::F32)),
                 _ => return false,
             },
             RegOp::BinF64 { op, dst, a, b } => match (r(a), r(b)) {
-                (V::F64(x), V::F64(y)) => (dst, float(op, x, y).map(V::F64)),
+                (&V::F64(x), &V::F64(y)) => (dst, float(op, x, y).map(V::F64)),
                 _ => return false,
             },
             RegOp::ICmpI32 { pred, dst, a, b } => match (r(a), r(b)) {
-                (V::I32(x), V::I32(y)) => (dst, Some(V::I1(icmp_i32(pred, x, y)))),
+                (&V::I32(x), &V::I32(y)) => (dst, Some(V::I1(icmp_i32(pred, x, y)))),
                 _ => return false,
             },
             RegOp::ICmpI64 { pred, dst, a, b } => match (r(a), r(b)) {
-                (V::I64(x), V::I64(y)) => (dst, Some(V::I1(icmp_i64(pred, x, y)))),
+                (&V::I64(x), &V::I64(y)) => (dst, Some(V::I1(icmp_i64(pred, x, y)))),
                 _ => return false,
             },
             RegOp::ICmpPtr { pred, dst, a, b } => match (r(a), r(b)) {
-                (V::Ptr(x), V::Ptr(y)) => (dst, Some(V::I1(icmp_ptr(pred, x, y)))),
+                (&V::Ptr(x), &V::Ptr(y)) => (dst, Some(V::I1(icmp_ptr(pred, x, y)))),
                 _ => return false,
             },
             RegOp::FCmpF32 { pred, dst, a, b } => match (r(a), r(b)) {
-                (V::F32(x), V::F32(y)) => {
+                (&V::F32(x), &V::F32(y)) => {
                     (dst, Some(V::I1(fcmp(pred, f64::from(x), f64::from(y)))))
                 }
                 _ => return false,
             },
             RegOp::FCmpF64 { pred, dst, a, b } => match (r(a), r(b)) {
-                (V::F64(x), V::F64(y)) => (dst, Some(V::I1(fcmp(pred, x, y)))),
+                (&V::F64(x), &V::F64(y)) => (dst, Some(V::I1(fcmp(pred, x, y)))),
                 _ => return false,
             },
             RegOp::Select { dst, cond, on_true, on_false } => match r(cond) {
-                V::I1(c) => (dst, Some(r(if c { on_true } else { on_false }))),
+                &V::I1(c) => (dst, Some(*r(if c { on_true } else { on_false }))),
                 _ => return false,
             },
             RegOp::GepField { dst, base, offset } => match r(base) {
-                V::Ptr(p) => (dst, Some(V::Ptr(gep(p, 0, 0, offset)))),
+                &V::Ptr(p) => (dst, Some(V::Ptr(gep(p, 0, 0, offset)))),
                 _ => return false,
             },
             RegOp::GepI32 { dst, base, index, scale, offset } => match (r(base), r(index)) {
-                (V::Ptr(p), V::I32(i)) => (dst, Some(V::Ptr(gep(p, i64::from(i), scale, offset)))),
+                (&V::Ptr(p), &V::I32(i)) => {
+                    (dst, Some(V::Ptr(gep(p, i64::from(i), scale, offset))))
+                }
                 _ => return false,
             },
             RegOp::GepI64 { dst, base, index, scale, offset } => match (r(base), r(index)) {
-                (V::Ptr(p), V::I64(i)) => (dst, Some(V::Ptr(gep(p, i, scale, offset)))),
+                (&V::Ptr(p), &V::I64(i)) => (dst, Some(V::Ptr(gep(p, i, scale, offset)))),
                 _ => return false,
             },
             RegOp::Binary { .. }
@@ -537,7 +542,7 @@ impl RegOp {
             | RegOp::FCmpF64 { pred, a, b, .. }
             | RegOp::FCmp { pred, a, b, .. } => eval_fcmp(pred, r(a), r(b))?,
             RegOp::Select { cond, on_true, on_false, .. } => {
-                r(if as_bool(r(cond))? { on_true } else { on_false })
+                r(if as_bool(&r(cond))? { on_true } else { on_false })
             }
             RegOp::Cast { kind, to, src, .. } => eval_cast(kind, r(src), to)?,
             RegOp::GepField { base, offset, .. } => eval_gep(r(base), None, 0, offset)?,
@@ -580,8 +585,8 @@ impl RegOp {
 
 /// The `i1` a condition register holds.
 #[inline]
-pub(crate) fn as_bool(v: Value) -> Result<bool, ExecError> {
-    match v {
+pub(crate) fn as_bool(v: &Value) -> Result<bool, ExecError> {
+    match *v {
         Value::I1(b) => Ok(b),
         other => Err(mistyped("i1", other)),
     }
@@ -589,8 +594,8 @@ pub(crate) fn as_bool(v: Value) -> Result<bool, ExecError> {
 
 /// The pointer an address register holds.
 #[inline]
-pub(crate) fn as_ptr(v: Value) -> Result<u32, ExecError> {
-    match v {
+pub(crate) fn as_ptr(v: &Value) -> Result<u32, ExecError> {
+    match *v {
         Value::Ptr(p) => Ok(p),
         other => Err(mistyped("ptr", other)),
     }

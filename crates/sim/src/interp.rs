@@ -197,12 +197,12 @@ fn run(
             match *op {
                 MicroOp::Reg(ref op) => op.exec(&mut regs)?,
                 MicroOp::Load { dst, addr, ty } => {
-                    let a = as_ptr(regs[addr as usize])?;
+                    let a = as_ptr(&regs[addr as usize])?;
                     hooks.on_mem(a, ty.size_bytes(), false);
                     regs[dst as usize] = mem.read_value(a, ty)?;
                 }
                 MicroOp::Store { addr, value } => {
-                    let a = as_ptr(regs[addr as usize])?;
+                    let a = as_ptr(&regs[addr as usize])?;
                     let v = regs[value as usize];
                     hooks.on_mem(a, v.ty().size_bytes(), true);
                     mem.write_value(a, v)?;
@@ -251,7 +251,7 @@ fn run(
             }
             Exit::Branch { cond, on_true, on_false } => {
                 start!(st.term);
-                let taken = as_bool(regs[cond as usize])?;
+                let taken = as_bool(&regs[cond as usize])?;
                 hooks.on_branch(taken);
                 if taken {
                     on_true

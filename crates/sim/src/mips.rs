@@ -15,6 +15,17 @@
 //! is one instruction: an integer op takes one issue slot (`int_op`), and
 //! the expansion of an IR op into several MIPS instructions (immediates,
 //! address formation, spills) is not modelled.
+//!
+//! Instruction `i` is fetched from the synthetic address `code_base + 4i`
+//! before it issues, and a fetch slower than a hit stalls the front end.
+//! When the function's code spans no more I-cache blocks than the cache has
+//! lines, its blocks fall on distinct lines and only fetches fill the
+//! I-cache, so no fetched line is ever evicted. The timer then books every
+//! fetch after an instruction's first as a hit, counters and bank timing
+//! included ([`CacheSystem`]'s `book_hit`), without looking the line up;
+//! first fetches, and every fetch of code that aliases in the cache, go
+//! through [`CacheSystem::request`]. The tests check both paths against a
+//! timer that makes one request per fetch.
 
 use crate::cache::{CacheConfig, CacheSystem};
 use crate::interp::{run_function, ExecHooks, InterpError};
@@ -95,7 +106,13 @@ struct MipsTimer<'c> {
     icache: CacheSystem,
     /// Synthetic code base for instruction fetch addresses.
     code_base: u32,
-    raw_insts: u64,
+    /// No two of the function's code blocks share an I-cache line, so a
+    /// fetched line stays filled: every later fetch from it hits.
+    resident: bool,
+    /// Per instruction, once it has been fetched while `resident`, the
+    /// I-cache bank of its line. `None` before that, and always when the
+    /// code aliases in the cache.
+    fetch_bank: Vec<Option<u32>>,
 }
 
 /// Issue cycles of one instruction, before fetch and data-cache stalls:
@@ -122,12 +139,44 @@ fn issue_cost(cfg: &MipsConfig, func: &Function, inst: InstId) -> u64 {
     cost.max(1)
 }
 
+impl<'c> MipsTimer<'c> {
+    /// A timer at reset for `func`: cold caches, cycle 0.
+    fn new(func: &Function, cfg: &'c MipsConfig) -> Self {
+        let n = func.insts.len();
+        let icache = CacheSystem::new(cfg.icache);
+        let code_base = 0x8000_0000u32 >> 1; // synthetic text segment
+                                             // The code's blocks are consecutive, so they fall on distinct lines
+                                             // exactly when there are no more of them than lines.
+        let c = icache.config();
+        let block = |i: usize| (u64::from(code_base) + 4 * i as u64) / u64::from(c.block_bytes);
+        MipsTimer {
+            cfg,
+            issue: (0..n as u32).map(|i| issue_cost(cfg, func, InstId(i))).collect(),
+            cycles: 0,
+            dcache: CacheSystem::new(cfg.dcache),
+            icache,
+            code_base,
+            resident: block(n.saturating_sub(1)) - block(0) < u64::from(c.lines),
+            fetch_bank: vec![None; n],
+        }
+    }
+}
+
 impl ExecHooks for MipsTimer<'_> {
     fn on_inst(&mut self, _func: &Function, inst: InstId) {
-        self.raw_insts += 1;
-        // Instruction fetch: a miss stalls the front end.
-        let pc = self.code_base + inst.0 * 4;
-        let done = self.icache.request(self.cycles, pc);
+        // Instruction fetch: a miss stalls the front end. A fetch from a
+        // line that stays filled hits, so it is booked without a lookup.
+        let done = match self.fetch_bank[inst.index()] {
+            Some(bank) => self.icache.book_hit(self.cycles, bank as usize),
+            None => {
+                let pc = self.code_base + inst.0 * 4;
+                if self.resident {
+                    let c = self.icache.config();
+                    self.fetch_bank[inst.index()] = Some(pc / c.block_bytes % c.banks);
+                }
+                self.icache.request(self.cycles, pc)
+            }
+        };
         if done > self.cycles + u64::from(self.cfg.icache.hit_latency) {
             self.cycles = done;
         }
@@ -181,16 +230,7 @@ pub fn run_mips(
     fuel: u64,
     cfg: &MipsConfig,
 ) -> Result<MipsRun, InterpError> {
-    let issue = (0..func.insts.len() as u32).map(|i| issue_cost(cfg, func, InstId(i))).collect();
-    let mut timer = MipsTimer {
-        cfg,
-        issue,
-        cycles: 0,
-        dcache: CacheSystem::new(cfg.dcache),
-        icache: CacheSystem::new(cfg.icache),
-        code_base: 0x8000_0000u32 >> 1, // synthetic text segment
-        raw_insts: 0,
-    };
+    let mut timer = MipsTimer::new(func, cfg);
     let (ret, instructions) = run_function(func, args, mem, fuel, &mut timer)?;
     Ok(MipsRun {
         cycles: timer.cycles,
@@ -281,6 +321,65 @@ mod tests {
         let sparse = mk(256); // every access a new block
         assert!(sparse.dcache.misses > dense.dcache.misses * 4);
         assert!(sparse.cycles > dense.cycles);
+    }
+
+    /// The per-fetch timer: one [`CacheSystem::request`] per instruction
+    /// fetch, the reference for the timer's lookup-free resident fetches.
+    struct PerFetch<'c>(MipsTimer<'c>);
+
+    impl ExecHooks for PerFetch<'_> {
+        fn on_inst(&mut self, _func: &Function, inst: InstId) {
+            let t = &mut self.0;
+            let done = t.icache.request(t.cycles, t.code_base + inst.0 * 4);
+            if done > t.cycles + u64::from(t.cfg.icache.hit_latency) {
+                t.cycles = done;
+            }
+            t.cycles += t.issue[inst.index()];
+        }
+
+        fn on_mem(&mut self, addr: u32, size: u32, store: bool) {
+            self.0.on_mem(addr, size, store);
+        }
+
+        fn on_branch(&mut self, taken: bool) {
+            self.0.on_branch(taken);
+        }
+    }
+
+    /// I-cache geometries where the code fits, aliases, or shares a bank
+    /// with itself: `run_mips` times every one exactly as one request per
+    /// fetch does.
+    #[test]
+    fn resident_fetches_match_the_per_fetch_timer() {
+        let mut paths = [false; 2];
+        for stride in [8, 256] {
+            let f = stride_loop(stride);
+            for (lines, block_bytes, banks) in (1..=3)
+                .flat_map(|l| [4, 128].map(|b| (l, b)))
+                .flat_map(|(l, b)| [1, 2].map(|k| (l, b, k)))
+                .chain([(512, 128, 1)])
+            {
+                let icache = CacheConfig { lines, block_bytes, banks, ..CacheConfig::default() };
+                let cfg = MipsConfig { icache, ..MipsConfig::default() };
+                let mut mem = SimMemory::new(1 << 22);
+                let base = mem.alloc(stride * 64 + 64, 8);
+                for i in 0..64 {
+                    mem.write_f64(base + i * stride, f64::from(i));
+                }
+                let args = [Value::Ptr(base), Value::I32(64)];
+                let mut reference = PerFetch(MipsTimer::new(&f, &cfg));
+                paths[usize::from(reference.0.resident)] = true;
+                let (ret, instructions) =
+                    run_function(&f, &args, &mut mem.clone(), 1_000_000, &mut reference).unwrap();
+                let run = run_mips(&f, &args, &mut mem, 1_000_000, &cfg).unwrap();
+                let at = format!("stride {stride}, {icache:?}");
+                assert_eq!(run.cycles, reference.0.cycles, "{at}");
+                assert_eq!((run.ret, run.instructions), (ret, instructions), "{at}");
+                assert_eq!(run.icache, reference.0.icache.stats, "{at}");
+                assert_eq!(run.dcache, reference.0.dcache.stats, "{at}");
+            }
+        }
+        assert_eq!(paths, [true, true], "both fetch paths run");
     }
 
     #[test]

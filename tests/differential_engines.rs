@@ -307,3 +307,91 @@ fn vcd_waveforms_match_reference() {
         }
     }
 }
+
+/// A lone live worker is stepped from wake to wake (every LegUp run): its
+/// traced waveform, statistics and memory image match the per-cycle
+/// reference, with and without timing faults, which hand frozen cycles
+/// back to the general loop.
+#[test]
+fn legup_vcd_waveforms_match_reference() {
+    let timing = [FaultClass::StallWorker, FaultClass::MemLatencyBurst, FaultClass::PortContention];
+    let plans = [None, Some(FaultPlan::seeded(&timing, 1)), Some(FaultPlan::seeded(&timing, 23))];
+    for k in small_suite() {
+        for plan in &plans {
+            let [(ev, ev_vcd, ev_mem), (rf, rf_vcd, rf_mem)] =
+                [SimEngine::EventDriven, SimEngine::PerCycle].map(|engine| {
+                    let cfg = HwConfig { engine, ..HwConfig::default() };
+                    let mut sys = HwSystem::for_single(&k.func, &k.args, cfg);
+                    sys.enable_trace();
+                    if let Some(plan) = plan {
+                        sys.inject_faults(plan.clone());
+                    }
+                    let mut mem = k.mem.clone();
+                    let stats = sys
+                        .run(&mut mem)
+                        .unwrap_or_else(|e| panic!("{}: LegUp {engine:?}: {e}", k.name));
+                    (stats, sys.take_trace().expect("trace armed").to_vcd(&k.name), mem)
+                });
+            let label = format!("{}/faults={}", k.name, plan.is_some());
+            assert_eq!(ev.cycles, rf.cycles, "{label}: cycle counts differ");
+            assert_eq!(ev.workers, rf.workers, "{label}: worker stats differ");
+            assert_eq!(ev.cache, rf.cache, "{label}: cache stats differ");
+            assert!(ev.skipped_cycles > 0, "{label}: the event engine never skipped");
+            assert!(ev_vcd == rf_vcd, "{label}: VCD waveforms differ between engines");
+            assert!(ev_mem.read_bytes(0, ev_mem.size()) == rf_mem.read_bytes(0, rf_mem.size()));
+        }
+    }
+}
+
+/// Slow memory (400-cycle misses, 2 lines): a worker whose load's state is
+/// register ops from there on takes the response step at issue and sleeps
+/// through the whole wait. P1's traced waveforms match the reference.
+#[test]
+fn merged_memory_waits_match_reference_in_vcds() {
+    let slow_memory = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
+    for k in small_suite() {
+        let compiled = CgpaCompiler::new(CgpaConfig::default())
+            .compile(&k.func, &k.model)
+            .unwrap_or_else(|e| panic!("{}: compile: {e}", k.name));
+        let (ev, ev_skipped) = vcds(&k, &compiled, &slow_memory, None, SimEngine::EventDriven);
+        let (rf, _) = vcds(&k, &compiled, &slow_memory, None, SimEngine::PerCycle);
+        assert!(ev_skipped > 0, "{}: the event engine never skipped", k.name);
+        assert!(ev == rf, "{}: slow-memory VCD waveforms differ between engines", k.name);
+    }
+}
+
+/// Corrupting faults under slow memory: when the protection layer or the
+/// hang detector trips, some worker waits on a 400-cycle miss, which the
+/// event engine may have merged with its response step. The diagnosis,
+/// dump included, is identical on both engines.
+#[test]
+fn corrupting_faults_fail_identically_inside_merged_memory_waits() {
+    let slow_memory = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
+    let classes = [FaultClass::BitFlip, FaultClass::DropBeat, FaultClass::DuplicateBeat];
+    let mut waiting_dumps = 0;
+    for k in small_suite() {
+        for seed in [5u64, 11, 17] {
+            let plan = FaultPlan::seeded(&classes, seed);
+            let target = Target::Cgpa(CgpaConfig::default());
+            let [ev, rf] = [SimEngine::EventDriven, SimEngine::PerCycle]
+                .map(|engine| run_tuned(&k, target, slow_memory, Some(&plan), engine));
+            match (ev, rf) {
+                (Ok(ev), Ok(rf)) => {
+                    assert_same(&k.name, &format!("slow corrupt(seed {seed})"), &ev, &rf);
+                }
+                (Err(e), Err(r)) => {
+                    let (e, r) = (e.to_string(), r.to_string());
+                    assert_eq!(e, r, "{}: engines diagnose differently (seed {seed})", k.name);
+                    waiting_dumps += usize::from(r.contains("awaiting memory until cycle"));
+                }
+                (ev, rf) => panic!(
+                    "{}: engines disagree on success (seed {seed}): event={:?} reference={:?}",
+                    k.name,
+                    ev.map(|r| r.cycles),
+                    rf.map(|r| r.cycles)
+                ),
+            }
+        }
+    }
+    assert!(waiting_dumps > 0, "no dump caught a worker waiting on memory");
+}
