@@ -11,12 +11,13 @@
 //! directly visible in both.
 //!
 //! Both engines record the same log, so arming a trace does not force the
-//! per-cycle stepper. Stall-cause changes, finishes and queue handshakes
-//! happen only on cycles the event-driven engine steps the worker in. A
-//! worker that runs ahead of the clock through register-only states
-//! changes FSM state (and takes back edges) on cycles the engine may not
-//! evaluate at all; those `State` and `Iteration` events come from the
-//! worker's run-ahead log and are recorded at their exact cycles, in
+//! per-cycle stepper. Finishes and queue handshakes happen only on cycles
+//! the event-driven engine steps the worker in. A worker that runs ahead
+//! of the clock through register-only states changes FSM state (and takes
+//! back edges) on cycles the engine may not evaluate at all, and a worker
+//! whose load response was taken at issue stops waiting on memory at the
+//! response cycle; those `State`, `Iteration` and `Stall` events come from
+//! the worker's run-ahead log and are recorded at their exact cycles, in
 //! (cycle, worker) order, as the per-cycle stepper records them.
 
 use cgpa_obs::Recorder;
