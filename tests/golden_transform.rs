@@ -1,5 +1,8 @@
 //! Golden compiler fingerprint: every case must reproduce, line for line,
-//! the compiled output committed in `tests/golden/transform.txt`.
+//! the compiled output committed in `tests/golden/transform.txt` (the
+//! golden-scale suite) and `tests/golden/transform_full.txt` (the
+//! full-scale kernels at seed 42, the inputs of perfbench's
+//! `compile-sweep`).
 //!
 //! `tests/golden_sim.rs` pins what the accelerators do; this file pins
 //! what the compiler emits. Each line holds a case's Table 2 shape, an
@@ -16,6 +19,7 @@ use cgpa_repro::pipeline::ReplicablePlacement;
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/transform.txt");
+const GOLDEN_FULL: &str = include_str!("golden/transform_full.txt");
 
 /// The kernels of `tests/golden_sim.rs`, at its scale and seed.
 fn small_suite() -> Vec<BuiltKernel> {
@@ -28,6 +32,17 @@ fn small_suite() -> Vec<BuiltKernel> {
     ]
 }
 
+/// The full-scale kernels at seed 42.
+fn full_suite() -> Vec<BuiltKernel> {
+    vec![
+        kmeans::build(&kmeans::Params::default(), 42),
+        hash_index::build(&hash_index::Params::default(), 42),
+        ks::build(&ks::Params::default(), 42),
+        em3d::build(&em3d::Params::default(), 42),
+        gaussblur::build(&gaussblur::Params::default(), 42),
+    ]
+}
+
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
@@ -35,10 +50,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// Every case's fingerprint line, in file order.
-fn fingerprints() -> String {
+/// Every case's fingerprint line over `kernels`, in file order.
+fn fingerprints(kernels: Vec<BuiltKernel>) -> String {
     let mut out = String::new();
-    for k in small_suite() {
+    for k in kernels {
         for (label, placement) in
             [("P1", ReplicablePlacement::Pipelined), ("P2", ReplicablePlacement::Replicated)]
         {
@@ -74,11 +89,10 @@ fn fingerprints() -> String {
     out
 }
 
-#[test]
-fn compiler_output_matches_golden_fingerprints() {
-    let got = fingerprints();
+/// Assert that `got` equals `golden` minus its `#` comment lines.
+fn check(got: &str, golden: &str) {
     let want: String =
-        GOLDEN.lines().filter(|l| !l.starts_with('#')).map(|l| format!("{l}\n")).collect();
+        golden.lines().filter(|l| !l.starts_with('#')).map(|l| format!("{l}\n")).collect();
     for (g, w) in got.lines().zip(want.lines()) {
         assert_eq!(g, w, "compiler fingerprint drifted; full output:\n{got}");
     }
@@ -87,4 +101,14 @@ fn compiler_output_matches_golden_fingerprints() {
         want.lines().count(),
         "case count differs from the golden file; full output:\n{got}"
     );
+}
+
+#[test]
+fn compiler_output_matches_golden_fingerprints() {
+    check(&fingerprints(small_suite()), GOLDEN);
+}
+
+#[test]
+fn full_scale_compiler_output_matches_golden_fingerprints() {
+    check(&fingerprints(full_suite()), GOLDEN_FULL);
 }
