@@ -31,13 +31,12 @@ impl ControlDeps {
         let pdom = DomTree::post_dominators(func, cfg, back_edges);
         let mut deps: Vec<Vec<BlockId>> = vec![Vec::new(); func.blocks.len()];
         for u in func.block_ids() {
-            let succs: Vec<BlockId> =
-                cfg.succs(u).iter().copied().filter(|&v| !back_edges.contains(&(u, v))).collect();
-            if succs.len() < 2 {
+            let succs = || cfg.succs(u).iter().copied().filter(|&v| !back_edges.contains(&(u, v)));
+            if succs().count() < 2 {
                 continue; // only conditional branches create control deps
             }
             let stop = pdom.idom(u.index());
-            for v in succs {
+            for v in succs() {
                 let mut w = Some(v.index());
                 while let Some(cur) = w {
                     if Some(cur) == stop || cur == pdom.virtual_exit() {

@@ -3,7 +3,6 @@
 //! directed acyclic graph").
 
 use crate::pdg::{DepKind, Pdg, PdgEdge};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A handle to one SCC of a [`Pdg`].
@@ -55,9 +54,19 @@ impl Condensation {
     #[must_use]
     pub fn compute(pdg: &Pdg) -> Self {
         let n = pdg.len();
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Successor rows in one array, in edge order: `succ[row[v]..row[v + 1]]`.
+        let mut row = vec![0usize; n + 1];
         for e in &pdg.edges {
-            succ[e.from].push(e.to);
+            row[e.from + 1] += 1;
+        }
+        for v in 0..n {
+            row[v + 1] += row[v];
+        }
+        let mut fill = row.clone();
+        let mut succ = vec![0usize; pdg.edges.len()];
+        for e in &pdg.edges {
+            succ[fill[e.from]] = e.to;
+            fill[e.from] += 1;
         }
 
         // Iterative Tarjan.
@@ -81,8 +90,8 @@ impl Condensation {
             stack.push(start);
             on_stack[start] = true;
             while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-                if *child < succ[v].len() {
-                    let w = succ[v][*child];
+                if *child < row[v + 1] - row[v] {
+                    let w = succ[row[v] + *child];
                     *child += 1;
                     if index[w] == UNSET {
                         index[w] = next_index;
@@ -125,20 +134,31 @@ impl Condensation {
                 scc_of[v] = SccId(ci as u32);
             }
         }
-        // Cross-SCC edges, deduplicated by (from, to, kind), carried ORed.
-        let mut agg: HashMap<(SccId, SccId, DepKind), bool> = HashMap::new();
-        for e in &pdg.edges {
-            let (f, t) = (scc_of[e.from], scc_of[e.to]);
-            if f != t {
-                *agg.entry((f, t, e.kind)).or_insert(false) |= e.loop_carried;
+        // Cross-SCC edges, deduplicated by (from, to, kind), carried ORed,
+        // in (from, to, kind) order.
+        let mut cross: Vec<SccEdge> = pdg
+            .edges
+            .iter()
+            .map(|e| SccEdge {
+                from: scc_of[e.from],
+                to: scc_of[e.to],
+                kind: e.kind,
+                loop_carried: e.loop_carried,
+            })
+            .filter(|e| e.from != e.to)
+            .collect();
+        cross.sort_unstable();
+        let mut edges: Vec<SccEdge> = Vec::with_capacity(cross.len());
+        for e in cross {
+            match edges.last_mut() {
+                Some(last) if (last.from, last.to, last.kind) == (e.from, e.to, e.kind) => {
+                    last.loop_carried |= e.loop_carried;
+                }
+                _ => edges.push(e),
             }
         }
-        let edge_set: BTreeSet<SccEdge> = agg
-            .into_iter()
-            .map(|((from, to, kind), loop_carried)| SccEdge { from, to, kind, loop_carried })
-            .collect();
 
-        Condensation { sccs: comps, scc_of, edges: edge_set.into_iter().collect() }
+        Condensation { sccs: comps, scc_of, edges }
     }
 
     /// Number of SCCs.

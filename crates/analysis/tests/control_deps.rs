@@ -1,6 +1,8 @@
 //! Post-dominance and control dependence checked against their brute-force
 //! definitions over generated CFGs, both on the whole CFG and with one
-//! loop's back edges cut (the PDG builder's intra-iteration view).
+//! loop's back edges cut (the PDG builder's intra-iteration view). The
+//! compressed-row `Cfg` and dominance are checked on the same CFGs against a
+//! naive per-block build and against reachability.
 
 use cgpa_analysis::control::ControlDeps;
 use cgpa_ir::builder::FunctionBuilder;
@@ -160,6 +162,69 @@ fn brute_post_dominance(succs: &[Vec<usize>], preds: &[Vec<usize>]) -> Vec<Vec<b
         .collect()
 }
 
+/// The CFG built the naive way: one successor list per block from its
+/// terminator, and one predecessor list per block filled by visiting the
+/// blocks in order.
+fn naive_rows(f: &Function) -> (Vec<Vec<BlockId>>, Vec<Vec<BlockId>>) {
+    let succs: Vec<Vec<BlockId>> = f.block_ids().map(|b| f.successors(b)).collect();
+    let mut preds = vec![Vec::new(); f.blocks.len()];
+    for b in f.block_ids() {
+        for s in &succs[b.index()] {
+            preds[s.index()].push(b);
+        }
+    }
+    (succs, preds)
+}
+
+/// `cfg` returns exactly the naive rows, in the same order.
+fn check_rows(f: &Function) -> Result<(), TestCaseError> {
+    let cfg = Cfg::new(f);
+    let (succs, preds) = naive_rows(f);
+    prop_assert_eq!(cfg.len(), f.blocks.len());
+    for b in f.block_ids() {
+        prop_assert_eq!(cfg.succs(b), succs[b.index()].as_slice(), "succs of {}", b);
+        prop_assert_eq!(cfg.preds(b), preds[b.index()].as_slice(), "preds of {}", b);
+    }
+    Ok(())
+}
+
+/// Blocks reachable from the entry without passing through `avoid`.
+fn reach_avoiding(succs: &[Vec<usize>], avoid: Option<usize>) -> Vec<bool> {
+    let mut seen = vec![false; succs.len()];
+    if avoid == Some(0) {
+        return seen;
+    }
+    let mut stack = vec![0];
+    seen[0] = true;
+    while let Some(v) = stack.pop() {
+        for &s in &succs[v] {
+            if Some(s) != avoid && !seen[s] {
+                seen[s] = true;
+                stack.push(s);
+            }
+        }
+    }
+    seen
+}
+
+/// Dominance against its definition: `a` dominates reachable `b` when
+/// removing `a` leaves `b` unreachable from the entry.
+fn check_dominators(f: &Function) -> Result<(), TestCaseError> {
+    let cfg = Cfg::new(f);
+    let n = cfg.len();
+    let succs = cut_succs(&cfg, &[]);
+    let reachable = reach_avoiding(&succs, None);
+    let tree = DomTree::dominators(f, &cfg);
+    for a in 0..n {
+        let without_a = reach_avoiding(&succs, Some(a));
+        for b in (0..n).filter(|&b| reachable[b]) {
+            let want = a == b || (reachable[a] && !without_a[b]);
+            prop_assert_eq!(tree.dominates(a, b), want, "does {} dominate {}?", a, b);
+        }
+    }
+    Ok(())
+}
+
 fn check(f: &Function, cut: &[(BlockId, BlockId)]) -> Result<(), TestCaseError> {
     let cfg = Cfg::new(f);
     let n = cfg.len();
@@ -208,6 +273,8 @@ proptest! {
         pick in 0usize..8,
     ) {
         let f = build(&tokens);
+        check_rows(&f)?;
+        check_dominators(&f)?;
         check(&f, &[])?;
         let cfg = Cfg::new(&f);
         let dom = DomTree::dominators(&f, &cfg);
@@ -218,4 +285,36 @@ proptest! {
             check(&f, &cut)?;
         }
     }
+}
+
+/// A `condbr` with both edges into one block lists that block twice as a
+/// successor and itself twice as its predecessor; an unreachable block keeps
+/// its own rows and is still a predecessor of its successor.
+#[test]
+fn cfg_rows_keep_duplicate_edges_and_unreachable_blocks() {
+    let mut b = FunctionBuilder::new("dup", &[("c", Ty::I1)], None);
+    let c = b.param(0);
+    let both = b.append_block("both");
+    let dead = b.append_block("dead");
+    let exit = b.append_block("exit");
+    b.cond_br(c, both, both);
+    b.switch_to(both);
+    b.br(exit);
+    b.switch_to(dead);
+    b.cond_br(c, exit, both);
+    b.switch_to(exit);
+    b.ret(None);
+    let f = b.finish().expect("verifies");
+    check_rows(&f).unwrap();
+    let cfg = Cfg::new(&f);
+    let entry = f.entry();
+    assert_eq!(cfg.succs(entry), &[both, both]);
+    assert_eq!(cfg.preds(both), &[entry, entry, dead]);
+    assert_eq!(cfg.preds(exit), &[both, dead]);
+    assert!(cfg.preds(dead).is_empty());
+    assert_eq!(cfg.reachable(), vec![true, true, false, true]);
+    check_dominators(&f).unwrap();
+    let dom = DomTree::dominators(&f, &cfg);
+    assert_eq!(dom.idom(dead.index()), None);
+    assert_eq!(dom.idom(exit.index()), Some(both.index()));
 }

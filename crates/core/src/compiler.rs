@@ -13,7 +13,7 @@ use cgpa_pipeline::{
     partition_loop, transform_loop, PartitionConfig, PartitionError, PipelineModule, PipelinePlan,
     ReplicablePlacement, StageKind, TransformError,
 };
-use cgpa_rtl::schedule::try_schedule_function;
+use cgpa_rtl::schedule::{try_schedule_function, ScheduleError};
 use cgpa_rtl::{verilog, Fsm};
 use std::error::Error;
 use std::fmt;
@@ -135,8 +135,25 @@ pub enum CompileError {
     Partition(PartitionError),
     /// Transform failed.
     Transform(TransformError),
-    /// A generated task failed schedule verification (internal bug guard).
-    Schedule(String),
+    /// A generated task, the rewritten parent or the sequential fallback
+    /// failed schedule verification (internal bug guard).
+    Schedule {
+        /// The function whose schedule failed.
+        function: ScheduledFunction,
+        /// The first violation found.
+        error: ScheduleError,
+    },
+}
+
+/// The function a [`CompileError::Schedule`] is about.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScheduledFunction {
+    /// A pipeline task, by name.
+    Task(String),
+    /// The rewritten parent of a multi-loop program.
+    Parent,
+    /// The single sequential worker of the last degradation rung.
+    SequentialFallback,
 }
 
 impl fmt::Display for CompileError {
@@ -145,7 +162,13 @@ impl fmt::Display for CompileError {
             CompileError::NoTargetLoop => f.write_str("kernel must have one outermost loop"),
             CompileError::Partition(e) => write!(f, "partition: {e}"),
             CompileError::Transform(e) => write!(f, "transform: {e}"),
-            CompileError::Schedule(e) => write!(f, "schedule: {e}"),
+            CompileError::Schedule { function, error } => match function {
+                ScheduledFunction::Task(_) => write!(f, "schedule: {error}"),
+                ScheduledFunction::Parent => write!(f, "schedule: parent: {error}"),
+                ScheduledFunction::SequentialFallback => {
+                    write!(f, "schedule: sequential fallback: {error}")
+                }
+            },
         }
     }
 }
@@ -319,10 +342,9 @@ impl CgpaCompiler {
         )?;
         let mut fsms = Vec::new();
         for f in &pipeline.module.funcs {
-            let name = format!("schedule {}", f.name);
             let fsm = phase(
                 obs,
-                name,
+                format_args!("schedule {}", f.name),
                 "rtl",
                 || try_schedule_function(f),
                 |s, fsm| match fsm {
@@ -333,7 +355,10 @@ impl CgpaCompiler {
                     Err(e) => s.arg("error", e.to_string()),
                 },
             )
-            .map_err(|e| CompileError::Schedule(e.to_string()))?;
+            .map_err(|error| CompileError::Schedule {
+                function: ScheduledFunction::Task(f.name.clone()),
+                error,
+            })?;
             fsms.push(fsm);
         }
         Ok(Compiled { pipeline, plan, shape, fsms, pdg, condensation, classification })
@@ -375,8 +400,10 @@ impl CgpaCompiler {
             }
         }
         // The LegUp-shaped fallback still has to schedule cleanly.
-        try_schedule_function(func)
-            .map_err(|e| CompileError::Schedule(format!("sequential fallback: {e}")))?;
+        try_schedule_function(func).map_err(|error| CompileError::Schedule {
+            function: ScheduledFunction::SequentialFallback,
+            error,
+        })?;
         Ok(DegradedCompile::Sequential { attempts })
     }
 
@@ -400,18 +427,15 @@ impl CgpaCompiler {
         for task in &compiled.pipeline.tasks {
             let f = &compiled.pipeline.module.funcs[task.func_index];
             let fsm = &compiled.fsms[task.func_index];
-            let name = format!("verilog {}", task.name);
-            let text = phase(
-                obs,
-                name,
-                "rtl",
-                || verilog::emit_worker(f, fsm, &task.name),
-                |s, text| {
-                    s.arg("bytes", text.len());
-                    s.arg("lines", text.lines().count());
-                },
-            );
-            out.push_str(&text);
+            let span = obs.map(|t| t.span(format!("verilog {}", task.name), "rtl"));
+            let start = out.len();
+            verilog::write_worker(&mut out, f, fsm, &task.name);
+            if let Some(s) = &span {
+                let text = &out[start..];
+                s.arg("bytes", text.len());
+                s.arg("lines", text.lines().count());
+            }
+            drop(span);
             out.push('\n');
             worker_insts.push((task.name.clone(), compiled.pipeline.instances(task)));
         }
@@ -441,13 +465,13 @@ impl CgpaCompiler {
 /// `note` once `run` returns, or as a plain call when `obs` is `None`.
 fn phase<R>(
     obs: Option<&Track>,
-    name: impl Into<String>,
+    name: impl fmt::Display,
     cat: &str,
     run: impl FnOnce() -> R,
     note: impl FnOnce(&Span, &R),
 ) -> R {
     let Some(track) = obs else { return run() };
-    let span = track.span(name, cat);
+    let span = track.span(name.to_string(), cat);
     let out = run();
     note(&span, &out);
     out
@@ -567,6 +591,50 @@ mod tests {
         let err = CgpaCompiler::default().compile(&f, &cgpa_analysis::MemoryModel::new());
         assert!(matches!(err, Err(CompileError::NoTargetLoop)));
     }
+
+    /// A loop-free function one of whose instructions names the wrong
+    /// block: every pipeline rung fails (no loop), and the sequential
+    /// fallback's schedule check rejects the function. The caller matches
+    /// the failure by type.
+    #[test]
+    fn a_schedule_failure_is_typed() {
+        use cgpa_ir::{BinOp, InstId, Ty};
+        let mut b = cgpa_ir::FunctionBuilder::new("misplaced", &[("x", Ty::I32)], Some(Ty::I32));
+        let x = b.param(0);
+        let next = b.append_block("next");
+        let y = b.binary(BinOp::Add, x, x);
+        b.br(next);
+        b.switch_to(next);
+        b.ret(Some(y));
+        let mut f = b.finish().unwrap();
+        let add = f.block(f.entry()).insts[0];
+        f.insts[add.index()].block = next;
+        let err = CgpaCompiler::default().compile_degraded(&f, &MemoryModel::new()).unwrap_err();
+        let CompileError::Schedule {
+            function: ScheduledFunction::SequentialFallback,
+            error: ScheduleError::Malformed(_),
+        } = &err
+        else {
+            panic!("expected a malformed sequential-fallback schedule, got {err:?}")
+        };
+        assert!(err.to_string().starts_with("schedule: sequential fallback: malformed FSM: "));
+
+        // The text names the parent and the fallback, but not a task.
+        let unscheduled = ScheduleError::Unscheduled(InstId(3));
+        let text = |function| CompileError::Schedule { function, error: unscheduled.clone() };
+        assert_eq!(
+            text(ScheduledFunction::Task("k_stage1".into())).to_string(),
+            "schedule: instruction !3 was not scheduled"
+        );
+        assert_eq!(
+            text(ScheduledFunction::Parent).to_string(),
+            "schedule: parent: instruction !3 was not scheduled"
+        );
+        assert_eq!(
+            text(ScheduledFunction::SequentialFallback).to_string(),
+            "schedule: sequential fallback: instruction !3 was not scheduled"
+        );
+    }
 }
 
 /// A whole program compiled loop by loop: every outermost loop becomes its
@@ -616,8 +684,10 @@ impl CgpaCompiler {
         }
         // The final parent must itself satisfy the scheduling constraints
         // (one fork per state, different loops in different cycles).
-        try_schedule_function(&current)
-            .map_err(|e| CompileError::Schedule(format!("parent: {e}")))?;
+        try_schedule_function(&current).map_err(|error| CompileError::Schedule {
+            function: ScheduledFunction::Parent,
+            error,
+        })?;
         Ok(CompiledProgram { accelerators, parent: current })
     }
 }

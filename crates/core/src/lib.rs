@@ -42,6 +42,7 @@ pub mod report;
 
 pub use compiler::{
     CgpaCompiler, CgpaConfig, CompileError, Compiled, DegradationRung, DegradedCompile,
+    ScheduledFunction,
 };
 pub use dse::{
     dominates, par_map_capped, pareto_frontier, schedule_hash, CompileCache, CompileCacheStats,

@@ -30,10 +30,7 @@ impl DomTree {
     #[must_use]
     pub fn dominators(_func: &Function, cfg: &Cfg) -> Self {
         let n = cfg.len();
-        let succs: Vec<Vec<NodeIdx>> = (0..n)
-            .map(|i| cfg.succs(BlockId(i as u32)).iter().map(|b| b.index()).collect())
-            .collect();
-        let idom = compute_idoms(n, 0, &succs);
+        let idom = compute_idoms(&Forward(cfg), n, 0);
         DomTree { idom, root: 0, num_blocks: n }
     }
 
@@ -49,25 +46,9 @@ impl DomTree {
     #[must_use]
     pub fn post_dominators(_func: &Function, cfg: &Cfg, cut: &[(BlockId, BlockId)]) -> Self {
         let n = cfg.len();
-        let exit = n;
-        // Successor map of the reverse graph: each kept edge `u -> v` becomes
-        // `v -> u`, and the virtual exit leads to every successor-less block.
-        let mut succs_rev: Vec<Vec<NodeIdx>> = vec![Vec::new(); n + 1];
-        for u in 0..n {
-            let ub = BlockId(u as u32);
-            let mut has_succ = false;
-            for &v in cfg.succs(ub) {
-                if !cut.contains(&(ub, v)) {
-                    succs_rev[v.index()].push(u);
-                    has_succ = true;
-                }
-            }
-            if !has_succ {
-                succs_rev[exit].push(u);
-            }
-        }
-        let idom = compute_idoms(n + 1, exit, &succs_rev);
-        DomTree { idom, root: exit, num_blocks: n }
+        let reverse = Reverse::new(cfg, cut);
+        let idom = compute_idoms(&reverse, n + 1, n);
+        DomTree { idom, root: n, num_blocks: n }
     }
 
     /// The root node (entry block index, or the virtual exit for post-dom).
@@ -112,18 +93,108 @@ impl DomTree {
     }
 }
 
-/// Cooper–Harvey–Kennedy "A Simple, Fast Dominance Algorithm".
-fn compute_idoms(n: usize, root: NodeIdx, succs: &[Vec<NodeIdx>]) -> Vec<Option<NodeIdx>> {
+/// A graph as [`compute_idoms`] walks it: successors by position, where a
+/// position may hold an edge the graph leaves out, and predecessors.
+trait Graph {
+    /// Number of successor positions of `v`.
+    fn succ_slots(&self, v: NodeIdx) -> usize;
+    /// The successor at position `k` of `v`, or `None` for a left-out edge.
+    fn succ(&self, v: NodeIdx, k: usize) -> Option<NodeIdx>;
+    /// Call `f` on every predecessor of `v`.
+    fn for_each_pred(&self, v: NodeIdx, f: impl FnMut(NodeIdx));
+}
+
+/// The CFG itself.
+struct Forward<'a>(&'a Cfg);
+
+impl Graph for Forward<'_> {
+    fn succ_slots(&self, v: NodeIdx) -> usize {
+        self.0.succs(BlockId(v as u32)).len()
+    }
+
+    fn succ(&self, v: NodeIdx, k: usize) -> Option<NodeIdx> {
+        Some(self.0.succs(BlockId(v as u32))[k].index())
+    }
+
+    fn for_each_pred(&self, v: NodeIdx, mut f: impl FnMut(NodeIdx)) {
+        self.0.preds(BlockId(v as u32)).iter().for_each(|p| f(p.index()));
+    }
+}
+
+/// The reverse CFG with some edges cut, plus a virtual exit (index `n`)
+/// that leads to every block left without a successor. Each kept edge
+/// `u -> v` becomes `v -> u`.
+struct Reverse<'a> {
+    cfg: &'a Cfg,
+    cut: &'a [(BlockId, BlockId)],
+    /// Blocks without a kept successor, ascending: the exit's successors.
+    sinks: Vec<NodeIdx>,
+}
+
+impl<'a> Reverse<'a> {
+    fn new(cfg: &'a Cfg, cut: &'a [(BlockId, BlockId)]) -> Self {
+        let mut r = Reverse { cfg, cut, sinks: Vec::new() };
+        r.sinks = (0..cfg.len()).filter(|&u| r.kept_succs(u).next().is_none()).collect();
+        r
+    }
+
+    /// The kept CFG successors of block `u`.
+    fn kept_succs(&self, u: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
+        let ub = BlockId(u as u32);
+        self.cfg.succs(ub).iter().filter(move |&&v| !self.cut.contains(&(ub, v))).map(|v| v.index())
+    }
+
+    fn exit(&self) -> NodeIdx {
+        self.cfg.len()
+    }
+}
+
+impl Graph for Reverse<'_> {
+    fn succ_slots(&self, v: NodeIdx) -> usize {
+        if v == self.exit() {
+            self.sinks.len()
+        } else {
+            self.cfg.preds(BlockId(v as u32)).len()
+        }
+    }
+
+    fn succ(&self, v: NodeIdx, k: usize) -> Option<NodeIdx> {
+        if v == self.exit() {
+            return Some(self.sinks[k]);
+        }
+        let vb = BlockId(v as u32);
+        let u = self.cfg.preds(vb)[k];
+        (!self.cut.contains(&(u, vb))).then_some(u.index())
+    }
+
+    fn for_each_pred(&self, v: NodeIdx, mut f: impl FnMut(NodeIdx)) {
+        if v == self.exit() {
+            return;
+        }
+        let mut any = false;
+        for s in self.kept_succs(v) {
+            any = true;
+            f(s);
+        }
+        if !any {
+            f(self.exit());
+        }
+    }
+}
+
+/// Cooper–Harvey–Kennedy "A Simple, Fast Dominance Algorithm" over the
+/// `n` nodes of `g`.
+fn compute_idoms(g: &impl Graph, n: usize, root: NodeIdx) -> Vec<Option<NodeIdx>> {
     // Post-order numbering from root.
     let mut postorder: Vec<NodeIdx> = Vec::with_capacity(n);
     let mut visited = vec![false; n];
     let mut stack: Vec<(NodeIdx, usize)> = vec![(root, 0)];
     visited[root] = true;
     while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-        if *next < succs[v].len() {
-            let s = succs[v][*next];
+        if *next < g.succ_slots(v) {
+            let s = g.succ(v, *next);
             *next += 1;
-            if !visited[s] {
+            if let Some(s) = s.filter(|&s| !visited[s]) {
                 visited[s] = true;
                 stack.push((s, 0));
             }
@@ -136,16 +207,9 @@ fn compute_idoms(n: usize, root: NodeIdx, succs: &[Vec<NodeIdx>]) -> Vec<Option<
     for (i, &v) in postorder.iter().enumerate() {
         po_num[v] = i;
     }
-    // Predecessor map restricted to reachable nodes.
-    let mut preds: Vec<Vec<NodeIdx>> = vec![Vec::new(); n];
-    for v in 0..n {
-        if visited[v] {
-            for &s in &succs[v] {
-                preds[s].push(v);
-            }
-        }
-    }
 
+    // Only reachable nodes ever get an immediate dominator, so skipping
+    // predecessors without one also skips the unreachable ones.
     let mut idom: Vec<Option<NodeIdx>> = vec![None; n];
     idom[root] = Some(root);
     let mut changed = true;
@@ -156,15 +220,15 @@ fn compute_idoms(n: usize, root: NodeIdx, succs: &[Vec<NodeIdx>]) -> Vec<Option<
                 continue;
             }
             let mut new_idom: Option<NodeIdx> = None;
-            for &p in &preds[v] {
+            g.for_each_pred(v, |p| {
                 if idom[p].is_none() {
-                    continue;
+                    return;
                 }
                 new_idom = Some(match new_idom {
                     None => p,
                     Some(cur) => intersect(&idom, &po_num, p, cur),
                 });
-            }
+            });
             if new_idom.is_some() && idom[v] != new_idom {
                 idom[v] = new_idom;
                 changed = true;

@@ -286,32 +286,34 @@ impl Op {
         }
     }
 
-    /// All value operands, in a fixed order.
+    /// All value operands, in a fixed order, without allocating.
     #[must_use]
-    pub fn operands(&self) -> Vec<ValueId> {
-        match self {
+    pub fn operands(&self) -> Operands<'_> {
+        let fixed = |vals: &[ValueId]| {
+            let mut buf = [ValueId(0); 3];
+            buf[..vals.len()].copy_from_slice(vals);
+            OperandsInner::Fixed { buf, next: 0, len: vals.len() as u8 }
+        };
+        Operands(match self {
             Op::Binary { lhs, rhs, .. } | Op::ICmp { lhs, rhs, .. } | Op::FCmp { lhs, rhs, .. } => {
-                vec![*lhs, *rhs]
+                fixed(&[*lhs, *rhs])
             }
-            Op::Select { cond, on_true, on_false } => vec![*cond, *on_true, *on_false],
-            Op::Cast { value, .. } => vec![*value],
-            Op::Load { addr, .. } => vec![*addr],
-            Op::Store { addr, value } => vec![*addr, *value],
-            Op::Gep { base, index, .. } => {
-                let mut v = vec![*base];
-                v.extend(index.iter().copied());
-                v
-            }
-            Op::CondBr { cond, .. } => vec![*cond],
-            Op::Ret { value } => value.iter().copied().collect(),
-            Op::Phi { incomings, .. } => incomings.iter().map(|(_, v)| *v).collect(),
-            Op::Produce { worker_sel, value, .. } => vec![*worker_sel, *value],
-            Op::ProduceBroadcast { value, .. } => vec![*value],
-            Op::ParallelFork { live_ins, .. } => live_ins.clone(),
-            Op::StoreLiveout { value, .. } => vec![*value],
-            Op::Consume { channel_sel, .. } => vec![*channel_sel],
-            Op::Br { .. } | Op::ParallelJoin { .. } | Op::RetrieveLiveout { .. } => Vec::new(),
-        }
+            Op::Select { cond, on_true, on_false } => fixed(&[*cond, *on_true, *on_false]),
+            Op::Cast { value, .. } => fixed(&[*value]),
+            Op::Load { addr, .. } => fixed(&[*addr]),
+            Op::Store { addr, value } => fixed(&[*addr, *value]),
+            Op::Gep { base, index: Some(index), .. } => fixed(&[*base, *index]),
+            Op::Gep { base, index: None, .. } => fixed(&[*base]),
+            Op::CondBr { cond, .. } => fixed(&[*cond]),
+            Op::Ret { value } => fixed(value.as_slice()),
+            Op::Phi { incomings, .. } => OperandsInner::Phi(incomings.iter()),
+            Op::Produce { worker_sel, value, .. } => fixed(&[*worker_sel, *value]),
+            Op::ProduceBroadcast { value, .. } => fixed(&[*value]),
+            Op::ParallelFork { live_ins, .. } => OperandsInner::Slice(live_ins.iter()),
+            Op::StoreLiveout { value, .. } => fixed(&[*value]),
+            Op::Consume { channel_sel, .. } => fixed(&[*channel_sel]),
+            Op::Br { .. } | Op::ParallelJoin { .. } | Op::RetrieveLiveout { .. } => fixed(&[]),
+        })
     }
 
     /// Rewrite every value operand through `f` (used by the pipeline
@@ -418,6 +420,50 @@ impl Op {
     }
 }
 
+/// The value operands of one [`Op`], in [`Op::operands`] order.
+#[derive(Debug, Clone)]
+pub struct Operands<'a>(OperandsInner<'a>);
+
+#[derive(Debug, Clone)]
+enum OperandsInner<'a> {
+    /// Up to three operands held inline.
+    Fixed { buf: [ValueId; 3], next: u8, len: u8 },
+    /// A `parallel_fork`'s live-ins.
+    Slice(std::slice::Iter<'a, ValueId>),
+    /// A phi's incoming values.
+    Phi(std::slice::Iter<'a, (BlockId, ValueId)>),
+}
+
+impl Iterator for Operands<'_> {
+    type Item = ValueId;
+
+    #[inline]
+    fn next(&mut self) -> Option<ValueId> {
+        match &mut self.0 {
+            OperandsInner::Fixed { buf, next, len } => {
+                let v = buf[..usize::from(*len)].get(usize::from(*next)).copied()?;
+                *next += 1;
+                Some(v)
+            }
+            OperandsInner::Slice(it) => it.next().copied(),
+            OperandsInner::Phi(it) => it.next().map(|&(_, v)| v),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            OperandsInner::Fixed { next, len, .. } => usize::from(len - next),
+            OperandsInner::Slice(it) => it.len(),
+            OperandsInner::Phi(it) => it.len(),
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Operands<'_> {}
+
+impl std::iter::FusedIterator for Operands<'_> {}
+
 /// One instruction: an [`Op`] placed in a block, possibly producing a value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inst {
@@ -442,18 +488,69 @@ mod tests {
     #[test]
     fn operands_of_store_and_gep() {
         let st = Op::Store { addr: v(1), value: v(2) };
-        assert_eq!(st.operands(), vec![v(1), v(2)]);
+        assert_eq!(st.operands().collect::<Vec<_>>(), vec![v(1), v(2)]);
         let gep = Op::Gep { base: v(3), index: Some(v(4)), scale: 8, offset: 16 };
-        assert_eq!(gep.operands(), vec![v(3), v(4)]);
+        assert_eq!(gep.operands().collect::<Vec<_>>(), vec![v(3), v(4)]);
         let gep2 = Op::Gep { base: v(3), index: None, scale: 0, offset: 4 };
-        assert_eq!(gep2.operands(), vec![v(3)]);
+        assert_eq!(gep2.operands().collect::<Vec<_>>(), vec![v(3)]);
+    }
+
+    /// Every variant's operands, as literals: the order is part of the
+    /// contract (the verifier, scheduler, PDG and executors all walk it).
+    #[test]
+    fn operands_of_every_variant_in_order() {
+        let q = QueueId(2);
+        let bb = BlockId;
+        let table: Vec<(Op, Vec<ValueId>)> = vec![
+            (Op::Binary { op: BinOp::Sub, lhs: v(1), rhs: v(2) }, vec![v(1), v(2)]),
+            (Op::ICmp { pred: IntPredicate::Slt, lhs: v(3), rhs: v(1) }, vec![v(3), v(1)]),
+            (Op::FCmp { pred: FloatPredicate::Olt, lhs: v(5), rhs: v(4) }, vec![v(5), v(4)]),
+            (Op::Select { cond: v(7), on_true: v(8), on_false: v(9) }, vec![v(7), v(8), v(9)]),
+            (Op::Cast { kind: CastKind::SExt, value: v(6), to: Ty::I64 }, vec![v(6)]),
+            (Op::Load { addr: v(4), ty: Ty::F64 }, vec![v(4)]),
+            (Op::Store { addr: v(2), value: v(1) }, vec![v(2), v(1)]),
+            (Op::Gep { base: v(3), index: Some(v(4)), scale: 8, offset: 16 }, vec![v(3), v(4)]),
+            (Op::Gep { base: v(3), index: None, scale: 0, offset: 4 }, vec![v(3)]),
+            (Op::Br { target: bb(1) }, vec![]),
+            (Op::CondBr { cond: v(9), on_true: bb(1), on_false: bb(2) }, vec![v(9)]),
+            (Op::Ret { value: Some(v(11)) }, vec![v(11)]),
+            (Op::Ret { value: None }, vec![]),
+            (
+                Op::Phi {
+                    ty: Ty::I32,
+                    incomings: vec![(bb(0), v(1)), (bb(3), v(7)), (bb(2), v(1))],
+                },
+                vec![v(1), v(7), v(1)],
+            ),
+            (Op::Phi { ty: Ty::I32, incomings: vec![] }, vec![]),
+            (Op::Produce { queue: q, worker_sel: v(12), value: v(13) }, vec![v(12), v(13)]),
+            (Op::ProduceBroadcast { queue: q, value: v(14) }, vec![v(14)]),
+            (Op::Consume { queue: q, channel_sel: v(15), ty: Ty::I1 }, vec![v(15)]),
+            (
+                Op::ParallelFork { loop_id: 3, live_ins: vec![v(4), v(0), v(9), v(2)] },
+                vec![v(4), v(0), v(9), v(2)],
+            ),
+            (Op::ParallelFork { loop_id: 3, live_ins: vec![] }, vec![]),
+            (Op::ParallelJoin { loop_id: 3 }, vec![]),
+            (Op::StoreLiveout { slot: 1, value: v(16) }, vec![v(16)]),
+            (Op::RetrieveLiveout { slot: 1, ty: Ty::Ptr }, vec![]),
+        ];
+        for (op, want) in &table {
+            let it = op.operands();
+            assert_eq!(it.len(), want.len(), "{op:?}");
+            assert_eq!(it.collect::<Vec<_>>(), *want, "{op:?}");
+            // Exhausted iterators stay exhausted.
+            let mut it = op.operands();
+            it.by_ref().for_each(drop);
+            assert_eq!((it.next(), it.len()), (None, 0), "{op:?}");
+        }
     }
 
     #[test]
     fn map_operands_rewrites_everything() {
         let mut op = Op::Select { cond: v(0), on_true: v(1), on_false: v(2) };
         op.map_operands(|x| ValueId(x.0 + 10));
-        assert_eq!(op.operands(), vec![v(10), v(11), v(12)]);
+        assert_eq!(op.operands().collect::<Vec<_>>(), vec![v(10), v(11), v(12)]);
     }
 
     #[test]

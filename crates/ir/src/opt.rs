@@ -18,22 +18,23 @@ use crate::inst::Op;
 /// CFG edge into a block with phis (the phi could no longer distinguish the
 /// paths).
 pub fn simplify_cfg(func: &mut Function) -> usize {
+    // One CFG, refreshed in place after every removal.
+    let mut cfg = Cfg::new(func);
     let mut removed_total = 0;
-    loop {
-        let removed = simplify_once(func);
-        if removed == 0 {
-            return removed_total;
-        }
-        removed_total += removed;
+    while simplify_once(func, &cfg) {
+        removed_total += 1;
+        cfg.rebuild(func);
     }
+    removed_total
 }
 
 fn block_has_phis(func: &Function, b: BlockId) -> bool {
     func.block(b).insts.first().is_some_and(|&i| matches!(func.inst(i).op, Op::Phi { .. }))
 }
 
-fn simplify_once(func: &mut Function) -> usize {
-    let cfg = Cfg::new(func);
+/// Remove the first removable forwarding block, if there is one; `cfg` is
+/// the CFG of `func` as it stands.
+fn simplify_once(func: &mut Function, cfg: &Cfg) -> bool {
     // Find one removable forwarding block per pass (keeps the bookkeeping
     // simple; the driver loops to a fixpoint).
     for b in func.block_ids() {
@@ -49,7 +50,7 @@ fn simplify_once(func: &mut Function) -> usize {
         if target == b {
             continue; // self loop
         }
-        let preds: Vec<BlockId> = cfg.preds(b).to_vec();
+        let preds = cfg.preds(b);
         if preds.is_empty() {
             continue; // unreachable; harmless
         }
@@ -71,7 +72,7 @@ fn simplify_once(func: &mut Function) -> usize {
             }
         }
         // Rewire: every pred's terminator b -> target.
-        for &p in &preds {
+        for &p in preds {
             let Some(t) = func.terminator(p) else { continue };
             let new_op = match func.inst(t).op.clone() {
                 Op::Br { target: bt } if bt == b => Op::Br { target },
@@ -87,12 +88,13 @@ fn simplify_once(func: &mut Function) -> usize {
         }
         // Fix phis in target: replace incoming-from-b with one entry per
         // pred of b (same value: b defines nothing).
-        for &i in &func.block(target).insts.clone() {
+        for k in 0..func.block(target).insts.len() {
+            let i = func.block(target).insts[k];
             if let Op::Phi { incomings, .. } = &mut func.insts[i.index()].op {
                 let mut new_inc = Vec::with_capacity(incomings.len());
                 for (ib, iv) in incomings.iter() {
                     if *ib == b {
-                        for &p in &preds {
+                        for &p in preds {
                             new_inc.push((p, *iv));
                         }
                     } else {
@@ -106,9 +108,9 @@ fn simplify_once(func: &mut Function) -> usize {
         // `target` disappears from the CFG (the block itself is now
         // unreachable; ids stay stable and the scheduler never visits it).
         func.insts[term.index()].op = Op::Br { target: b };
-        return 1;
+        return true;
     }
-    0
+    false
 }
 
 #[cfg(test)]

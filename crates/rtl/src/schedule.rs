@@ -29,7 +29,6 @@
 use crate::fsm::{Fsm, State, StateId};
 use crate::timing::{inst_timing, Unit, CHAIN_LIMIT};
 use cgpa_ir::{BlockId, Function, Inst, InstId, Op, ValueId};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -110,11 +109,16 @@ pub fn schedule_function(func: &Function) -> Fsm {
     let mut states: Vec<State> = Vec::new();
     let mut block_entry: Vec<StateId> = Vec::with_capacity(func.blocks.len());
     let mut state_of: Vec<Option<StateId>> = vec![None; func.insts.len()];
-    // Availability of values *within the current block*.
-    let mut avail: HashMap<ValueId, Avail> = HashMap::new();
+    // Availability of each value, by value index, tagged with the block
+    // that scheduled it: only values of the current block count.
+    let mut avail: Vec<Option<(BlockId, Avail)>> = vec![None; func.values.len()];
 
     for b in func.block_ids() {
-        avail.clear();
+        let avail_in_block =
+            |avail: &[Option<(BlockId, Avail)>], v: ValueId| match avail.get(v.index()) {
+                Some(&Some((ab, a))) if ab == b => Some(a),
+                _ => None,
+            };
         let first_state = states.len();
         block_entry.push(StateId(first_state as u32));
         // Each block starts with one (possibly empty) state.
@@ -128,7 +132,7 @@ pub fn schedule_function(func: &Function) -> Fsm {
                 // Phis are register updates on block entry: available from
                 // the block's first state at depth 0.
                 if let Some(r) = inst.result {
-                    avail.insert(r, Avail::InState { state: first_state, depth: 0 });
+                    record(&mut avail, r, b, Avail::InState { state: first_state, depth: 0 });
                 }
                 continue;
             }
@@ -139,9 +143,9 @@ pub fn schedule_function(func: &Function) -> Fsm {
             let depth_at = |s: usize| -> u32 {
                 let mut d = 0;
                 for v in inst.op.operands() {
-                    if let Some(Avail::InState { state, depth }) = avail.get(&v) {
-                        if *state == s {
-                            d = d.max(*depth);
+                    if let Some(Avail::InState { state, depth }) = avail_in_block(&avail, v) {
+                        if state == s {
+                            d = d.max(depth);
                         }
                     }
                 }
@@ -151,9 +155,9 @@ pub fn schedule_function(func: &Function) -> Fsm {
             // registered at its end (usable from the next state on).
             let (mut comb_in_cur, mut reg_in_cur) = (false, false);
             for v in inst.op.operands() {
-                match avail.get(&v) {
-                    Some(Avail::InState { state, .. }) if *state == cur => comb_in_cur = true,
-                    Some(Avail::AfterState { state }) if *state == cur => reg_in_cur = true,
+                match avail_in_block(&avail, v) {
+                    Some(Avail::InState { state, .. }) if state == cur => comb_in_cur = true,
+                    Some(Avail::AfterState { state }) if state == cur => reg_in_cur = true,
                     _ => {}
                 }
             }
@@ -211,7 +215,7 @@ pub fn schedule_function(func: &Function) -> Fsm {
                 } else {
                     Avail::AfterState { state: place_state }
                 };
-                avail.insert(r, a);
+                record(&mut avail, r, b, a);
             }
 
             // Memory states close (the cache port is busy); queue states
@@ -231,6 +235,15 @@ pub fn schedule_function(func: &Function) -> Fsm {
     }
 
     Fsm { states, block_entry, state_of }
+}
+
+/// Record that value `v`, scheduled in block `b`, is available as `a`. A
+/// value outside the value table (a function the verifier would reject) is
+/// not recorded.
+fn record(avail: &mut [Option<(BlockId, Avail)>], v: ValueId, b: BlockId, a: Avail) {
+    if let Some(slot) = avail.get_mut(v.index()) {
+        *slot = Some((b, a));
+    }
 }
 
 /// Schedule `func` and verify the result in one step.

@@ -208,9 +208,8 @@ fn run(
                     mem.write_value(a, v)?;
                 }
                 MicroOp::Fork { loop_id } if primitives => {
-                    let live_ins = func.inst(iid).op.operands();
                     let vals_in: Vec<Value> =
-                        live_ins.iter().map(|&v| regs[reg(v) as usize]).collect();
+                        func.inst(iid).op.operands().map(|v| regs[reg(v) as usize]).collect();
                     let out =
                         accelerator(loop_id, &vals_in, mem).map_err(InterpError::UnsupportedOp)?;
                     // Liveout registers are shared hardware: later loops'
