@@ -68,10 +68,17 @@ impl SccClassification {
 /// loads nor multiplies.
 #[must_use]
 pub fn classify_sccs(func: &Function, pdg: &Pdg, cond: &Condensation) -> SccClassification {
+    // SCCs with a loop-carried internal edge, in one pass over the edges.
+    let mut internal_carried = vec![false; cond.len()];
+    for e in pdg.edges.iter().filter(|e| e.loop_carried) {
+        let scc = cond.scc_of[e.from];
+        if cond.scc_of[e.to] == scc {
+            internal_carried[scc.index()] = true;
+        }
+    }
     let mut classes = Vec::with_capacity(cond.len());
     for scc in cond.topo_order() {
-        let internal_carried = cond.internal_edges(pdg, scc).iter().any(|e| e.loop_carried);
-        let class = if !internal_carried {
+        let class = if !internal_carried[scc.index()] {
             SccClass::Parallel
         } else {
             let side_effect =
