@@ -19,6 +19,7 @@
 //!    parallel workers (Figure 1(e)), and rewrites the parent function to
 //!    `parallel_fork`/`parallel_join` plus liveout retrieval.
 
+mod idset;
 pub mod partition;
 pub mod plan;
 pub mod transform;
