@@ -71,8 +71,16 @@ pub enum FlowError {
     Compile(CompileError),
     /// Simulation failed.
     Hw(HwError),
-    /// Interpretation failed.
-    Interp(String),
+    /// Interpretation failed: the MIPS run, a CGPA parent, or, when
+    /// `reference` names the kernel, its functional reference.
+    Interp {
+        /// The kernel whose reference failed, if it was the reference.
+        reference: Option<String>,
+        /// Why the run failed.
+        error: InterpError,
+    },
+    /// A CGPA parent finished without forking its accelerator.
+    ForkNeverExecuted,
     /// The hardware result disagrees with the reference (a correctness bug).
     Mismatch(String),
     /// A run's statistics do not fit its compiled pipeline.
@@ -87,7 +95,11 @@ impl fmt::Display for FlowError {
         match self {
             FlowError::Compile(e) => write!(f, "compile: {e}"),
             FlowError::Hw(e) => write!(f, "simulate: {e}"),
-            FlowError::Interp(e) => write!(f, "interpret: {e}"),
+            FlowError::Interp { reference: None, error } => write!(f, "interpret: {error}"),
+            FlowError::Interp { reference: Some(k), error } => {
+                write!(f, "interpret: {k}: reference: {error}")
+            }
+            FlowError::ForkNeverExecuted => f.write_str("interpret: fork never executed"),
             FlowError::Mismatch(e) => write!(f, "verification: {e}"),
             FlowError::Profile(e) => write!(f, "profile: {e}"),
             FlowError::NoFeasiblePoint(e) => write!(f, "explore: {e}"),
@@ -96,6 +108,13 @@ impl fmt::Display for FlowError {
 }
 
 impl Error for FlowError {}
+
+impl FlowError {
+    /// A run's interpreter failure, outside the reference.
+    fn interp(error: InterpError) -> Self {
+        FlowError::Interp { reference: None, error }
+    }
+}
 
 impl From<CompileError> for FlowError {
     fn from(e: CompileError) -> Self {
@@ -124,7 +143,7 @@ pub fn run_mips(k: &BuiltKernel) -> Result<RunResult, FlowError> {
     cache_reference(k)?;
     let mut mem = k.mem.clone();
     let run = sim_run_mips(&k.func, &k.args, &mut mem, INTERP_FUEL, &MipsConfig::default())
-        .map_err(|e| FlowError::Interp(e.to_string()))?;
+        .map_err(FlowError::interp)?;
     verify_memory(k, &mem, run.ret)?;
     Ok(RunResult {
         config: "MIPS".to_string(),
@@ -408,11 +427,8 @@ fn simulate(
                     Ok(sys.liveouts().to_vec())
                 },
             )
-            .map_err(|e| {
-                hw_err.take().map_or_else(|| FlowError::Interp(e.to_string()), FlowError::Hw)
-            })?;
-            let run =
-                captured.ok_or_else(|| FlowError::Interp("fork never executed".to_string()))?;
+            .map_err(|e| hw_err.take().map_or_else(|| FlowError::interp(e), FlowError::Hw))?;
+            let run = captured.ok_or(FlowError::ForkNeverExecuted)?;
             (ret, run)
         }
     };
@@ -467,18 +483,18 @@ fn simulate(
 /// Interpret and cache the kernel's functional reference before a run
 /// allocates its memory image (see `BuiltKernel::cache_reference`).
 fn cache_reference(k: &BuiltKernel) -> Result<(), FlowError> {
-    k.cache_reference().map_err(|e| reference_error(k, &e))
+    k.cache_reference().map_err(|e| reference_error(k, e))
 }
 
-fn reference_error(k: &BuiltKernel, e: &InterpError) -> FlowError {
-    FlowError::Interp(format!("{}: reference: {e}", k.name))
+fn reference_error(k: &BuiltKernel, error: InterpError) -> FlowError {
+    FlowError::Interp { reference: Some(k.name.clone()), error }
 }
 
 /// Compare a run's memory and return value against the kernel's cached
 /// functional reference.
 fn verify_memory(k: &BuiltKernel, mem: &SimMemory, ret: Option<Value>) -> Result<(), FlowError> {
     k.check(mem, ret).map_err(|e| match e {
-        CheckError::Reference(e) => reference_error(k, &e),
+        CheckError::Reference(e) => reference_error(k, e),
         e => FlowError::Mismatch(format!("{}: {e}", k.name)),
     })
 }
@@ -574,9 +590,10 @@ mod tests {
         // Reported before the run is simulated, and by the check itself.
         for err in [run_legup(&k).unwrap_err(), verify_memory(&k, &k.mem, None).unwrap_err()] {
             assert!(
-                matches!(&err, FlowError::Interp(m) if m.starts_with("em3d: reference: ")),
-                "{err}"
+                matches!(&err, FlowError::Interp { reference: Some(name), error: InterpError::BadArity { .. } } if name == "em3d"),
+                "{err:?}"
             );
+            assert!(err.to_string().starts_with("interpret: em3d: reference: "), "{err}");
         }
     }
 

@@ -8,7 +8,7 @@ use cgpa_analysis::MemoryModel;
 use cgpa_ir::{builder::FunctionBuilder, inst::IntPredicate, BinOp, Function, Ty};
 use cgpa_kernels::{BuiltKernel, ReferenceCache};
 use cgpa_pipeline::PartitionError;
-use cgpa_sim::{SimMemory, Value};
+use cgpa_sim::{InterpError, SimMemory, Value};
 
 /// `for (i = 0; i < n; i++) *acc = *acc + a[i];` — a memory-carried
 /// reduction through one cell.
@@ -108,13 +108,14 @@ fn unsound_annotations_are_caught_by_verification() {
 
 #[test]
 fn a_mistyped_argument_is_an_interp_error_not_a_panic() {
-    // The IR verifier checks instruction types, not the runtime arguments:
-    // the accumulator's `Ptr` parameter is passed an `I32`, so its first
-    // load has no address.
+    // The accumulator's `Ptr` parameter is passed an `I32`: the interpreter
+    // checks every argument against its parameter before it runs.
     let mut k = workload(acc_loop(), MemoryModel::new());
     k.args[1] = Value::I32(64);
     match run_mips(&k) {
-        Err(FlowError::Interp(msg)) => assert!(msg.contains("expected ptr"), "{msg}"),
+        Err(e @ FlowError::Interp { error: InterpError::BadArgument { index: 1, .. }, .. }) => {
+            assert!(e.to_string().contains("expected ptr, got i32"), "{e}");
+        }
         other => panic!("expected an interp error, got {other:?}"),
     }
 }
@@ -134,9 +135,9 @@ fn fuel_exhaustion_is_reported_not_hung() {
 }
 
 /// The accumulator loop with the reduction poisoned by a `Ptr * Ptr`
-/// multiply — both operands are int-like so the IR verifier accepts it,
-/// but the execution model gives it no semantics.
-fn ptr_mul_loop() -> Function {
+/// multiply, which has no execution semantics, so the IR verifier rejects
+/// it; not yet finished.
+fn ptr_mul_loop() -> FunctionBuilder {
     let mut b =
         FunctionBuilder::new("acc", &[("a", Ty::Ptr), ("acc", Ty::Ptr), ("n", Ty::I32)], None);
     let a = b.param(0);
@@ -154,7 +155,7 @@ fn ptr_mul_loop() -> Function {
     b.cond_br(c, body, exit);
     b.switch_to(body);
     let pa = b.gep(a, i, 4, 0);
-    let bad = b.binary(BinOp::Mul, pa, pa); // Ptr x Ptr: verifier-legal, unexecutable
+    let bad = b.binary(BinOp::Mul, pa, pa); // Ptr x Ptr: no semantics
     b.store(acc, bad);
     let i2 = b.binary(BinOp::Add, i, one);
     b.br(header);
@@ -162,50 +163,39 @@ fn ptr_mul_loop() -> Function {
     b.ret(None);
     b.add_phi_incoming(i, b.entry_block(), zero);
     b.add_phi_incoming(i, body, i2);
-    b.finish().unwrap()
+    b
 }
 
 #[test]
 fn unsupported_op_is_a_typed_error_on_every_rung() {
-    use cgpa::compiler::DegradedCompile;
-    use cgpa_sim::{run_function, HwConfig, HwSystem, InterpError, NoHooks};
+    use cgpa_ir::verify::{verify, VerifyError};
+    use cgpa_sim::{run_function, HwConfig, HwError, HwSystem, NoHooks, SimEngine};
 
-    // Honest model: `acc` is read-write through one cell, so every pipeline
-    // shape is refused and the degradation ladder lands on the sequential
-    // rung — exactly where the bad op must surface as an error.
-    let mut mm = MemoryModel::new();
-    let ra = mm.add_region("a", 4, true, false);
-    let racc = mm.add_region("acc", 4, false, false);
-    mm.bind_param(0, ra);
-    mm.bind_param(1, racc);
-    let k = workload(ptr_mul_loop(), mm);
+    // The verifier admits only the forms the execution semantics define,
+    // so building the function fails at `finish()`.
+    let err = ptr_mul_loop().finish().unwrap_err();
+    assert!(matches!(err, VerifyError::TypeMismatch { .. }), "{err:?}");
+    assert!(err.to_string().contains("mul on ptr"), "{err}");
 
-    // Functional interpreter: typed error naming the op, not a panic.
+    // Every executor runs verified IR only, so each rejects the function
+    // with that error before it runs: the reference interpreter, the MIPS
+    // flow (through the kernel's reference), and the sequential rung's
+    // single worker on both engines.
+    let k = workload(ptr_mul_loop().finish_unverified(), MemoryModel::new());
     let mut mem = k.mem.clone();
     let err = run_function(&k.func, &k.args, &mut mem, 1_000_000, &mut NoHooks).unwrap_err();
-    assert!(matches!(err, InterpError::UnsupportedOp(_)), "want UnsupportedOp, got {err:?}");
-    assert!(err.to_string().contains("Mul"), "error should name the op: {err}");
-
-    // Degraded compile still accepts the kernel (nothing about the op is
-    // structurally wrong) — and the cycle-level simulator then reports the
-    // op as `HwError::Unsupported` instead of aborting the process,
-    // whichever rung the ladder landed on.
-    let degraded =
-        CgpaCompiler::new(CgpaConfig::default()).compile_degraded(&k.func, &k.model).unwrap();
-    let mut mem = k.mem.clone();
-    let err = match &degraded {
-        DegradedCompile::Pipeline { compiled, .. } => {
-            // The parent's live-ins are exactly the kernel arguments here.
-            let mut sys = HwSystem::for_pipeline(&compiled.pipeline, &k.args, HwConfig::default());
-            sys.run(&mut mem).unwrap_err()
-        }
-        DegradedCompile::Sequential { .. } => {
-            let mut sys = HwSystem::for_single(&k.func, &k.args, HwConfig::default());
-            sys.run(&mut mem).unwrap_err()
-        }
-    };
-    assert!(
-        matches!(err, cgpa_sim::HwError::Unsupported(_)),
-        "want HwError::Unsupported, got {err:?}"
-    );
+    assert_eq!(err, InterpError::Malformed(verify(&k.func).unwrap_err()));
+    match run_mips(&k) {
+        Err(FlowError::Interp {
+            error: InterpError::Malformed(VerifyError::TypeMismatch { .. }),
+            ..
+        }) => {}
+        other => panic!("want a malformed reference, got {other:?}"),
+    }
+    for engine in [SimEngine::EventDriven, SimEngine::PerCycle] {
+        let cfg = HwConfig { engine, ..HwConfig::default() };
+        let err = HwSystem::for_single(&k.func, &k.args, cfg).run(&mut mem).unwrap_err();
+        assert!(matches!(err, HwError::Malformed { worker: 0, .. }), "{err:?}");
+        assert!(err.to_string().contains("mul on ptr"), "{err}");
+    }
 }

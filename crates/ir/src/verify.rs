@@ -3,7 +3,7 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::function::{BlockId, Function};
-use crate::inst::{BinOp, CastKind, InstId, Op};
+use crate::inst::{BinOp, CastKind, InstId, IntPredicate, Op};
 use crate::types::Ty;
 use crate::value::{ValueDef, ValueId};
 use std::error::Error;
@@ -97,8 +97,9 @@ impl Error for VerifyError {}
 /// values; an instruction names a result exactly when its op yields a
 /// value, and that value records it as its definition; every block ends
 /// in exactly one terminator at its end; phis sit at block starts and
-/// cover exactly the block's predecessors; opcode operand types line up;
-/// every non-phi use is dominated by its definition.
+/// cover exactly the block's predecessors; every op is at operand types
+/// the execution semantics define; every non-phi use
+/// is dominated by its definition.
 pub fn verify(func: &Function) -> Result<(), VerifyError> {
     check_references(func)?;
     check_results(func)?;
@@ -296,6 +297,21 @@ fn check_results(func: &Function) -> Result<(), VerifyError> {
     Ok(())
 }
 
+/// Every op is at operand types the execution semantics (`cgpa-sim`'s
+/// `exec::eval_*`) define, and no others, so a verified function never
+/// asks an executor for an op it lacks:
+///
+/// - a binary op takes two operands of one type: an integer op two `i32`s
+///   or `i64`s, a float op two `f32`s or `f64`s, and `and`, `or` and `xor`
+///   also two `i1`s (no op takes pointers);
+/// - `icmp` takes two `i32`s, `i64`s or pointers, and two `i1`s for `eq`
+///   and `ne`; `fcmp` two `f32`s or `f64`s; `select` an `i1` and two arms
+///   of one type;
+/// - a cast is one of the conversions [`cast_is_defined`] lists;
+/// - addresses are pointers, a gep index is an `i32` or `i64`, and queue
+///   selectors are `i32`s;
+/// - branch conditions are `i1`, and returns and phi incomings match their
+///   declared type.
 fn type_check(func: &Function) -> Result<(), VerifyError> {
     let err = |inst: InstId, detail: String| VerifyError::TypeMismatch {
         func: func.name.clone(),
@@ -310,20 +326,25 @@ fn type_check(func: &Function) -> Result<(), VerifyError> {
                 if ty(*lhs) != ty(*rhs) {
                     return Err(err(i, format!("binary operands {} vs {}", ty(*lhs), ty(*rhs))));
                 }
-                let float = ty(*lhs).is_float();
-                if op.is_float() != float {
+                let ok = match ty(*lhs) {
+                    Ty::I32 | Ty::I64 => !op.is_float(),
+                    Ty::F32 | Ty::F64 => op.is_float(),
+                    Ty::I1 => matches!(op, BinOp::And | BinOp::Or | BinOp::Xor),
+                    Ty::Ptr => false,
+                };
+                if !ok {
                     return Err(err(i, format!("{} on {}", op.mnemonic(), ty(*lhs))));
                 }
-                if !op.is_float()
-                    && ty(*lhs) == Ty::I1
-                    && !matches!(op, BinOp::And | BinOp::Or | BinOp::Xor)
-                {
-                    return Err(err(i, "arithmetic on i1".to_string()));
-                }
             }
-            Op::ICmp { lhs, rhs, .. } => {
-                if ty(*lhs) != ty(*rhs) || ty(*lhs).is_float() {
-                    return Err(err(i, format!("icmp on {} vs {}", ty(*lhs), ty(*rhs))));
+            Op::ICmp { pred, lhs, rhs } => {
+                let ok = ty(*lhs) == ty(*rhs)
+                    && match ty(*lhs) {
+                        Ty::I32 | Ty::I64 | Ty::Ptr => true,
+                        Ty::I1 => matches!(pred, IntPredicate::Eq | IntPredicate::Ne),
+                        Ty::F32 | Ty::F64 => false,
+                    };
+                if !ok {
+                    return Err(err(i, format!("icmp {pred:?} on {} vs {}", ty(*lhs), ty(*rhs))));
                 }
             }
             Op::FCmp { lhs, rhs, .. } => {
@@ -341,25 +362,7 @@ fn type_check(func: &Function) -> Result<(), VerifyError> {
             }
             Op::Cast { kind, value, to } => {
                 let from = ty(*value);
-                let ok = match kind {
-                    CastKind::SExt | CastKind::ZExt => {
-                        from.is_int_like()
-                            && to.is_int_like()
-                            && to.size_bytes() >= from.size_bytes()
-                    }
-                    CastKind::Trunc => {
-                        from.is_int_like()
-                            && to.is_int_like()
-                            && to.size_bytes() <= from.size_bytes()
-                    }
-                    CastKind::SiToFp => from.is_int_like() && to.is_float(),
-                    CastKind::FpToSi => from.is_float() && to.is_int_like(),
-                    CastKind::FpCast => from.is_float() && to.is_float(),
-                    CastKind::PtrCast => {
-                        (from == Ty::Ptr && *to == Ty::I32) || (from == Ty::I32 && *to == Ty::Ptr)
-                    }
-                };
-                if !ok {
+                if !cast_is_defined(*kind, from, *to) {
                     return Err(err(i, format!("cast {kind:?} from {from} to {to}")));
                 }
             }
@@ -400,13 +403,13 @@ fn type_check(func: &Function) -> Result<(), VerifyError> {
                 }
             }
             Op::Produce { worker_sel, .. } => {
-                if !matches!(ty(*worker_sel), Ty::I32 | Ty::I64) {
-                    return Err(err(i, "produce worker selector must be an integer".to_string()));
+                if ty(*worker_sel) != Ty::I32 {
+                    return Err(err(i, "produce worker selector must be i32".to_string()));
                 }
             }
             Op::Consume { channel_sel, .. } => {
-                if !matches!(ty(*channel_sel), Ty::I32 | Ty::I64) {
-                    return Err(err(i, "consume channel selector must be an integer".to_string()));
+                if ty(*channel_sel) != Ty::I32 {
+                    return Err(err(i, "consume channel selector must be i32".to_string()));
                 }
             }
             Op::ProduceBroadcast { .. }
@@ -418,6 +421,33 @@ fn type_check(func: &Function) -> Result<(), VerifyError> {
         }
     }
     Ok(())
+}
+
+/// The casts the execution semantics define: `sext` `i1 -> i32` and
+/// `i32 -> i64`; `zext` `i1 -> i32`, `i1 -> i64` and `i32 -> i64`; `trunc`
+/// `i64 -> i32` and `i32 -> i1`; `sitofp` `i32 -> f32`, `i32 -> f64` and
+/// `i64 -> f64`; `fptosi` `f32 -> i32`, `f64 -> i32` and `f64 -> i64`;
+/// `fpcast` between `f32` and `f64`; and `ptrcast` between `ptr` and `i32`.
+fn cast_is_defined(kind: CastKind, from: Ty, to: Ty) -> bool {
+    use CastKind as K;
+    use Ty as T;
+    matches!(
+        (kind, from, to),
+        (K::SExt, T::I1, T::I32)
+            | (K::SExt, T::I32, T::I64)
+            | (K::ZExt, T::I1, T::I32 | T::I64)
+            | (K::ZExt, T::I32, T::I64)
+            | (K::Trunc, T::I64, T::I32)
+            | (K::Trunc, T::I32, T::I1)
+            | (K::SiToFp, T::I32, T::F32 | T::F64)
+            | (K::SiToFp, T::I64, T::F64)
+            | (K::FpToSi, T::F32 | T::F64, T::I32)
+            | (K::FpToSi, T::F64, T::I64)
+            | (K::FpCast, T::F32, T::F64)
+            | (K::FpCast, T::F64, T::F32)
+            | (K::PtrCast, T::Ptr, T::I32)
+            | (K::PtrCast, T::I32, T::Ptr)
+    )
 }
 
 #[cfg(test)]

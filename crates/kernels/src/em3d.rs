@@ -224,8 +224,8 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
 /// # Errors
 /// See [`NativeReference`](crate::NativeReference).
 pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
-    let [head] = arguments(args)?;
-    let mut nodelist = ptr_arg(head)?;
+    let [head] = arguments(args, [Ty::Ptr])?;
+    let mut nodelist = ptr_arg(head);
     let mut m = Native::new(mem);
     while nodelist != 0 {
         m.step()?;

@@ -158,8 +158,8 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
 /// # Errors
 /// See [`NativeReference`](crate::NativeReference).
 pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
-    let [img, out, width] = arguments(args)?;
-    let (img, out, width) = (ptr_arg(img)?, ptr_arg(out)?, i32_arg(width)?);
+    let [img, out, width] = arguments(args, [Ty::Ptr, Ty::Ptr, Ty::I32])?;
+    let (img, out, width) = (ptr_arg(img), ptr_arg(out), i32_arg(width));
     let mut m = Native::new(mem);
     let [c0, c1, c2, c3, c4] = COEFFS;
     let mut w = [0f32; 5];

@@ -188,8 +188,8 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
 /// # Errors
 /// See [`NativeReference`](crate::NativeReference).
 pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
-    let [head, buckets, mask] = arguments(args)?;
-    let (mut item, buckets, mask) = (ptr_arg(head)?, ptr_arg(buckets)?, i32_arg(mask)?);
+    let [head, buckets, mask] = arguments(args, [Ty::Ptr, Ty::Ptr, Ty::I32])?;
+    let (mut item, buckets, mask) = (ptr_arg(head), ptr_arg(buckets), i32_arg(mask));
     let mut m = Native::new(mem);
     while item != 0 {
         m.step()?;

@@ -297,10 +297,12 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
 /// # Errors
 /// See [`NativeReference`](crate::NativeReference).
 pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
-    let [nodes, clusters, membership, new_centers, nc_len, n, k, nf] = arguments(args)?;
-    let (nodes, clusters, membership) = (ptr_arg(nodes)?, ptr_arg(clusters)?, ptr_arg(membership)?);
-    let (new_centers, nc_len) = (ptr_arg(new_centers)?, ptr_arg(nc_len)?);
-    let (n, k, nf) = (i32_arg(n)?, i32_arg(k)?, i32_arg(nf)?);
+    let (p, i) = (Ty::Ptr, Ty::I32);
+    let [nodes, clusters, membership, new_centers, nc_len, n, k, nf] =
+        arguments(args, [p, p, p, p, p, i, i, i])?;
+    let (nodes, clusters, membership) = (ptr_arg(nodes), ptr_arg(clusters), ptr_arg(membership));
+    let (new_centers, nc_len) = (ptr_arg(new_centers), ptr_arg(nc_len));
+    let (n, k, nf) = (i32_arg(n), i32_arg(k), i32_arg(nf));
     let mut m = Native::new(mem);
     let mut delta = 0i32;
     for i in 0..n {

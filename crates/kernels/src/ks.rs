@@ -224,8 +224,8 @@ pub fn build(p: &Params, seed: u64) -> BuiltKernel {
 /// # Errors
 /// See [`NativeReference`](crate::NativeReference).
 pub fn reference_native(mem: &mut SimMemory, args: &[Value]) -> Result<Option<Value>, InterpError> {
-    let [head_a, head_b, out] = arguments(args)?;
-    let (head_a, head_b, out) = (ptr_arg(head_a)?, ptr_arg(head_b)?, ptr_arg(out)?);
+    let [head_a, head_b, out] = arguments(args, [Ty::Ptr; 3])?;
+    let (head_a, head_b, out) = (ptr_arg(head_a), ptr_arg(head_b), ptr_arg(out));
     let mut m = Native::new(mem);
     let mut gmax = f32::NEG_INFINITY;
     let mut best_a = -1i32;

@@ -159,7 +159,7 @@ fn a_native_reference_that_cannot_run_is_a_typed_error() {
         (
             "a mistyped argument",
             |k| k.args[0] = Value::I32(1),
-            |e| matches!(e, InterpError::UnsupportedOp(_)),
+            |e| matches!(e, InterpError::BadArgument { index: 0, .. }),
         ),
         (
             "a pointer past the end of memory",

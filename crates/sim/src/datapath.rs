@@ -12,18 +12,12 @@
 //!   value; constants are preloaded at reset);
 //! - binary ops, compares, selects, casts and geps become the typed
 //!   register ops of [`exec`](crate::exec), resolved against the
-//!   function's declared types: a typed op calls its typed kernel directly,
-//!   and falls back to the tagged `exec::eval_*` evaluators when a register
-//!   holds another tag, so undefined combinations still surface as
-//!   [`HwError::Unsupported`] with the evaluators' text;
-//! - loads carry their width;
+//!   function's declared types;
+//! - loads, stores, liveout writes and returns carry their type;
 //! - each state's exit is precomputed: fall through to the next state of
 //!   the block, or take a jump/branch edge that carries its target state,
 //!   whether it is a back edge, and its phi copy list (the copies read
 //!   every source before writing, so they are parallel);
-//! - an op the cut's target does not run (a worker's host primitives, the
-//!   interpreter's queue and liveout ports) becomes an unsupported op that
-//!   fails with the op's text when it executes;
 //! - each state records where its trailing run of [`RegOp`]s starts, unless
 //!   it returns. A state that is all register ops is *register-only*: it
 //!   reads and writes only its worker's registers, so nobody else can
@@ -32,16 +26,25 @@
 //!   followed only by register ops in its state lets that engine take the
 //!   load's response step when it issues the load ([`respond_ahead`]).
 //!
-//! Lowering takes only a [`Verified`] function, so both cuts share one
-//! precondition: the IR verifier (every id in range, one terminator per
-//! block, a result named exactly by each op that yields a value, every use
-//! dominated by its definition). A worker's lowering ([`lower`]) also
-//! checks that the FSM covers the function and orders every in-block use
-//! after its definition, and that every queue and liveout register it
-//! names exists. Every register read therefore sees a written value, and a
-//! malformed function is rejected up front ([`HwError::Malformed`],
-//! [`InterpError::Malformed`](crate::interp::InterpError::Malformed))
-//! instead of tripping an executor mid-run.
+//! Registers are untyped: each holds its value's bits in
+//! [`Value::to_bits`] layout, and no op checks a tag. Types are checked
+//! once, before the first instruction or cycle. Lowering takes only a
+//! [`Verified`] function, so both cuts share one precondition: the IR
+//! verifier (every id in range, one terminator per block, a result named
+//! exactly by each op that yields a value, every use dominated by its
+//! definition, and every op at operand types the semantics define). It
+//! then rejects an op the cut's target does not run (a worker's host
+//! primitives, the interpreter's queue and liveout ports). A worker's
+//! lowering ([`lower`]) also checks that the FSM covers the function and
+//! orders every in-block use after its definition, and that every queue
+//! and liveout register it names exists and every queue port carries the
+//! queue's element type. Tagged [`Value`]s enter only at the boundaries,
+//! each checked there: arguments against the parameter types
+//! ([`Program::reset`]), memory reads and queue pops at the type the op
+//! declares, and liveouts a parent retrieves. So every register read sees a
+//! written value of its declared type, and a malformed function or a
+//! mistyped argument is rejected up front ([`HwError::Malformed`],
+//! [`InterpError`]) instead of tripping an executor mid-run.
 
 #![cfg_attr(
     not(test),
@@ -49,15 +52,16 @@
 )]
 
 use crate::cache::CacheSystem;
-use crate::exec::{as_bool, as_ptr, mistyped, reg, ExecError, Reg, RegOp};
+use crate::exec::{reg, Reg, RegOp};
 use crate::fault::FaultPlan;
 use crate::fifo::QueueState;
 use crate::hw::HwError;
+use crate::interp::InterpError;
 use crate::mem::{OutOfRange, SimMemory};
 use crate::stats::WorkerStats;
 use crate::value::Value;
 use cgpa_ir::verify::{verify, VerifyError};
-use cgpa_ir::{BlockId, Function, InstId, Op, Ty, ValueDef};
+use cgpa_ir::{BlockId, Function, InstId, Op, QueueInfo, Ty, ValueDef};
 use cgpa_rtl::schedule::check_fsm;
 use cgpa_rtl::Fsm;
 
@@ -69,9 +73,9 @@ pub(crate) enum MicroOp {
     /// Load a `ty` from the pointer in `addr`; on a worker, through its
     /// cache port, blocking the worker.
     Load { dst: Reg, addr: Reg, ty: Ty },
-    /// Store `value` to the pointer in `addr`; on a worker, through the
-    /// store buffer (fire and forget).
-    Store { addr: Reg, value: Reg },
+    /// Store the `ty` in `value` to the pointer in `addr`; on a worker,
+    /// through the store buffer (fire and forget).
+    Store { addr: Reg, value: Reg, ty: Ty },
     /// Push to channel `sel % channels` of `queue` (workers only).
     Produce { queue: u32, sel: Reg, value: Reg },
     /// Push to every channel of `queue` (workers only).
@@ -79,18 +83,17 @@ pub(crate) enum MicroOp {
     /// Pop an element of `beats` beats from channel `sel % channels`
     /// (workers only).
     Consume { queue: u32, sel: Reg, dst: Reg, beats: u32 },
-    /// Latch `value` into liveout register `slot` (workers only).
-    StoreLiveout { slot: u32, value: Reg },
+    /// Latch the `ty` in `value` into liveout register `slot` (workers
+    /// only).
+    StoreLiveout { slot: u32, value: Reg, ty: Ty },
     /// `parallel_fork` of loop `loop_id`; its live-ins are the
     /// instruction's operands (interpreter only).
     Fork { loop_id: u32 },
     /// `parallel_join` (interpreter only).
     Join,
-    /// `retrieve_liveout` of liveout register `slot` (interpreter only).
-    Retrieve { dst: Reg, slot: u32 },
-    /// An op the cut's target does not run: executing it fails with
-    /// message `Program::unsupported[what]`.
-    Unsupported { what: u32 },
+    /// `retrieve_liveout` of the `ty` in liveout register `slot`
+    /// (interpreter only).
+    Retrieve { dst: Reg, slot: u32, ty: Ty },
 }
 
 /// A control-flow edge out of a block's last state.
@@ -114,8 +117,9 @@ pub(crate) enum Exit {
     Jump(Edge),
     /// Conditional branch on an `i1` register.
     Branch { cond: Reg, on_true: Edge, on_false: Edge },
-    /// Finish, optionally returning a register.
-    Ret(Option<Reg>),
+    /// Finish, optionally returning a register of the function's return
+    /// type.
+    Ret(Option<(Reg, Ty)>),
 }
 
 /// One lowered state.
@@ -151,11 +155,9 @@ pub(crate) struct Program {
     pub(crate) copy_phi: Vec<InstId>,
     /// The register file at reset, one register per IR value: constants,
     /// and zeros elsewhere.
-    pub(crate) init: Vec<Value>,
-    /// Parameter count; parameters occupy the first registers.
-    params: usize,
-    /// Messages of the unsupported ops.
-    unsupported: Vec<String>,
+    init: Vec<u64>,
+    /// Parameter types; parameters occupy the first registers.
+    params: Vec<Ty>,
 }
 
 /// The states a function is lowered into.
@@ -165,8 +167,9 @@ pub(crate) enum Cut<'a> {
     /// ports lower; host primitives do not.
     Fsm(&'a Fsm),
     /// One state per block, for the reference interpreter. Host primitives
-    /// lower; queue and liveout ports do not.
-    Blocks,
+    /// lower when `host` is set (a parent run with an accelerator
+    /// attached); queue and liveout ports never do.
+    Blocks { host: bool },
 }
 
 /// A function that passed [`cgpa_ir::verify::verify`], the one
@@ -182,19 +185,20 @@ impl<'a> Verified<'a> {
 }
 
 impl Program {
-    /// Lower `func` against `cut`. An FSM cut must pass [`check_fsm`].
-    pub(crate) fn new(func: Verified<'_>, cut: Cut<'_>) -> Program {
+    /// Lower `func` against `cut`, or name the first instruction the cut's
+    /// target does not run. An FSM cut must pass [`check_fsm`].
+    pub(crate) fn new(func: Verified<'_>, cut: Cut<'_>) -> Result<Program, InstId> {
         let Verified(func) = func;
         let mut prog = Program {
             init: func
                 .values
                 .iter()
                 .map(|vd| match vd {
-                    ValueDef::Const(c) => Value::from(*c),
-                    other => Value::zero(other.ty()),
+                    ValueDef::Const(c) => Value::from(*c).to_bits(),
+                    _ => 0,
                 })
                 .collect(),
-            params: func.params.len(),
+            params: func.params.iter().map(|&(_, ty)| ty).collect(),
             ..Program::default()
         };
         // Each state's block, instructions and minimum cycles.
@@ -202,12 +206,14 @@ impl Program {
             Cut::Fsm(fsm) => {
                 fsm.states.iter().map(|s| (s.block, &s.ops[..], s.min_cycles)).collect()
             }
-            Cut::Blocks => func.block_ids().map(|b| (b, &func.block(b).insts[..], 1)).collect(),
+            Cut::Blocks { .. } => {
+                func.block_ids().map(|b| (b, &func.block(b).insts[..], 1)).collect()
+            }
         };
         for (sidx, &(block, insts, min_cycles)) in states.iter().enumerate() {
             let start = prog.ops.len() as u32;
             for &iid in insts {
-                prog.lower_op(func, iid, cut);
+                prog.lower_op(func, iid, cut)?;
             }
             let last_of_block = states.get(sidx + 1).is_none_or(|s| s.0 != block);
             let (exit, term) = if last_of_block {
@@ -224,50 +230,74 @@ impl Program {
             };
             prog.states.push(StateProg { start, end, min_cycles, exit, term, reg_tail });
         }
-        prog
+        Ok(prog)
     }
 
-    /// Lower one instruction of a state. Phis run on the edges into their
-    /// block, and terminators become the state's exit.
-    fn lower_op(&mut self, func: &Function, iid: InstId, cut: Cut<'_>) {
+    /// The register file at reset with `args` in the parameter registers,
+    /// or why `args` do not fit the parameters: a count or a type that
+    /// differs.
+    pub(crate) fn reset(&self, args: &[Value]) -> Result<Vec<u64>, InterpError> {
+        let expected = self.params.len();
+        if args.len() != expected {
+            return Err(InterpError::BadArity { expected, got: args.len() });
+        }
+        let mut regs = self.init.clone();
+        for (index, (arg, &ty)) in args.iter().zip(&self.params).enumerate() {
+            if arg.ty() != ty {
+                return Err(InterpError::BadArgument { index, expected: ty, got: arg.ty() });
+            }
+            regs[index] = arg.to_bits();
+        }
+        Ok(regs)
+    }
+
+    /// Lower one instruction of a state, or return it when the cut's target
+    /// does not run it. Phis run on the edges into their block, and
+    /// terminators become the state's exit.
+    fn lower_op(&mut self, func: &Function, iid: InstId, cut: Cut<'_>) -> Result<(), InstId> {
         let inst = func.inst(iid);
         // Only the ops that yield a value read `dst`, and the verifier
         // makes each of them name its result.
         let dst = inst.result.map_or(Reg::MAX, reg);
-        let worker = matches!(cut, Cut::Fsm(_));
+        let (worker, host) = match cut {
+            Cut::Fsm(_) => (true, false),
+            Cut::Blocks { host } => (false, host),
+        };
         let op = if let Some(op) = RegOp::decode(func, &inst.op, dst) {
             MicroOp::Reg(op)
         } else {
-            match &inst.op {
-                Op::Phi { .. } | Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. } => return,
-                &Op::Load { addr, ty } => MicroOp::Load { dst, addr: reg(addr), ty },
-                &Op::Store { addr, value } => MicroOp::Store { addr: reg(addr), value: reg(value) },
-                &Op::Produce { queue, worker_sel, value } if worker => {
+            match inst.op {
+                Op::Phi { .. } | Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. } => {
+                    return Ok(())
+                }
+                Op::Load { addr, ty } => MicroOp::Load { dst, addr: reg(addr), ty },
+                Op::Store { addr, value } => {
+                    MicroOp::Store { addr: reg(addr), value: reg(value), ty: func.value_ty(value) }
+                }
+                Op::Produce { queue, worker_sel, value } if worker => {
                     MicroOp::Produce { queue: queue.0, sel: reg(worker_sel), value: reg(value) }
                 }
-                &Op::ProduceBroadcast { queue, value } if worker => {
+                Op::ProduceBroadcast { queue, value } if worker => {
                     MicroOp::Broadcast { queue: queue.0, value: reg(value) }
                 }
-                &Op::Consume { queue, channel_sel, ty } if worker => MicroOp::Consume {
+                Op::Consume { queue, channel_sel, ty } if worker => MicroOp::Consume {
                     queue: queue.0,
                     sel: reg(channel_sel),
                     dst,
                     beats: ty.fifo_beats(),
                 },
-                &Op::StoreLiveout { slot, value } if worker => {
-                    MicroOp::StoreLiveout { slot, value: reg(value) }
+                Op::StoreLiveout { slot, value } if worker => {
+                    MicroOp::StoreLiveout { slot, value: reg(value), ty: func.value_ty(value) }
                 }
-                &Op::ParallelFork { loop_id, .. } if !worker => MicroOp::Fork { loop_id },
-                Op::ParallelJoin { .. } if !worker => MicroOp::Join,
-                &Op::RetrieveLiveout { slot, .. } if !worker => MicroOp::Retrieve { dst, slot },
-                other => {
-                    self.unsupported.push(format!("{other:?}"));
-                    MicroOp::Unsupported { what: self.unsupported.len() as u32 - 1 }
-                }
+                Op::ParallelFork { loop_id, .. } if host => MicroOp::Fork { loop_id },
+                Op::ParallelJoin { .. } if host => MicroOp::Join,
+                Op::RetrieveLiveout { slot, ty } if host => MicroOp::Retrieve { dst, slot, ty },
+                _ => return Err(iid),
             }
         };
         self.ops.push(op);
         self.op_inst.push(iid);
+        Ok(())
     }
 
     /// The exit of state `sidx`, the last state of `block`, and the
@@ -293,7 +323,7 @@ impl Program {
             }
             let next = match cut {
                 Cut::Fsm(fsm) => fsm.block_entry[to.index()].0,
-                Cut::Blocks => to.0,
+                Cut::Blocks { .. } => to.0,
             };
             Edge { next, back: next as usize <= sidx, copies: (start, self.copies.len() as u32) }
         };
@@ -304,7 +334,7 @@ impl Program {
             Op::CondBr { cond, on_true, on_false } => {
                 Exit::Branch { cond: reg(cond), on_true: edge(on_true), on_false: edge(on_false) }
             }
-            Op::Ret { value } => Exit::Ret(value.map(reg)),
+            Op::Ret { value } => Exit::Ret(value.map(|v| (reg(v), func.value_ty(v)))),
             // Not a terminator: the verifier rejects that.
             _ => Exit::Ret(None),
         };
@@ -314,7 +344,7 @@ impl Program {
     /// Take `edge`'s phi copies on `regs`. The copies are parallel: every
     /// source is read into `staged` before any destination is written.
     #[inline(always)]
-    pub(crate) fn copy_phis(&self, edge: Edge, regs: &mut [Value], staged: &mut Vec<Value>) {
+    pub(crate) fn copy_phis(&self, edge: Edge, regs: &mut [u64], staged: &mut Vec<u64>) {
         let copies = &self.copies[edge.copies.0 as usize..edge.copies.1 as usize];
         staged.clear();
         staged.extend(copies.iter().map(|&(src, _)| regs[src as usize]));
@@ -338,20 +368,21 @@ impl Program {
 /// Why a function cannot be lowered (becomes [`HwError::Malformed`]).
 type LowerError = String;
 
-/// Lower `func`, scheduled as `fsm`, onto the datapath of a system whose
-/// queues have `queue_channels[q]` channels and which has `liveouts`
-/// liveout registers, after checking that it runs there.
+/// Lower `func`, scheduled as `fsm`, onto the datapath of a system with
+/// `queues` and `liveouts` liveout registers, after checking that it runs
+/// there.
 pub(crate) fn lower(
     func: &Function,
     fsm: &Fsm,
-    queue_channels: &[u32],
+    queues: &[QueueInfo],
     liveouts: usize,
 ) -> Result<Program, LowerError> {
     let verified = Verified::new(func).map_err(|e| e.to_string())?;
     check_fsm(func, fsm).map_err(|e| e.to_string())?;
     check_schedule_order(func, fsm)?;
-    check_ports(func, fsm, queue_channels, liveouts)?;
-    Ok(Program::new(verified, Cut::Fsm(fsm)))
+    check_ports(func, fsm, queues, liveouts)?;
+    Program::new(verified, Cut::Fsm(fsm))
+        .map_err(|i| format!("{i}: {:?} does not run on a worker", func.inst(i).op))
 }
 
 /// Within each block, every operand defined by a non-phi instruction of
@@ -386,27 +417,33 @@ fn check_schedule_order(func: &Function, fsm: &Fsm) -> Result<(), LowerError> {
     Ok(())
 }
 
-/// Every queue and liveout register an op names exists.
+/// Every queue and liveout register an op names exists, and every queue
+/// port carries the queue's element type.
 fn check_ports(
     func: &Function,
     fsm: &Fsm,
-    queue_channels: &[u32],
+    queues: &[QueueInfo],
     liveouts: usize,
 ) -> Result<(), LowerError> {
     for &i in fsm.states.iter().flat_map(|s| &s.ops) {
         let op = &func.inst(i).op;
-        match *op {
-            Op::Produce { queue, .. }
-            | Op::ProduceBroadcast { queue, .. }
-            | Op::Consume { queue, .. }
-                if queue_channels.get(queue.index()).is_none_or(|&c| c == 0) =>
-            {
-                return Err(format!("{op:?} targets unknown queue {}", queue.0));
+        let (queue, ty) = match *op {
+            Op::Produce { queue, value, .. } | Op::ProduceBroadcast { queue, value } => {
+                (queue, func.value_ty(value))
             }
+            Op::Consume { queue, ty, .. } => (queue, ty),
             Op::StoreLiveout { slot, .. } if slot as usize >= liveouts => {
                 return Err(format!("{op:?} targets unknown liveout register {slot}"));
             }
-            _ => {}
+            _ => continue,
+        };
+        match queues.get(queue.index()) {
+            Some(q) if q.channels > 0 && q.elem_ty == ty => {}
+            Some(q) if q.channels > 0 => {
+                let elem = q.elem_ty;
+                return Err(format!("{op:?} carries {ty} through queue {} of {elem}", queue.0));
+            }
+            _ => return Err(format!("{op:?} targets unknown queue {}", queue.0)),
         }
     }
     Ok(())
@@ -438,9 +475,9 @@ pub(crate) struct Entered {
 pub(crate) struct Worker {
     /// Index into the function/FSM/program tables.
     pub(crate) func: usize,
-    regs: Vec<Value>,
+    regs: Vec<u64>,
     /// Phi staging buffer (copies on an edge are parallel).
-    staged: Vec<Value>,
+    staged: Vec<u64>,
     pub(crate) state: usize,
     pub(crate) entered: bool,
     /// Next micro-op to execute (an index into the program's op table).
@@ -464,13 +501,9 @@ pub(crate) struct Worker {
 
 impl Worker {
     /// A worker at reset, its parameter registers holding `args`, or why
-    /// `args` do not fit the program's parameter list.
+    /// `args` do not fit the program's parameters.
     pub(crate) fn new(func: usize, prog: &Program, args: &[Value]) -> Result<Self, LowerError> {
-        if args.len() != prog.params {
-            return Err(format!("expected {} arguments, got {}", prog.params, args.len()));
-        }
-        let mut regs = prog.init.clone();
-        regs[..args.len()].copy_from_slice(args);
+        let regs = prog.reset(args).map_err(|e| e.to_string())?;
         Ok(Worker { regs, ..Worker::inert(func) })
     }
 
@@ -516,14 +549,10 @@ impl Worker {
         self.ahead.iter().find(|e| e.resumed).map(|e| e.at).filter(|&resp| cycle < resp)
     }
 
+    /// The bits register `r` holds.
     #[inline]
-    fn reg(&self, r: Reg) -> Value {
+    fn reg(&self, r: Reg) -> u64 {
         self.regs[r as usize]
-    }
-
-    #[inline]
-    fn set(&mut self, r: Reg, v: Value) {
-        self.regs[r as usize] = v;
     }
 
     /// Burn `k` of the remaining cycles of a state whose ops have all
@@ -600,14 +629,11 @@ pub(crate) struct Shared<'a> {
     pub(crate) fault: &'a mut Option<FaultPlan>,
 }
 
-/// A channel selector: `i32`, or a pointer used as one.
+/// The channel of a queue with `channels` channels that the `i32`
+/// selector bits `sel` pick.
 #[inline]
-fn as_selector(v: Value) -> Result<i32, ExecError> {
-    match v {
-        Value::I32(x) => Ok(x),
-        Value::Ptr(p) => Ok(p as i32),
-        other => Err(mistyped("i32", other)),
-    }
+fn channel(sel: u64, channels: usize) -> usize {
+    (sel as u32 as i32 as usize) % channels
 }
 
 /// Advance one worker by one cycle.
@@ -660,9 +686,8 @@ pub(crate) fn step_worker(
     while w.cursor < st.end as usize {
         match prog.ops[w.cursor] {
             MicroOp::Load { dst, addr, ty } => {
-                let a = as_ptr(&w.regs[addr as usize])?;
-                let v = hw.mem.read_value(a, ty).map_err(out_of_range)?;
-                w.set(dst, v);
+                let a = w.reg(addr) as u32;
+                w.regs[dst as usize] = hw.mem.read_value(a, ty).map_err(out_of_range)?.to_bits();
                 let mut done = hw.cache.request(cycle, a);
                 if let Some(plan) = hw.fault.as_mut() {
                     done += plan.mem_penalty(cycle);
@@ -678,30 +703,30 @@ pub(crate) fn step_worker(
                 w.mem_wait = Some(resp);
                 return Ok(StepOutcome::MemWait { until: resp });
             }
-            MicroOp::Store { addr, value } => {
+            MicroOp::Store { addr, value, ty } => {
                 // Store buffer: fire and forget; the access still occupies
                 // its bank.
-                let a = as_ptr(&w.regs[addr as usize])?;
-                hw.mem.write_value(a, w.reg(value)).map_err(out_of_range)?;
+                let a = w.reg(addr) as u32;
+                let v = Value::from_bits(ty, w.reg(value));
+                hw.mem.write_value(a, v).map_err(out_of_range)?;
                 let _ = hw.cache.request(cycle, a);
             }
             MicroOp::Produce { queue, sel, value } => {
                 let n_queues = hw.queues.len();
                 let q = &mut hw.queues[queue as usize];
-                let chan = (as_selector(w.reg(sel))? as usize) % q.channels();
+                let chan = channel(w.reg(sel), q.channels());
                 if !q.can_push(chan) {
                     return Ok(fifo_wait(w, queue, true));
                 }
-                let v = w.reg(value);
                 q.set_cycle(cycle);
-                q.push(chan, v);
+                q.push_bits(chan, w.reg(value));
                 if let Some(plan) = hw.fault.as_mut() {
                     let ordinal = q.elems_pushed - 1;
                     if let Some(c) = plan.queue_corruption(queue as usize, n_queues, ordinal) {
                         q.apply_corruption(chan, c);
                     }
                 }
-                w.extra_wait += v.ty().fifo_beats() - 1; // extra 32-bit beats
+                w.extra_wait += q.elem_beats() as u32 - 1; // extra 32-bit beats
             }
             MicroOp::Broadcast { queue, value } => {
                 let n_queues = hw.queues.len();
@@ -709,9 +734,8 @@ pub(crate) fn step_worker(
                 if !q.can_push_all() {
                     return Ok(fifo_wait(w, queue, true));
                 }
-                let v = w.reg(value);
                 q.set_cycle(cycle);
-                q.push_all(v);
+                q.push_all_bits(w.reg(value));
                 if let Some(plan) = hw.fault.as_mut() {
                     // `push_all` counted one element push per channel.
                     let n_chan = q.channels() as u64;
@@ -723,34 +747,28 @@ pub(crate) fn step_worker(
                         }
                     }
                 }
-                w.extra_wait += v.ty().fifo_beats() - 1;
+                w.extra_wait += q.elem_beats() as u32 - 1;
             }
             MicroOp::Consume { queue, sel, dst, beats } => {
                 let q = &mut hw.queues[queue as usize];
-                let chan = (as_selector(w.reg(sel))? as usize) % q.channels();
+                let chan = channel(w.reg(sel), q.channels());
                 if !q.can_pop(chan) {
                     return Ok(fifo_wait(w, queue, false));
                 }
                 q.set_cycle(cycle);
                 match q.pop_checked(queue, chan) {
-                    Ok(v) => w.set(dst, v),
+                    Ok(v) => w.regs[dst as usize] = v.to_bits(),
                     // The caller fills `detail` with the whole-system dump.
                     Err(kind) => return Err(HwError::Fault { cycle, kind, detail: String::new() }),
                 }
                 w.extra_wait += beats - 1;
             }
-            MicroOp::StoreLiveout { slot, value } => {
-                hw.liveouts[slot as usize] = Some(w.reg(value))
+            MicroOp::StoreLiveout { slot, value, ty } => {
+                hw.liveouts[slot as usize] = Some(Value::from_bits(ty, w.reg(value)))
             }
-            MicroOp::Unsupported { what } => {
-                let msg = prog.unsupported.get(what as usize).cloned().unwrap_or_default();
-                return Err(HwError::Unsupported(msg));
-            }
-            // Host primitives lower to `Unsupported` for a worker.
-            op @ (MicroOp::Fork { .. } | MicroOp::Join | MicroOp::Retrieve { .. }) => {
-                return Err(HwError::Unsupported(format!("{op:?}")));
-            }
-            MicroOp::Reg(op) => op.exec(&mut w.regs)?,
+            // A worker's lowering rejects host primitives.
+            MicroOp::Fork { .. } | MicroOp::Join | MicroOp::Retrieve { .. } => {}
+            MicroOp::Reg(op) => op.exec(&mut w.regs),
         }
         w.cursor += 1;
     }
@@ -765,7 +783,7 @@ pub(crate) fn step_worker(
         w.min_left -= 1;
         return Ok(burn_outcome(w, cycle));
     }
-    let back = advance(prog, &st.exit, w)?;
+    let back = advance(prog, &st.exit, w);
     if w.finished || horizon <= cycle + 1 {
         return Ok(StepOutcome::Active);
     }
@@ -789,12 +807,10 @@ pub(crate) fn step_worker(
 /// was read at issue.
 ///
 /// Declines, leaving the worker to wait on memory, when the state would
-/// not end before `horizon` (the next timed fault boundary), or when one
-/// of its ops or its branch fails: the response step runs the ops again
-/// at `resp` and raises the error there, which is exact for the reason
-/// given at [`run_ahead`]. Otherwise returns the cycle the worker enters
-/// the state it stopped before, and logs the window in [`Worker::ahead`]:
-/// the issue step, the response (`resumed`), and each state entered.
+/// not end before `horizon` (the next timed fault boundary). Otherwise
+/// returns the cycle the worker enters the state it stopped before, and
+/// logs the window in [`Worker::ahead`]: the issue step, the response
+/// (`resumed`), and each state entered.
 fn respond_ahead(
     prog: &Program,
     w: &mut Worker,
@@ -807,11 +823,12 @@ fn respond_ahead(
     // The state's last cycle: the response cycle, then one per remaining
     // transfer beat, then `min_cycles` down to its final cycle.
     let last = resp + u64::from(w.extra_wait) + u64::from(w.min_left.max(1)) - 1;
-    if last >= horizon || !run_regs(prog, w, w.cursor, st.end as usize) {
+    if last >= horizon {
         return None;
     }
+    run_regs(prog, w, w.cursor, st.end as usize);
     let state = w.state as u32;
-    let back = advance(prog, &st.exit, w).ok()?;
+    let back = advance(prog, &st.exit, w);
     w.extra_wait = 0;
     w.ahead.push(Entered { at: cycle, state, back: false, resumed: false });
     if last > resp {
@@ -822,17 +839,16 @@ fn respond_ahead(
     Some(run_ahead(prog, w, last + 1, horizon))
 }
 
-/// Execute the register ops `prog.ops[from..to]` on a worker's registers;
-/// false when one is not a register op or fails.
+/// Execute the ops `prog.ops[from..to]` on a worker's registers; the
+/// caller has checked (by the state's `reg_tail`) that all are
+/// [`RegOp`]s.
 #[inline(always)]
-fn run_regs(prog: &Program, w: &mut Worker, from: usize, to: usize) -> bool {
+fn run_regs(prog: &Program, w: &mut Worker, from: usize, to: usize) {
     for op in &prog.ops[from..to] {
-        let MicroOp::Reg(op) = op else { return false };
-        if op.exec(&mut w.regs).is_err() {
-            return false;
+        if let MicroOp::Reg(op) = op {
+            op.exec(&mut w.regs);
         }
     }
-    true
 }
 
 /// Run a worker that enters `w.state` in cycle `entry`, its move into it
@@ -841,11 +857,7 @@ fn run_regs(prog: &Program, w: &mut Worker, from: usize, to: usize) -> bool {
 /// as of the cycle the per-cycle stepper would, and log the move out of it.
 /// Stops before a state with a port op or a `Ret` exit, before a state
 /// that would not end before `horizon` (the next timed fault boundary),
-/// once the log holds [`MAX_AHEAD`] entries after the first, and before a
-/// state whose op or branch fails: the stepper runs that state again when
-/// the clock reaches its entry and raises the error there. Running it
-/// again is exact, because each of its ops writes its own result register
-/// from values computed before it.
+/// and once the log holds [`MAX_AHEAD`] entries after the first.
 ///
 /// Returns the cycle the worker enters the state it stopped before. Every
 /// cycle from `entry` until then is busy.
@@ -853,14 +865,11 @@ fn run_ahead(prog: &Program, w: &mut Worker, mut entry: u64, horizon: u64) -> u6
     loop {
         let st = &prog.states[w.state];
         let last = entry + u64::from(st.min_cycles.max(1)) - 1;
-        if st.reg_tail != st.start
-            || last >= horizon
-            || w.ahead.len() > MAX_AHEAD
-            || !run_regs(prog, w, st.start as usize, st.end as usize)
-        {
+        if st.reg_tail != st.start || last >= horizon || w.ahead.len() > MAX_AHEAD {
             break;
         }
-        let Ok(back) = advance(prog, &st.exit, w) else { break };
+        run_regs(prog, w, st.start as usize, st.end as usize);
+        let back = advance(prog, &st.exit, w);
         w.ahead.push(Entered { at: last, state: w.state as u32, back, resumed: false });
         entry = last + 1;
     }
@@ -884,27 +893,27 @@ fn burn_outcome(w: &Worker, cycle: u64) -> StepOutcome {
 }
 
 /// Transition after a completed state; true when it took a loop back
-/// edge. A branch on a register that does not hold an `i1` fails.
+/// edge.
 #[inline(always)]
-fn advance(prog: &Program, exit: &Exit, w: &mut Worker) -> Result<bool, ExecError> {
+fn advance(prog: &Program, exit: &Exit, w: &mut Worker) -> bool {
     let edge = match *exit {
         Exit::Next => {
             w.state += 1;
             w.entered = false;
-            return Ok(false);
+            return false;
         }
         Exit::Jump(edge) => edge,
         Exit::Branch { cond, on_true, on_false } => {
-            if as_bool(&w.regs[cond as usize])? {
+            if w.reg(cond) != 0 {
                 on_true
             } else {
                 on_false
             }
         }
         Exit::Ret(value) => {
-            w.ret = value.map(|r| w.reg(r));
+            w.ret = value.map(|(r, ty)| Value::from_bits(ty, w.reg(r)));
             w.finished = true;
-            return Ok(false);
+            return false;
         }
     };
     prog.copy_phis(edge, &mut w.regs, &mut w.staged);
@@ -913,5 +922,5 @@ fn advance(prog: &Program, exit: &Exit, w: &mut Worker) -> Result<bool, ExecErro
     }
     w.state = edge.next as usize;
     w.entered = false;
-    Ok(edge.back)
+    edge.back
 }

@@ -217,9 +217,14 @@ impl QueueState {
     /// Panics when the channel is full (callers must check
     /// [`can_push`](QueueState::can_push) first; the hardware stalls).
     pub fn push(&mut self, c: usize, v: Value) {
+        self.push_bits(c, v.to_bits());
+    }
+
+    /// [`push`](QueueState::push) of the element whose [`Value::to_bits`]
+    /// pattern is `bits`.
+    pub(crate) fn push_bits(&mut self, c: usize, bits: u64) {
         assert!(self.can_push(c), "push to full channel {c}");
         self.settle(c, self.now);
-        let bits = v.to_bits();
         for beat in 0..self.elem_beats() {
             let data = (bits >> (32 * beat)) as u32;
             let seq = self.push_seq[c];
@@ -235,11 +240,17 @@ impl QueueState {
     /// # Panics
     /// Panics when any channel is full.
     pub fn push_all(&mut self, v: Value) {
+        self.push_all_bits(v.to_bits());
+    }
+
+    /// [`push_all`](QueueState::push_all) of the element whose
+    /// [`Value::to_bits`] pattern is `bits`.
+    pub(crate) fn push_all_bits(&mut self, bits: u64) {
         assert!(self.can_push_all(), "broadcast into a full channel");
         for c in 0..self.channels() {
-            self.push(c, v);
+            self.push_bits(c, bits);
         }
-        // `push` counted each channel as one element push.
+        // `push_bits` counted each channel as one element push.
     }
 
     /// Pop one element from channel `c`, verifying beat protection.

@@ -82,10 +82,6 @@ pub enum HwError {
     Timeout { cycle: u64 },
     /// No worker made progress for a long time (FIFO deadlock).
     Deadlock { cycle: u64, detail: String },
-    /// A worker executed an operation the hardware model does not support
-    /// (host-side primitives inside a task, or an op/value combination the
-    /// execution semantics do not define).
-    Unsupported(String),
     /// An injected hardware fault was caught by the FIFO protection layer
     /// or the hang detector. `detail` is a diagnostic dump of per-queue
     /// occupancy and per-worker FSM state at detection time.
@@ -99,9 +95,10 @@ pub enum HwError {
     },
     /// A worker's task function cannot be lowered onto the datapath: it
     /// fails the IR verifier, its FSM does not schedule it in dependence
-    /// order, an op names a queue or liveout register the system lacks, or
-    /// the worker's arguments do not match its parameters. Raised before
-    /// any cycle runs.
+    /// order, it holds a host primitive, an op names a queue or liveout
+    /// register the system lacks or moves another type through a queue
+    /// than its element type, or the worker's arguments do not match its
+    /// parameters in count or type. Raised before any cycle runs.
     Malformed {
         /// Worker whose task function was rejected.
         worker: u32,
@@ -128,7 +125,6 @@ impl fmt::Display for HwError {
             HwError::Deadlock { cycle, detail } => {
                 write!(f, "pipeline deadlock at cycle {cycle}: {detail}")
             }
-            HwError::Unsupported(s) => write!(f, "unsupported operation in hardware: {s}"),
             HwError::Fault { cycle, kind, detail } => {
                 write!(f, "hardware fault detected at cycle {cycle}: {kind}\n{detail}")
             }
@@ -156,14 +152,8 @@ impl HwError {
             | HwError::Deadlock { cycle, .. }
             | HwError::Fault { cycle, .. }
             | HwError::OutOfRange { cycle, .. } => Some(*cycle),
-            HwError::Unsupported(_) | HwError::Malformed { .. } => None,
+            HwError::Malformed { .. } => None,
         }
-    }
-}
-
-impl From<crate::exec::ExecError> for HwError {
-    fn from(e: crate::exec::ExecError) -> Self {
-        HwError::Unsupported(e.0)
     }
 }
 
@@ -274,12 +264,11 @@ impl<'m> HwSystem<'m> {
         cfg: HwConfig,
         design: &str,
     ) -> Self {
-        let channels: Vec<u32> = queues.iter().map(|q| q.channels).collect();
         let lowered: Vec<Result<Program, String>> = funcs
             .iter()
             .enumerate()
             .map(|(i, f)| match fsms.get(i) {
-                Some(fsm) => lower(f, fsm, &channels, liveouts),
+                Some(fsm) => lower(f, fsm, queues, liveouts),
                 None => Err(format!("no FSM for function `{}`", f.name)),
             })
             .collect();
@@ -432,12 +421,11 @@ impl<'m> HwSystem<'m> {
     /// change the engine.
     ///
     /// # Errors
-    /// [`HwError::Malformed`] when a task could not be lowered (before any
-    /// cycle runs), [`HwError::Timeout`] when fuel runs out,
-    /// [`HwError::Deadlock`] when no worker progresses,
-    /// [`HwError::Unsupported`] on host-only ops or undefined operand
-    /// combinations, [`HwError::OutOfRange`] on an access outside memory,
-    /// [`HwError::Fault`] when injected corruption is detected.
+    /// [`HwError::Malformed`] when a task could not be lowered or a
+    /// worker's arguments do not fit it (before any cycle runs),
+    /// [`HwError::Timeout`] when fuel runs out, [`HwError::Deadlock`] when
+    /// no worker progresses, [`HwError::OutOfRange`] on an access outside
+    /// memory, [`HwError::Fault`] when injected corruption is detected.
     pub fn run(&mut self, mem: &mut SimMemory) -> Result<SystemStats, HwError> {
         let result = self.run_impl(mem, self.cfg.engine == SimEngine::EventDriven);
         // Stamp the armed trace with where the run stopped.
@@ -460,7 +448,7 @@ impl<'m> HwSystem<'m> {
 
     /// The run loop. `event_driven = false` is the per-cycle reference
     /// stepper: it steps every live worker in every cycle. `true` steps
-    /// the same way but adds four things:
+    /// the same way but adds three things:
     ///
     /// - **Run-ahead.** A worker that leaves a state runs straight on
     ///   through the register-only states after it (see
@@ -479,10 +467,6 @@ impl<'m> HwSystem<'m> {
     ///   the worker to sleep. When no worker is due in the next cycle the
     ///   clock jumps straight to the earliest one that is, or to the
     ///   watchdog deadline or the fuel limit, whichever comes first.
-    /// - **A lone worker steps directly.** While only one worker is live
-    ///   and due, [`HwSystem::run_lone`] steps it from wake to wake,
-    ///   without the scans over live workers and sleepers, and hands every
-    ///   outcome but an `Active` step or a timed sleep back to this loop.
     ///
     /// Statistics, error cycles, fault attribution, trace events and
     /// diagnostic dumps stay exactly per-cycle-equivalent: while a run-ahead
@@ -514,9 +498,6 @@ impl<'m> HwSystem<'m> {
         while run.cycle < run.fuel {
             if run.live.is_empty() {
                 break;
-            }
-            if event_driven && run.live.len() == 1 && self.run_lone(mem, &mut run)? {
-                continue;
             }
             let cycle = run.cycle;
             let horizon = self.horizon(&run);
@@ -605,52 +586,6 @@ impl<'m> HwSystem<'m> {
             cache: self.cache.stats,
             skipped_cycles: run.skipped_cycles,
         })
-    }
-
-    /// Step the one live worker from wake to wake, starting in `run.cycle`,
-    /// while each step is `Active` or starts a timed sleep (a memory wait,
-    /// a burning state, a run-ahead window): the clock moves straight to
-    /// the cycle the worker is due in next. The first step with another
-    /// outcome (the worker finished, was frozen or blocked on a FIFO) ends
-    /// its cycle as the general loop does, and hands the run back to it.
-    ///
-    /// Returns false, having done nothing, when the worker is not due in
-    /// `run.cycle` (only a FIFO or frozen sleeper can be), and true once it
-    /// has simulated at least that cycle.
-    fn run_lone(&mut self, mem: &mut SimMemory, run: &mut RunState) -> Result<bool, HwError> {
-        let wi = run.live[0];
-        let mut stepped = false;
-        while run.cycle < run.fuel {
-            let cycle = run.cycle;
-            let slept = run.sleep[wi];
-            if !slept.due(cycle, &self.queues) {
-                return Ok(stepped);
-            }
-            if slept.class != StepOutcome::Active {
-                run.sleep[wi] = Sleep::AWAKE;
-                let w = &mut self.workers[wi];
-                credit(w, slept, cycle);
-                w.wake();
-            }
-            let horizon = self.horizon(run);
-            let (outcome, busy) = self.step_live(mem, run, wi, horizon)?;
-            stepped = true;
-            let finished = self.workers[wi].finished;
-            if finished {
-                run.finish_cycle[wi] = cycle;
-                run.live.clear();
-            } else if outcome != StepOutcome::Active {
-                run.sleep[wi] = Sleep::new(outcome, cycle, horizon, &self.queues);
-            }
-            self.close_cycle(run, busy)?;
-            let s = &run.sleep[wi];
-            let (next, busy_from) = (s.next_due(cycle, &self.queues), s.busy_from);
-            self.advance_clock(run, next, busy_from)?;
-            if finished || matches!(outcome, StepOutcome::FifoWait { .. } | StepOutcome::Frozen) {
-                break;
-            }
-        }
-        Ok(stepped)
     }
 
     /// The cycle run-ahead windows and sleeps that start in `run.cycle` end
@@ -1361,6 +1296,28 @@ mod tests {
         assert!(err.to_string().contains("expected 2 arguments, got 1"), "{err}");
     }
 
+    /// `check_ports`: a consume whose type differs from its queue's element
+    /// type is malformed before any cycle runs.
+    #[test]
+    fn a_consume_of_another_type_than_its_queue_is_malformed() {
+        let mut m = cgpa_ir::Module::new("mistyped");
+        let q = m.add_queue("vals", Ty::I32, 1);
+        let mut b = FunctionBuilder::new("sink", &[], Some(Ty::F32));
+        let zero = b.const_i32(0);
+        let v = b.consume(q, zero, Ty::F32);
+        b.ret(Some(v));
+        let f = b.finish().unwrap();
+        for cfg in engines() {
+            let fsms = vec![schedule_function(&f)];
+            let instance = Instance { func: 0, args: Vec::new(), label: "sink".into() };
+            let mut sys =
+                HwSystem::build(vec![&f], fsms.into(), &m.queues, 0, vec![instance], cfg, "x");
+            let err = sys.run(&mut SimMemory::new(1 << 12)).unwrap_err();
+            assert!(matches!(err, HwError::Malformed { worker: 0, .. }), "{err:?}");
+            assert!(err.to_string().contains("carries f32 through queue 0 of i32"), "{err}");
+        }
+    }
+
     #[test]
     fn out_of_range_accesses_are_typed_errors() {
         // store i32 1, p / load f64, p — with p two bytes short of the end.
@@ -1585,9 +1542,8 @@ mod tests {
     }
 
     /// `fn spin(p: ptr)`: `links` dependent `f64` multiplies, each its own
-    /// multi-cycle state, then a block that either evaluates an ordered
-    /// `icmp` on `i1` (undefined: `Unsupported`) or loads through `p`.
-    fn spin(links: usize, fail_with_load: bool) -> Function {
+    /// multi-cycle state, then a block that loads an `f64` through `p`.
+    fn spin(links: usize) -> Function {
         let mut b = FunctionBuilder::new("spin", &[("p", Ty::Ptr)], None);
         let p = b.param(0);
         let tail = b.append_block("tail");
@@ -1600,33 +1556,29 @@ mod tests {
         b.switch_to(tail);
         let zero = b.const_f64(0.0);
         let neg = b.fcmp(cgpa_ir::FloatPredicate::Olt, x, zero);
-        if fail_with_load {
-            let addr = b.select(neg, p, p);
-            b.load(addr, Ty::F64);
-        } else {
-            b.icmp(IntPredicate::Slt, neg, neg);
-        }
+        let addr = b.select(neg, p, p);
+        b.load(addr, Ty::F64);
         b.br(exit);
         b.switch_to(exit);
         b.ret(None);
         b.finish().unwrap()
     }
 
-    /// An op that fails in one worker's register-only state races another
-    /// worker's out-of-range load; whichever the per-cycle reference meets
-    /// first is the error both engines report.
+    /// Two workers run ahead through register-only states and then make
+    /// out-of-range loads; whichever the per-cycle reference meets first is
+    /// the error both engines report.
     #[test]
-    fn an_op_error_and_an_out_of_range_access_race_identically() {
+    fn out_of_range_accesses_race_identically() {
         let mem = SimMemory::new(1 << 12);
         let bad = Value::Ptr(mem.size() - 2);
-        for (op_links, load_links, op_first) in [(2, 6, true), (6, 2, false)] {
-            let funcs = [spin(op_links, false), spin(load_links, true)];
+        for (links, first) in [([2, 6], 0), ([6, 2], 1)] {
+            let funcs = links.map(spin);
             let instances = [(0, vec![bad]), (1, vec![bad])];
             let [(ev, ev_vcd, _), (rf, rf_vcd, _)] =
                 engines().map(|cfg| run_traced(&funcs, &[], &instances, cfg, &mem));
             let (ev, rf) = (ev.unwrap_err(), rf.unwrap_err());
             assert_eq!(ev, rf, "engines report different errors");
-            assert_eq!(matches!(rf, HwError::Unsupported(_)), op_first, "{rf}");
+            assert!(matches!(rf, HwError::OutOfRange { worker, .. } if worker == first), "{rf}");
             assert!(ev_vcd == rf_vcd, "VCD waveforms differ between engines");
         }
     }

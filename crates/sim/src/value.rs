@@ -59,20 +59,7 @@ impl Value {
         }
     }
 
-    /// Interpret as `i32` (also accepts `Ptr` for selector arithmetic).
-    ///
-    /// # Panics
-    /// Panics on other types.
-    #[must_use]
-    pub fn as_i32(&self) -> i32 {
-        match self {
-            Value::I32(v) => *v,
-            Value::Ptr(p) => *p as i32,
-            other => panic!("expected i32, got {other:?}"),
-        }
-    }
-
-    /// Raw 64-bit pattern (used by FIFO beats and memory).
+    /// Raw 64-bit pattern: the layout of a register, and of FIFO beats.
     #[must_use]
     pub fn to_bits(&self) -> u64 {
         match self {
