@@ -2,7 +2,8 @@
 //! the default design point on every kernel, memoization must be observable
 //! (warm re-runs compile strictly less) and bit-exact (same Verilog, same
 //! schedules), FIFO-depth replay must agree with simulating every point,
-//! and the Pareto frontier must be exactly the non-dominated subset for
+//! no knob moves what one compiled design does apart from its stalls, and
+//! the Pareto frontier must be exactly the non-dominated subset for
 //! arbitrary inputs.
 
 use cgpa::compiler::{CgpaCompiler, CgpaConfig};
@@ -14,6 +15,7 @@ use cgpa::flows::{run_cgpa_dse, run_compiled, FlowError, HwTuning, RunSpec, Targ
 use cgpa_kernels::{em3d, gaussblur, hash_index, kmeans, ks, BuiltKernel};
 use cgpa_pipeline::ReplicablePlacement;
 use cgpa_rtl::power::{energy_delay_product, PowerReport, CLOCK_HZ};
+use cgpa_sim::{SimEngine, SystemStats};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -178,10 +180,25 @@ struct BruteForce {
     recommended: Option<DseOutcome>,
 }
 
+/// What no lattice knob moves within one compiled design (DESIGN.md §10):
+/// each worker's busy cycles and iterations, the FIFO beats and the cache
+/// accesses. FIFO depth and cache geometry change stall cycles only.
+type Invariants = (Vec<(u64, u64)>, u64, u64);
+
+fn invariants(stats: &SystemStats) -> Invariants {
+    let workers = stats.workers.iter().map(|w| (w.busy, w.iterations)).collect();
+    (workers, stats.fifo_beats, stats.cache.accesses)
+}
+
+/// Simulate every point of `lattice` under `env`, on both engines, and
+/// build the report the explorer must match from `env`'s engine's runs.
+/// Every run of one compiled design, on either engine, must have the
+/// design's first run's [`Invariants`].
 fn brute_force(k: &BuiltKernel, lattice: &DseLattice, env: HwTuning) -> BruteForce {
     let base = CgpaConfig::default();
     let cache = CompileCache::new();
     let (mut evaluated, mut compile_skips, mut sim_skips) = (Vec::new(), Vec::new(), Vec::new());
+    let mut designs: Vec<(CgpaConfig, DsePoint, Invariants)> = Vec::new();
     for p in lattice.points(&env) {
         let tuning = p.tuning(&env);
         assert!(tuning.cache_config(p.workers).validate().is_ok(), "built-in lattices are valid");
@@ -193,8 +210,26 @@ fn brute_force(k: &BuiltKernel, lattice: &DseLattice, env: HwTuning) -> BruteFor
                 continue;
             }
         };
-        let spec = RunSpec { tuning, ..RunSpec::new(Target::Cgpa(cfg)) };
-        match run_compiled(k, &design, &spec) {
+        let run = |engine| {
+            let tuning = HwTuning { engine, ..tuning };
+            run_compiled(k, &design, &RunSpec { tuning, ..RunSpec::new(Target::Cgpa(cfg)) })
+        };
+        let other = match env.engine {
+            SimEngine::EventDriven => SimEngine::PerCycle,
+            SimEngine::PerCycle => SimEngine::EventDriven,
+        };
+        let result = run(env.engine);
+        for (engine, r) in [(env.engine, result.as_ref().ok().cloned()), (other, run(other).ok())] {
+            let Some(stats) = r.and_then(|r| r.stats) else { continue };
+            let got = invariants(&stats);
+            match designs.iter().find(|(c, ..)| *c == cfg) {
+                Some((_, first, want)) => {
+                    assert_eq!(&got, want, "{}: {engine:?} {p:?} vs {first:?}", k.name);
+                }
+                None => designs.push((cfg, p, got)),
+            }
+        }
+        match result {
             Ok(r) => {
                 let power = PowerReport {
                     power_mw: r.power_mw,

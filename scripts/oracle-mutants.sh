@@ -6,8 +6,9 @@
 # Copies the tree to a temp dir and applies each mutant of
 # crates/sim/src/exec.rs in turn:
 # - int32: `Xor` returns `x ^ y ^ 1`;
-# - fadd: every f32 `fadd` result is multiplied by `1 + f32::EPSILON`, on
-#   both the typed and the tagged path.
+# - fadd: every f32 `fadd` result is multiplied by `1 + f32::EPSILON`, in
+#   both places the `float` kernel's f32 result is taken: the register op
+#   the executors run and the tagged `eval_binary`.
 # For each it builds `experiments` and asserts that full-scale `experiments
 # all` exits non-zero with a `verification:` error. A mutant whose pattern
 # no longer matches the source fails the script, so it cannot pass
@@ -54,5 +55,5 @@ mutant() {
   fi
 }
 mutant int32-xor '/^fn int32(/,/^}/ s/BinOp::Xor => x ^ y,/BinOp::Xor => x ^ y ^ 1,/' 1
-mutant f32-fadd 's/float(op, x, y)\.map(V::F32)/float(op, x, y).map(|v| V::F32(if op == BinOp::FAdd { v * (1.0 + f32::EPSILON) } else { v }))/' 2
+mutant f32-fadd 's/float(op, x, y)\.map(V::F32)/float(op, x, y).map(|v| V::F32(if op == BinOp::FAdd { v * (1.0 + f32::EPSILON) } else { v }))/; s/\.map(of_f32))$/.map(|v| of_f32(if op == BinOp::FAdd { v * (1.0 + f32::EPSILON) } else { v })))/' 2
 exit $status
