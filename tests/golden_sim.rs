@@ -13,6 +13,11 @@
 //! functional reference's executed-instruction count, an FNV-1a hash of its
 //! final memory image and its return value. The test only reads the file;
 //! a deliberate change to simulated behaviour has to update it by hand.
+//!
+//! `tests/golden/sim_skipped.txt` pins, for every event-driven case, the
+//! `skipped_cycles` the hash leaves out: which cycles the event engine
+//! evaluates. A cycle it evaluates without need (or skips by mistake)
+//! changes that count and nothing else.
 
 use cgpa_repro::cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa_repro::cgpa::flows::HwTuning;
@@ -27,6 +32,7 @@ use cgpa_repro::sim::{
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/sim_stats.txt");
+const GOLDEN_SKIPPED: &str = include_str!("golden/sim_skipped.txt");
 
 fn small_suite() -> Vec<BuiltKernel> {
     vec![
@@ -53,13 +59,17 @@ struct Observed {
 }
 
 impl Observed {
-    fn line(mut self, case: &str) -> String {
+    /// The case's fingerprint line and its `skipped_cycles` line.
+    fn lines(mut self, case: &str) -> (String, String) {
         let cycles: u64 = self.stats.iter().map(|s| s.cycles).sum();
+        let mut skipped = 0;
         for s in &mut self.stats {
+            skipped += s.skipped_cycles;
             s.skipped_cycles = 0;
         }
         let text = format!("{:?}|{:?}|{:?}", self.stats, self.liveouts, self.ret);
-        format!("{case} cycles={cycles} hash={:016x}", fnv1a(text.as_bytes()))
+        let hash = fnv1a(text.as_bytes());
+        (format!("{case} cycles={cycles} hash={hash:016x}"), format!("{case} skipped={skipped}"))
     }
 }
 
@@ -116,12 +126,13 @@ fn run_cgpa(
     Observed { stats, liveouts, ret }
 }
 
-/// Every case's fingerprint line under `engine`, in file order.
-fn fingerprints(engine: SimEngine) -> String {
+/// Every case's fingerprint line under `engine`, in file order, and every
+/// case's `skipped_cycles` line.
+fn fingerprints(engine: SimEngine) -> (String, String) {
     let slow_memory = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
     let timing = [FaultClass::StallWorker, FaultClass::MemLatencyBurst, FaultClass::PortContention];
     let plan = FaultPlan::seeded(&timing, 1);
-    let mut out = String::new();
+    let (mut out, mut skipped) = (String::new(), String::new());
     for k in small_suite() {
         let mut targets = vec!["legup", "P1"];
         if matches!(k.name.as_str(), "em3d" | "gaussblur") {
@@ -138,12 +149,14 @@ fn fingerprints(engine: SimEngine) -> String {
                         _ => run_cgpa(&k, ReplicablePlacement::Replicated, &tuning, faults),
                     };
                     let case = format!("{} {target} {regime} faults={fault}", k.name);
-                    let _ = writeln!(out, "{}", observed.line(&case));
+                    let (line, skip) = observed.lines(&case);
+                    let _ = writeln!(out, "{line}");
+                    let _ = writeln!(skipped, "{skip}");
                 }
             }
         }
     }
-    out
+    (out, skipped)
 }
 
 /// `accesses/hits/misses/conflict_cycles`.
@@ -183,12 +196,9 @@ fn is_interpreted(line: &str) -> bool {
     matches!(line.split(' ').nth(1), Some("mips" | "reference"))
 }
 
-/// Compare `got` with the golden lines `interpreted` selects.
-fn check_lines(what: &str, got: &str, interpreted: bool) {
-    let want: Vec<&str> = GOLDEN
-        .lines()
-        .filter(|l| !l.starts_with('#') && is_interpreted(l) == interpreted)
-        .collect();
+/// Compare `got` with the lines of `golden` that `keep` selects.
+fn check_lines(what: &str, got: &str, golden: &str, keep: impl Fn(&str) -> bool) {
+    let want: Vec<&str> = golden.lines().filter(|l| !l.starts_with('#') && keep(l)).collect();
     for (g, w) in got.lines().zip(&want) {
         assert_eq!(g, *w, "{what}: fingerprint drifted; full output:\n{got}");
     }
@@ -200,7 +210,8 @@ fn check_lines(what: &str, got: &str, interpreted: bool) {
 }
 
 fn check(engine: SimEngine) {
-    check_lines(&format!("{engine:?}"), &fingerprints(engine), false);
+    let (got, _) = fingerprints(engine);
+    check_lines(&format!("{engine:?}"), &got, GOLDEN, |l| !is_interpreted(l));
 }
 
 #[test]
@@ -215,5 +226,11 @@ fn per_cycle_engine_matches_golden_fingerprints() {
 
 #[test]
 fn mips_and_reference_runs_match_golden_fingerprints() {
-    check_lines("MIPS and reference", &interpreted_runs(), true);
+    check_lines("MIPS and reference", &interpreted_runs(), GOLDEN, is_interpreted);
+}
+
+#[test]
+fn event_driven_engine_evaluates_the_golden_cycles() {
+    let (_, skipped) = fingerprints(SimEngine::EventDriven);
+    check_lines("skipped cycles", &skipped, GOLDEN_SKIPPED, |_| true);
 }
