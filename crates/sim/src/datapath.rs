@@ -589,6 +589,8 @@ pub(crate) enum StepOutcome {
     FifoWait {
         /// Queue the handshake is against.
         queue: u32,
+        /// The channel it waits on; `u32::MAX` (any) for a broadcast.
+        chan: u32,
         /// True when blocked pushing (full), false when starved popping.
         push: bool,
     },
@@ -716,7 +718,7 @@ pub(crate) fn step_worker(
                 let q = &mut hw.queues[queue as usize];
                 let chan = channel(w.reg(sel), q.channels());
                 if !q.can_push(chan) {
-                    return Ok(fifo_wait(w, queue, true));
+                    return Ok(fifo_wait(w, queue, chan as u32, true));
                 }
                 q.set_cycle(cycle);
                 q.push_bits(chan, w.reg(value));
@@ -732,7 +734,7 @@ pub(crate) fn step_worker(
                 let n_queues = hw.queues.len();
                 let q = &mut hw.queues[queue as usize];
                 if !q.can_push_all() {
-                    return Ok(fifo_wait(w, queue, true));
+                    return Ok(fifo_wait(w, queue, u32::MAX, true));
                 }
                 q.set_cycle(cycle);
                 q.push_all_bits(w.reg(value));
@@ -753,7 +755,7 @@ pub(crate) fn step_worker(
                 let q = &mut hw.queues[queue as usize];
                 let chan = channel(w.reg(sel), q.channels());
                 if !q.can_pop(chan) {
-                    return Ok(fifo_wait(w, queue, false));
+                    return Ok(fifo_wait(w, queue, chan as u32, false));
                 }
                 q.set_cycle(cycle);
                 match q.pop_checked(queue, chan) {
@@ -878,9 +880,9 @@ fn run_ahead(prog: &Program, w: &mut Worker, mut entry: u64, horizon: u64) -> u6
 
 /// Record one cycle blocked on a queue handshake.
 #[inline]
-fn fifo_wait(w: &mut Worker, queue: u32, push: bool) -> StepOutcome {
+fn fifo_wait(w: &mut Worker, queue: u32, chan: u32, push: bool) -> StepOutcome {
     w.stats.credit_fifo(queue, push, 1);
-    StepOutcome::FifoWait { queue, push }
+    StepOutcome::FifoWait { queue, chan, push }
 }
 
 /// The cycle at which a worker that has executed all of its state's ops
