@@ -359,3 +359,26 @@ proptest! {
         }
     }
 }
+
+/// The compiler reads the kernel's memory model, so the cache keys on it:
+/// one function under two models (kmeans's own, and the empty model under
+/// which every access may alias) compiles twice, and each design is the
+/// one a direct compile with its own model gives.
+#[test]
+fn the_compile_cache_keys_on_the_memory_model() {
+    let k = &suite()[0];
+    let cfg = CgpaConfig::default();
+    let compiler = CgpaCompiler::new(cfg);
+    let cache = CompileCache::new();
+    let mut designs = Vec::new();
+    for model in [k.model.clone(), cgpa_analysis::MemoryModel::new()] {
+        let cached = cache.get_or_compile(&k.func, &model, cfg).expect("cached compile");
+        let fresh = compiler.compile(&k.func, &model).expect("fresh compile");
+        let verilog = compiler.emit_verilog(&cached);
+        assert_eq!(verilog, compiler.emit_verilog(&fresh), "cached Verilog differs from fresh");
+        assert_eq!(schedule_hash(&cached), schedule_hash(&fresh), "cached schedule differs");
+        designs.push(verilog);
+    }
+    assert_eq!(cache.stats().compiles, 2, "the second model was served the first's design");
+    assert_ne!(designs[0], designs[1], "the two models give kmeans one design");
+}
