@@ -45,8 +45,8 @@ pub use compiler::{
     ScheduledFunction,
 };
 pub use dse::{
-    dominates, par_map_capped, pareto_frontier, schedule_hash, CompileCache, CompileCacheStats,
-    DseLattice, DseOutcome, DsePoint, DseReport, DEFAULT_AREA_BUDGET_ALUT,
+    dominates, par_map_capped, pareto_frontier, CompileCache, CompileCacheStats, DseLattice,
+    DseOutcome, DsePoint, DseReport, DEFAULT_AREA_BUDGET_ALUT,
 };
 pub use flows::{
     run, run_cgpa, run_cgpa_dse, run_cgpa_tuned, run_compiled, run_legup, run_mips, FlowError,

@@ -56,7 +56,7 @@ pub enum QueueKind {
 }
 
 /// Metadata about one queue set created by the transform.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueSpec {
     /// Queue id in the produced [`Module`].
     pub queue: QueueId,
@@ -73,7 +73,7 @@ pub struct QueueSpec {
 }
 
 /// Metadata about one generated task function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskInfo {
     /// Function name (`"<loop>_stage<k>"`).
     pub name: String,
@@ -86,7 +86,7 @@ pub struct TaskInfo {
 }
 
 /// A loop live-out value and its owning stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiveoutSpec {
     /// Liveout register slot.
     pub slot: u32,
@@ -99,7 +99,7 @@ pub struct LiveoutSpec {
 }
 
 /// The complete output of the pipeline transform.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineModule {
     /// Task functions plus queue declarations.
     pub module: Module,

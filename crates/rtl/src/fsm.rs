@@ -39,7 +39,7 @@ pub struct State {
 }
 
 /// A scheduled task: blocks flattened into a state sequence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fsm {
     /// All states. States of one block are contiguous and in execution
     /// order.
