@@ -400,9 +400,8 @@ fn corrupting_faults_fail_identically_inside_merged_memory_waits() {
 /// P1 at 64 and 128 workers puts more than 64 and more than 128 workers
 /// in one system, so the engines' per-worker bookkeeping spans two and
 /// three 64-bit words: statistics and traced event streams match the
-/// reference, with and without timing faults. (The event streams, not
-/// the VCDs: `Trace::to_vcd` gives each signal a one-character
-/// identifier, which runs out past 31 workers.)
+/// reference, with and without timing faults. (The event streams, from
+/// which `Trace::to_vcd` renders the VCDs.)
 #[test]
 fn p1_matches_reference_past_one_mask_word() {
     let timing = [FaultClass::StallWorker, FaultClass::MemLatencyBurst, FaultClass::PortContention];
