@@ -463,3 +463,81 @@ fn event_streams(
     .unwrap_or_else(|e| panic!("{}: traced run failed: {e}", k.name));
     out
 }
+
+/// What one traced accelerator invocation left: its trace events, its end
+/// cycle, and its error text (empty when it succeeded).
+type TracedRun = (Vec<TraceEvent>, u64, String);
+
+/// Every accelerator invocation of `k` on `compiled` under `engine`,
+/// traced with `faults` armed and `fuel` cycles (the default when
+/// `None`), up to and including the first that fails.
+fn traced_until_failure(
+    k: &BuiltKernel,
+    compiled: &Compiled,
+    tuning: &HwTuning,
+    faults: &FaultPlan,
+    fuel: Option<u64>,
+    engine: SimEngine,
+) -> Vec<TracedRun> {
+    let pm = &compiled.pipeline;
+    let fuel_cycles = fuel.unwrap_or(HwConfig::default().fuel_cycles);
+    let cfg = HwConfig {
+        cache: tuning.cache_config(pm.worker_count()),
+        fifo_depth_beats: tuning.fifo_depth_beats,
+        fuel_cycles,
+        engine,
+    };
+    let (mut mem, mut out) = (k.mem.clone(), Vec::new());
+    let _ = run_with_accelerator(
+        &pm.parent,
+        &k.args,
+        &mut mem,
+        1_000_000_000,
+        &mut |_loop_id: u32, live_ins: &[Value], m: &mut SimMemory| {
+            let mut sys = HwSystem::for_pipeline(pm, live_ins, cfg);
+            sys.enable_trace();
+            sys.inject_faults(faults.clone());
+            let result = sys.run(m).map_err(|e| e.to_string());
+            let trace = sys.take_trace().expect("trace armed");
+            let error = result.as_ref().err().cloned().unwrap_or_default();
+            out.push((trace.events, trace.end_cycle, error));
+            result.map(|_| sys.liveouts().to_vec())
+        },
+    );
+    out
+}
+
+/// Runs that fail, by a caught corruption, the hang detector or running
+/// out of fuel, leave the same trace on both engines: the same events up
+/// to the point the run stopped, the same end cycle and the same error
+/// text, under default and slow memory and with the fuel cut anywhere
+/// from the first invocation to never.
+#[test]
+fn failed_runs_leave_identical_traces() {
+    let slow_memory = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
+    let classes = [FaultClass::BitFlip, FaultClass::DropBeat, FaultClass::DuplicateBeat];
+    for k in small_suite() {
+        let compiled = CgpaCompiler::new(CgpaConfig::default())
+            .compile(&k.func, &k.model)
+            .unwrap_or_else(|e| panic!("{}: compile: {e}", k.name));
+        for (regime, tuning) in [("default", HwTuning::default()), ("slow-memory", slow_memory)] {
+            for seed in [5u64, 11, 17, 23] {
+                let plan = FaultPlan::seeded(&classes, seed);
+                for fuel in [None, Some(3_000), Some(20_011)] {
+                    let label = format!("{}/{regime}/seed {seed}/fuel {fuel:?}", k.name);
+                    let [ev, rf] = [SimEngine::EventDriven, SimEngine::PerCycle].map(|engine| {
+                        traced_until_failure(&k, &compiled, &tuning, &plan, fuel, engine)
+                    });
+                    let failed = rf.last().is_some_and(|(_, _, error)| !error.is_empty());
+                    assert!(failed, "{label}: the run did not fail");
+                    assert_eq!(ev.len(), rf.len(), "{label}: invocation counts differ");
+                    for (i, (e, r)) in ev.iter().zip(&rf).enumerate() {
+                        assert_eq!(e.2, r.2, "{label}: invocation {i}: errors differ");
+                        assert_eq!(e.1, r.1, "{label}: invocation {i}: end cycles differ");
+                        assert!(e.0 == r.0, "{label}: invocation {i}: trace events differ");
+                    }
+                }
+            }
+        }
+    }
+}
