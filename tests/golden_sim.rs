@@ -18,6 +18,14 @@
 //! `skipped_cycles` the hash leaves out: which cycles the event engine
 //! evaluates. A cycle it evaluates without need (or skips by mistake)
 //! changes that count and nothing else.
+//!
+//! Every case runs with a trace armed, which must move none of those
+//! numbers, and `tests/golden/sim_traces.txt` pins what the traces hold:
+//! per case, an FNV-1a hash over the `Debug` rendering of each
+//! invocation's trace events and end cycle, the same on both engines. The
+//! engines share the code that puts a trace in order, so only this file
+//! catches an order both get wrong. (The hash covers the events rather
+//! than the VCD, which leaves out back edges.)
 
 use cgpa_repro::cgpa::compiler::{CgpaCompiler, CgpaConfig};
 use cgpa_repro::cgpa::flows::HwTuning;
@@ -27,12 +35,13 @@ use cgpa_repro::sim::cache::CacheStats;
 use cgpa_repro::sim::mips::{run_mips, MipsConfig};
 use cgpa_repro::sim::{
     run_function, run_with_accelerator, CacheConfig, FaultClass, FaultPlan, HwConfig, HwSystem,
-    NoHooks, SimEngine, SimMemory, SystemStats, Value,
+    NoHooks, SimEngine, SimMemory, SystemStats, TraceEvent, Value,
 };
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/sim_stats.txt");
 const GOLDEN_SKIPPED: &str = include_str!("golden/sim_skipped.txt");
+const GOLDEN_TRACES: &str = include_str!("golden/sim_traces.txt");
 
 fn small_suite() -> Vec<BuiltKernel> {
     vec![
@@ -56,11 +65,21 @@ struct Observed {
     stats: Vec<SystemStats>,
     liveouts: Vec<Vec<Option<Value>>>,
     ret: Option<Value>,
+    /// Each invocation's trace events and end cycle.
+    traces: Vec<(Vec<TraceEvent>, u64)>,
+}
+
+/// The fingerprint, `skipped_cycles` and trace lines of a set of cases.
+#[derive(Default)]
+struct Lines {
+    stats: String,
+    skipped: String,
+    traces: String,
 }
 
 impl Observed {
-    /// The case's fingerprint line and its `skipped_cycles` line.
-    fn lines(mut self, case: &str) -> (String, String) {
+    /// Append the case's fingerprint, `skipped_cycles` and trace lines.
+    fn lines(mut self, case: &str, out: &mut Lines) {
         let cycles: u64 = self.stats.iter().map(|s| s.cycles).sum();
         let mut skipped = 0;
         for s in &mut self.stats {
@@ -69,14 +88,25 @@ impl Observed {
         }
         let text = format!("{:?}|{:?}|{:?}", self.stats, self.liveouts, self.ret);
         let hash = fnv1a(text.as_bytes());
-        (format!("{case} cycles={cycles} hash={hash:016x}"), format!("{case} skipped={skipped}"))
+        let trace = fnv1a(format!("{:?}", self.traces).as_bytes());
+        let _ = writeln!(out.stats, "{case} cycles={cycles} hash={hash:016x}");
+        let _ = writeln!(out.skipped, "{case} skipped={skipped}");
+        let _ = writeln!(out.traces, "{case} trace={trace:016x}");
     }
 }
 
+/// Arm a trace, and `faults` if any.
 fn arm(sys: &mut HwSystem<'_>, faults: Option<&FaultPlan>) {
+    sys.enable_trace();
     if let Some(plan) = faults {
         sys.inject_faults(plan.clone());
     }
+}
+
+/// The trace events and end cycle of `sys`'s last run.
+fn take_trace(sys: &mut HwSystem<'_>) -> (Vec<TraceEvent>, u64) {
+    let trace = sys.take_trace().expect("trace armed");
+    (trace.events, trace.end_cycle)
 }
 
 /// Single-worker LegUp-style run of the whole kernel.
@@ -87,7 +117,8 @@ fn run_legup(k: &BuiltKernel, tuning: &HwTuning, faults: Option<&FaultPlan>) -> 
     let mut sys = HwSystem::for_single(&k.func, &k.args, cfg);
     arm(&mut sys, faults);
     let stats = sys.run(&mut mem).unwrap_or_else(|e| panic!("{}: LegUp run: {e}", k.name));
-    Observed { stats: vec![stats], liveouts: Vec::new(), ret: sys.ret_value() }
+    let traces = vec![take_trace(&mut sys)];
+    Observed { stats: vec![stats], liveouts: Vec::new(), ret: sys.ret_value(), traces }
 }
 
 /// CGPA run: the parent interpreted, every fork simulated.
@@ -107,7 +138,7 @@ fn run_cgpa(
         engine: tuning.engine,
         ..HwConfig::default()
     };
-    let (mut stats, mut liveouts) = (Vec::new(), Vec::new());
+    let (mut stats, mut liveouts, mut traces) = (Vec::new(), Vec::new(), Vec::new());
     let mut mem = k.mem.clone();
     let (ret, _) = run_with_accelerator(
         &pm.parent,
@@ -118,21 +149,22 @@ fn run_cgpa(
             let mut sys = HwSystem::for_pipeline(pm, live_ins, cfg);
             arm(&mut sys, faults);
             stats.push(sys.run(m).map_err(|e| e.to_string())?);
+            traces.push(take_trace(&mut sys));
             liveouts.push(sys.liveouts().to_vec());
             Ok(sys.liveouts().to_vec())
         },
     )
     .unwrap_or_else(|e| panic!("{}: {placement:?} run: {e}", k.name));
-    Observed { stats, liveouts, ret }
+    Observed { stats, liveouts, ret, traces }
 }
 
-/// Every case's fingerprint line under `engine`, in file order, and every
-/// case's `skipped_cycles` line.
-fn fingerprints(engine: SimEngine) -> (String, String) {
+/// Every case's fingerprint, `skipped_cycles` and trace lines under
+/// `engine`, in file order.
+fn fingerprints(engine: SimEngine) -> Lines {
     let slow_memory = HwTuning { miss_latency: 400, cache_lines: 2, ..HwTuning::default() };
     let timing = [FaultClass::StallWorker, FaultClass::MemLatencyBurst, FaultClass::PortContention];
     let plan = FaultPlan::seeded(&timing, 1);
-    let (mut out, mut skipped) = (String::new(), String::new());
+    let mut out = Lines::default();
     for k in small_suite() {
         let mut targets = vec!["legup", "P1"];
         if matches!(k.name.as_str(), "em3d" | "gaussblur") {
@@ -149,14 +181,12 @@ fn fingerprints(engine: SimEngine) -> (String, String) {
                         _ => run_cgpa(&k, ReplicablePlacement::Replicated, &tuning, faults),
                     };
                     let case = format!("{} {target} {regime} faults={fault}", k.name);
-                    let (line, skip) = observed.lines(&case);
-                    let _ = writeln!(out, "{line}");
-                    let _ = writeln!(skipped, "{skip}");
+                    observed.lines(&case, &mut out);
                 }
             }
         }
     }
-    (out, skipped)
+    out
 }
 
 /// `accesses/hits/misses/conflict_cycles`.
@@ -209,9 +239,11 @@ fn check_lines(what: &str, got: &str, golden: &str, keep: impl Fn(&str) -> bool)
     );
 }
 
+/// `engine`'s fingerprints and traces match the golden files.
 fn check(engine: SimEngine) {
-    let (got, _) = fingerprints(engine);
-    check_lines(&format!("{engine:?}"), &got, GOLDEN, |l| !is_interpreted(l));
+    let got = fingerprints(engine);
+    check_lines(&format!("{engine:?}"), &got.stats, GOLDEN, |l| !is_interpreted(l));
+    check_lines(&format!("{engine:?} traces"), &got.traces, GOLDEN_TRACES, |_| true);
 }
 
 #[test]
@@ -231,6 +263,6 @@ fn mips_and_reference_runs_match_golden_fingerprints() {
 
 #[test]
 fn event_driven_engine_evaluates_the_golden_cycles() {
-    let (_, skipped) = fingerprints(SimEngine::EventDriven);
-    check_lines("skipped cycles", &skipped, GOLDEN_SKIPPED, |_| true);
+    let got = fingerprints(SimEngine::EventDriven);
+    check_lines("skipped cycles", &got.skipped, GOLDEN_SKIPPED, |_| true);
 }
