@@ -492,11 +492,10 @@ pub(crate) struct Worker {
     /// The current run-ahead window: every state entered since the step
     /// that returned [`StepOutcome::Ahead`], in order, the last one being
     /// the state the worker waits to enter. Empty outside a window. The
-    /// run loop reads the worker's per-cycle FSM state (for the trace and
-    /// diagnostic dumps) from here while the window lasts.
+    /// step that opens the window records its trace events from here, and
+    /// the diagnostic dumps read the worker's per-cycle FSM state from here
+    /// while the window lasts.
     pub(crate) ahead: Vec<Entered>,
-    /// How many entries of `ahead` the trace has recorded.
-    pub(crate) logged: usize,
 }
 
 impl Worker {
@@ -525,14 +524,12 @@ impl Worker {
             ret: None,
             stats: WorkerStats::default(),
             ahead: Vec::new(),
-            logged: 0,
         }
     }
 
     /// End a sleep: close the run-ahead window, if any.
     pub(crate) fn wake(&mut self) {
         self.ahead.clear();
-        self.logged = 0;
     }
 
     /// The FSM state the per-cycle stepper would show after stepping this

@@ -14,7 +14,7 @@
 //! serialization inside [`CacheSystem`].
 
 use crate::cache::{CacheConfig, CacheSystem};
-use crate::datapath::{lower, step_worker, MicroOp, Program, Shared, StepOutcome, Worker};
+use crate::datapath::{lower, step_worker, Entered, MicroOp, Program, Shared, StepOutcome, Worker};
 use crate::fault::{FaultDetection, FaultPlan};
 use crate::fifo::QueueState;
 use crate::mem::SimMemory;
@@ -414,11 +414,11 @@ impl<'m> HwSystem<'m> {
     }
 
     /// Run to completion with the configured engine. Both engines record
-    /// the same trace: while a worker runs ahead of the clock, the
-    /// event-driven engine records its state changes, back edges and the
-    /// end of a merged memory wait from the worker's run-ahead log, each at
-    /// the cycle it belongs to, so an armed trace (or fault plan) does not
-    /// change the engine.
+    /// the same trace: a step that opens a run-ahead window records the
+    /// window's state changes, back edges and the end of a merged memory
+    /// wait at the cycles they belong to, and the run puts the trace in
+    /// order when it ends, so an armed trace (or fault plan) changes
+    /// neither the engine nor the workers it steps.
     ///
     /// # Errors
     /// [`HwError::Malformed`] when a task could not be lowered or a
@@ -428,15 +428,17 @@ impl<'m> HwSystem<'m> {
     /// memory, [`HwError::Fault`] when injected corruption is detected.
     pub fn run(&mut self, mem: &mut SimMemory) -> Result<SystemStats, HwError> {
         let result = self.run_impl(mem, self.cfg.engine == SimEngine::EventDriven);
-        // Stamp the armed trace with where the run stopped.
+        // Order the armed trace, cut it where the run stopped, and stamp it
+        // with the end of the run.
         if let Some(trace) = &mut self.trace {
-            let last_event = trace.events.last().map_or(0, |&e| crate::trace::cycle_of(e));
-            trace.end_cycle = match &result {
-                Ok(stats) => stats.cycles,
-                Err(e) => e.cycle().unwrap_or(last_event) + 1,
+            let (stop, end) = match &result {
+                Ok(stats) => ((stats.cycles, 0), stats.cycles),
+                Err((e, stop)) => (*stop, e.cycle().unwrap_or(0) + 1),
             };
+            trace.order(stop);
+            trace.end_cycle = end;
         }
-        result
+        result.map_err(|(e, _)| e)
     }
 
     /// Progress watchdog window: scales with the fuel budget rather than a
@@ -472,16 +474,14 @@ impl<'m> HwSystem<'m> {
     /// watchdog deadline or the fuel limit, whichever comes first.
     ///
     /// Statistics, error cycles, fault attribution, trace events and
-    /// diagnostic dumps stay exactly per-cycle-equivalent: while a run-ahead
-    /// window lasts, the trace and the dumps read the worker's per-cycle
-    /// state from its log.
-    fn run_impl(
-        &mut self,
-        mem: &mut SimMemory,
-        event_driven: bool,
-    ) -> Result<SystemStats, HwError> {
+    /// diagnostic dumps stay exactly per-cycle-equivalent: the step that
+    /// opens a run-ahead window records the window's trace events at their
+    /// own cycles, and while the window lasts the dumps read the worker's
+    /// per-cycle state from its log. A failure also returns where the run
+    /// stopped (see [`HwSystem::stop`]).
+    fn run_impl(&mut self, mem: &mut SimMemory, event_driven: bool) -> Result<SystemStats, Stop> {
         if let Some(e) = &self.malformed {
-            return Err(e.clone());
+            return Err((e.clone(), (0, 0)));
         }
         let n_workers = self.workers.len();
         let (fuel, watchdog) = (self.cfg.fuel_cycles, self.watchdog_cycles());
@@ -497,10 +497,6 @@ impl<'m> HwSystem<'m> {
         let mut last_occ = vec![0; self.queues.len()];
         let mut last_cause = vec![None; n_workers];
         let (mut ws, mut live) = (WakeSet::new(n_workers, self.queues.len()), n_workers);
-        // A traced run visits every live worker in index order, so that the
-        // run-ahead events of the ones not due fall between the steps where
-        // the per-cycle stepper records them.
-        let traced = self.trace.is_some();
         while cycle < fuel && live > 0 {
             // Windows and sleeps starting now end at the next timed fault edge.
             let horizon = match &self.fault {
@@ -512,17 +508,9 @@ impl<'m> HwSystem<'m> {
             let mut progressed = false;
             for k in 0..ws.live.len() {
                 let mut due = std::mem::take(&mut ws.slot(cycle)[k]);
-                let mut visit = if traced { ws.live[k] } else { due };
-                while visit != 0 {
-                    let wi = k * 64 + visit.trailing_zeros() as usize;
-                    visit &= visit - 1;
-                    if due >> (wi % 64) & 1 == 0 {
-                        if let Some(trace) = &mut self.trace {
-                            let w = &mut self.workers[wi];
-                            record_ahead(trace, w, wi, &mut last_cause[wi], cycle);
-                        }
-                        continue;
-                    }
+                while due != 0 {
+                    let wi = k * 64 + due.trailing_zeros() as usize;
+                    due &= due - 1;
                     let slept = ws.rouse(wi);
                     if slept.class != StepOutcome::Active {
                         if slept.busy_from < cycle {
@@ -532,13 +520,13 @@ impl<'m> HwSystem<'m> {
                         credit(w, slept, cycle);
                         w.wake();
                     }
-                    let (outcome, busy) =
-                        self.step_live(mem, &mut last_cause[wi], cycle, wi, horizon)?;
+                    let (outcome, busy) = self
+                        .step_live(mem, &mut last_cause[wi], cycle, wi, horizon)
+                        .map_err(|e| self.stop(e, cycle, wi))?;
                     progressed |= busy;
                     if ws.notify(&self.queues, wi, cycle) {
                         // Waiters above `wi` in this word are due in this cycle.
-                        let more = std::mem::take(&mut ws.slot(cycle)[k]);
-                        (due, visit) = (due | more, visit | more);
+                        due |= std::mem::take(&mut ws.slot(cycle)[k]);
                     }
                     if self.workers[wi].finished {
                         finish_cycle[wi] = cycle;
@@ -586,19 +574,17 @@ impl<'m> HwSystem<'m> {
             let next = next.min(fuel);
             if next > cycle + 1 {
                 // No worker steps in the cycles between: jump them.
-                if let Some(trace) = &mut self.trace {
-                    record_skipped(trace, &mut self.workers, &ws.live, &mut last_cause, next);
-                }
                 skipped_cycles += next - 1 - cycle;
             }
             cycle = next;
         }
         if live > 0 {
-            if self.fault.as_ref().is_some_and(FaultPlan::corruption_fired) {
-                let detail = self.dump_at(cycle.saturating_sub(1), n_workers);
-                return Err(HwError::Fault { cycle, kind: FaultDetection::Hang, detail });
-            }
-            return Err(HwError::Timeout { cycle });
+            let error = if self.fault.as_ref().is_some_and(FaultPlan::corruption_fired) {
+                HwError::Fault { cycle, kind: FaultDetection::Hang, detail: String::new() }
+            } else {
+                HwError::Timeout { cycle }
+            };
+            return Err(self.stop(error, cycle, 0));
         }
         // Workers that finished early idled until the join; the last
         // simulated cycle is `cycle - 1`.
@@ -614,7 +600,8 @@ impl<'m> HwSystem<'m> {
                     queue: qi as u32,
                     beats: q.total_occupancy() as u32,
                 };
-                return Err(HwError::Fault { cycle, kind, detail: self.dump_at(last, n_workers) });
+                let error = HwError::Fault { cycle, kind, detail: String::new() };
+                return Err(self.stop(error, cycle, 0));
             }
         }
         for q in &mut self.queues {
@@ -633,8 +620,9 @@ impl<'m> HwSystem<'m> {
 
     /// Step live worker `wi` in `cycle`: hold it if an injected stall
     /// window clock-gates it, else run [`step_worker`]; then record its
-    /// trace events (`last_cause` is its last recorded stall cause).
-    /// Returns the outcome and whether the worker was busy.
+    /// trace events, those of the run-ahead window the step opened
+    /// included, each at its own cycle (`last_cause` is its last recorded
+    /// stall cause). Returns the outcome and whether the worker was busy.
     #[inline(always)]
     fn step_live(
         &mut self,
@@ -666,32 +654,32 @@ impl<'m> HwSystem<'m> {
             fault: &mut self.fault,
         };
         let prog = &self.programs[w.func];
-        let outcome = match step_worker(prog, w, &mut shared, cycle, wi, horizon) {
-            Ok(outcome) => outcome,
-            Err(HwError::Fault { cycle, kind, .. }) => {
-                return Err(HwError::Fault { cycle, kind, detail: self.dump_at(cycle, wi) });
-            }
-            Err(other) => return Err(other),
-        };
+        let outcome = step_worker(prog, w, &mut shared, cycle, wi, horizon)?;
         let w = &mut self.workers[wi];
         if let Some(trace) = &mut self.trace {
-            // A worker that ran ahead has only moved into the first state
-            // of its window by the end of this cycle; `record_ahead`
-            // records the rest later.
-            let (state, back) = match w.ahead.first() {
-                Some(e) => (e.state as usize, e.back),
-                None => (w.state, w.stats.iterations != before_iters),
-            };
-            w.logged = w.ahead.len().min(1);
-            let worker = wi as u32;
-            if cycle == 0 || state != before_state {
-                trace.record(TraceEvent::State { cycle, worker, state: state as u32 });
-            }
-            record_cause(trace, last_cause, cycle, wi, cause_of(outcome));
-            // A step takes at most one transition this cycle: a back edge
-            // or the final `Ret`, never both.
-            if back {
-                trace.record(TraceEvent::Iteration { cycle, worker });
+            // The step's own move, then the rest of the window it opened.
+            let back = w.stats.iterations != before_iters;
+            let step = [Entered { at: cycle, state: w.state as u32, back, resumed: false }];
+            let log = if w.ahead.is_empty() { &step[..] } else { &w.ahead[..] };
+            let (worker, mut state) = (wi as u32, before_state as u32);
+            for (i, e) in log.iter().enumerate() {
+                // Cycle 0 records every worker's first state.
+                if e.state != state || e.at == 0 {
+                    trace.record(TraceEvent::State { cycle: e.at, worker, state: e.state });
+                    state = e.state;
+                }
+                // A worker's cause is `Busy` inside a window, except before
+                // a merged load's response, where it waits on memory.
+                if i == 0 {
+                    record_cause(trace, last_cause, cycle, wi, cause_of(outcome));
+                } else if e.resumed {
+                    record_cause(trace, last_cause, e.at, wi, StallCause::Busy);
+                }
+                // A move takes at most one transition: a back edge or the
+                // final `Ret`, never both.
+                if e.back {
+                    trace.record(TraceEvent::Iteration { cycle: e.at, worker });
+                }
             }
             if w.finished {
                 trace.record(TraceEvent::Finish { cycle, worker });
@@ -703,15 +691,33 @@ impl<'m> HwSystem<'m> {
     /// The error the watchdog reports at the end of `cycle`: a lost beat
     /// can starve a consumer forever, so attribute the hang to injected
     /// corruption when one fired, otherwise report a design deadlock.
-    fn no_progress_error(&self, cycle: u64) -> HwError {
-        let detail = self.dump_at(cycle, self.workers.len());
-        if self.fault.as_ref().is_some_and(FaultPlan::corruption_fired) {
+    fn no_progress_error(&self, cycle: u64) -> Stop {
+        let detail = String::new();
+        let error = if self.fault.as_ref().is_some_and(FaultPlan::corruption_fired) {
             HwError::Fault { cycle, kind: FaultDetection::Hang, detail }
         } else {
             HwError::Deadlock { cycle, detail }
+        };
+        self.stop(error, cycle + 1, 0)
+    }
+
+    /// A run that fails with `error` stops in `cycle` before worker
+    /// `next_worker` steps: an error a step detects stops at that step,
+    /// the watchdog's at the end of its cycle, running out of fuel before
+    /// the fuel cycle. Fills the dump of a [`HwError::Fault`] or
+    /// [`HwError::Deadlock`] from that point, and pairs the error with it:
+    /// [`HwSystem::run`] keeps the trace events recorded before it.
+    fn stop(&self, mut error: HwError, cycle: u64, next_worker: usize) -> Stop {
+        if let HwError::Fault { detail, .. } | HwError::Deadlock { detail, .. } = &mut error {
+            *detail = self.dump_at(cycle, next_worker);
         }
+        (error, (cycle, next_worker))
     }
 }
+
+/// A failed run's error and where it stopped: in which cycle, before
+/// stepping which worker (see [`HwSystem::stop`]).
+type Stop = (HwError, (u64, usize));
 
 /// A live worker's sleep: the outcome of its last step, which says what
 /// each slept cycle counts as (see [`credit`]), and when it ends.
@@ -991,54 +997,6 @@ fn record_cause(
     if *last != Some(cause) {
         trace.record(TraceEvent::Stall { cycle, worker: wi as u32, cause });
         *last = Some(cause);
-    }
-}
-
-/// Record the `State`, `Stall` and `Iteration` events of worker `wi`'s
-/// run-ahead window up to cycle `upto`, each at the cycle the per-cycle
-/// stepper records it in. A worker's cause is `Busy` inside a window,
-/// except before a merged load's response, where it waits on memory.
-fn record_ahead(
-    trace: &mut Trace,
-    w: &mut Worker,
-    wi: usize,
-    last_cause: &mut Option<StallCause>,
-    upto: u64,
-) {
-    let worker = wi as u32;
-    while let Some(&e) = w.ahead.get(w.logged) {
-        if e.at > upto {
-            break;
-        }
-        if e.state != w.ahead[w.logged - 1].state {
-            trace.record(TraceEvent::State { cycle: e.at, worker, state: e.state });
-        }
-        if e.resumed {
-            record_cause(trace, last_cause, e.at, wi, StallCause::Busy);
-        }
-        if e.back {
-            trace.record(TraceEvent::Iteration { cycle: e.at, worker });
-        }
-        w.logged += 1;
-    }
-}
-
-/// Record, in (cycle, worker) order, every live worker's run-ahead events
-/// before cycle `before`: the events of cycles in which no worker steps.
-fn record_skipped(
-    trace: &mut Trace,
-    workers: &mut [Worker],
-    live: &[u64],
-    last_cause: &mut [Option<StallCause>],
-    before: u64,
-) {
-    loop {
-        let first = bits(live)
-            .filter_map(|wi| workers[wi].ahead.get(workers[wi].logged).map(|e| (e.at, wi)))
-            .filter(|&(at, _)| at < before)
-            .min();
-        let Some((at, wi)) = first else { break };
-        record_ahead(trace, &mut workers[wi], wi, &mut last_cause[wi], at);
     }
 }
 

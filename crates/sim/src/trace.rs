@@ -11,14 +11,17 @@
 //! directly visible in both.
 //!
 //! Both engines record the same log, so arming a trace does not force the
-//! per-cycle stepper. Finishes and queue handshakes happen only on cycles
-//! the event-driven engine steps the worker in. A worker that runs ahead
-//! of the clock through register-only states changes FSM state (and takes
-//! back edges) on cycles the engine may not evaluate at all, and a worker
-//! whose load response was taken at issue stops waiting on memory at the
-//! response cycle; those `State`, `Iteration` and `Stall` events come from
-//! the worker's run-ahead log and are recorded at their exact cycles, in
-//! (cycle, worker) order, as the per-cycle stepper records them.
+//! per-cycle stepper, and a traced run steps the same workers as an
+//! untraced one. Finishes and queue handshakes happen only on cycles the
+//! event-driven engine steps the worker in. A worker that runs ahead of the
+//! clock through register-only states changes FSM state (and takes back
+//! edges) on cycles the engine may not evaluate at all, and a worker whose
+//! load response was taken at issue stops waiting on memory at the
+//! response cycle; the step that opens such a window records its `State`,
+//! `Iteration` and `Stall` events at once, each at its own cycle, from the
+//! worker's run-ahead log. So a run records events out of order across
+//! workers, and puts them in the per-cycle stepper's (cycle, worker) order
+//! once, when it ends (see [`Trace::events`]).
 
 use cgpa_obs::Recorder;
 use std::fmt::Write as _;
@@ -114,7 +117,12 @@ pub enum TraceEvent {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// Events in nondecreasing cycle order.
+    /// Events in the order the per-cycle stepper records them, once a
+    /// hardware run has ended: by cycle, within a cycle by worker, each
+    /// worker's events of a cycle in the order it took them, and the
+    /// queue occupancies of the cycle after every worker's, in queue order.
+    /// A failed run keeps the events recorded before the point where it
+    /// stopped.
     pub events: Vec<TraceEvent>,
     /// Design name (labels the run in a replayed trace).
     pub design: String,
@@ -135,13 +143,30 @@ impl Trace {
         Trace { events: Vec::new(), design: design.into(), workers, queues, end_cycle: 0 }
     }
 
-    /// Record an event (cycles must be nondecreasing).
+    /// Append an event. A hardware run records each worker's events in
+    /// cycle order and leaves the order across workers to
+    /// [`HwSystem::run`](crate::HwSystem::run), which sorts them when it
+    /// ends.
     pub fn record(&mut self, e: TraceEvent) {
-        debug_assert!(
-            self.events.last().is_none_or(|last| cycle_of(*last) <= cycle_of(e)),
-            "trace events must be recorded in cycle order"
-        );
         self.events.push(e);
+    }
+
+    /// Put a hardware run's events in the order [`Trace::events`] states,
+    /// and keep those before `stop`: the cycle the run stopped in and the
+    /// first worker it did not step there. The sort is stable, so each
+    /// worker's events of one cycle keep the order it recorded them in.
+    pub(crate) fn order(&mut self, stop: (u64, usize)) {
+        let workers = self.workers.len();
+        let key = |e: &TraceEvent| match *e {
+            TraceEvent::QueueOccupancy { cycle, .. } => (cycle, workers),
+            TraceEvent::State { cycle, worker, .. }
+            | TraceEvent::Finish { cycle, worker }
+            | TraceEvent::Stall { cycle, worker, .. }
+            | TraceEvent::Iteration { cycle, worker } => (cycle, worker as usize),
+        };
+        self.events.sort_by_key(key);
+        let kept = self.events.partition_point(|e| key(e) < stop);
+        self.events.truncate(kept);
     }
 
     /// Render the trace as a VCD document.
@@ -273,7 +298,7 @@ fn vcd_code(n: usize) -> String {
     format!("{prefix}{}", char::from(d + u8::from(d >= b'#')))
 }
 
-pub(crate) fn cycle_of(e: TraceEvent) -> u64 {
+fn cycle_of(e: TraceEvent) -> u64 {
     match e {
         TraceEvent::State { cycle, .. }
         | TraceEvent::Finish { cycle, .. }
@@ -370,6 +395,45 @@ mod tests {
             names,
             ["run toy", "iter 0", "q0 vals beats", "iter 1", "q0 vals beats", "iter 2"]
         );
+    }
+
+    /// A run records a window's events when the step that opens it runs;
+    /// `order` puts them in (cycle, worker) order, queue occupancies last
+    /// in their cycle, and keeps what comes before the stop.
+    #[test]
+    fn order_sorts_by_cycle_then_worker_and_cuts_at_the_stop() {
+        let state = |cycle, worker| TraceEvent::State { cycle, worker, state: 1 };
+        let busy = |cycle, worker| TraceEvent::Stall { cycle, worker, cause: StallCause::Busy };
+        let queue = |cycle| TraceEvent::QueueOccupancy { cycle, queue: 0, beats: 1 };
+        let mut run = Trace::new("toy", vec!["a".into(), "b".into()], vec!["q".into()]);
+        // Worker 1's step in cycle 2 opens a window that moves it in cycle 4.
+        run.events = vec![
+            state(2, 0),
+            state(2, 1),
+            busy(2, 1),
+            state(4, 1),
+            queue(2),
+            state(3, 0),
+            queue(3),
+            state(4, 0),
+        ];
+        let ordered = [
+            state(2, 0),
+            state(2, 1),
+            busy(2, 1),
+            queue(2),
+            state(3, 0),
+            queue(3),
+            state(4, 0),
+            state(4, 1),
+        ];
+        // A run stopped at worker 1's step in cycle 4, or before it in
+        // cycle 4 or 3, or after cycle 4.
+        for (stop, kept) in [((4, 1), 7), ((4, 0), 6), ((3, 1), 5), ((5, 0), 8)] {
+            let mut t = run.clone();
+            t.order(stop);
+            assert_eq!(t.events, ordered[..kept], "stopped at {stop:?}");
+        }
     }
 
     /// 128 workers and 64 queues declare 448 signals, past the 93
