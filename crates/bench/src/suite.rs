@@ -1,7 +1,7 @@
 //! Benchmark suite assembly for the `experiments` binary.
 
 use cgpa::compiler::CgpaConfig;
-use cgpa::dse::par_map_capped;
+use cgpa::dse::{host_threads, par_map_capped};
 use cgpa::flows::{
     run, run_cgpa, run_cgpa_tuned, run_legup, run_mips, FlowError, HwTuning, RunSpec, Target,
 };
@@ -44,11 +44,6 @@ pub fn bench_kernels(set: KernelSet, seed: u64) -> Vec<BuiltKernel> {
 #[must_use]
 pub fn has_p2(name: &str) -> bool {
     matches!(name, "em3d" | "gaussblur")
-}
-
-/// Fan-out width for the suite's sweeps: one thread per available core.
-fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, usize::from)
 }
 
 /// Run all configurations for one kernel. The four flows (MIPS, LegUp,

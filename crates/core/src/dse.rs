@@ -619,9 +619,11 @@ pub fn explore(
     })
 }
 
-/// The explorer's fan-out width: the host's available parallelism, read
-/// once per process (reading it can open the cgroup quota files).
-fn host_threads() -> usize {
+/// The fan-out width of the explorer and of the experiment sweeps: the
+/// host's available parallelism, read once per process (reading it can open
+/// the cgroup quota files).
+#[must_use]
+pub fn host_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(4, usize::from))
 }
