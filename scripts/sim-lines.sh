@@ -9,7 +9,7 @@
 #
 # Usage: scripts/sim-lines.sh
 set -eu
-CEILING=5131
+CEILING=5111
 root=$(cd "$(dirname "$0")/.." && pwd)
 total=0
 for f in "$root"/crates/sim/src/*.rs; do
